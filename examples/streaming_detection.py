@@ -2,17 +2,16 @@
 
 The paper's deployment discussion (§5) calls for running pipelines against
 live signals and refreshing them when drift is observed. This example
-opens a stream over a fitted pipeline, pushes micro-batches, watches
-stable-id anomaly events appear incrementally, and lets an injected mean
-shift trigger a drift-confirmed background retrain with an atomic
-pipeline swap.
+serves one stream as the single lane of a ``StreamScheduler``, pushes
+micro-batches, watches stable-id anomaly events appear incrementally, and
+lets an injected mean shift trigger a drift-confirmed refit with an atomic
+pipeline swap — the same refit path the REST API and the fleet use.
 
 Run with:  python examples/streaming_detection.py
 """
 
-import numpy as np
-
 from repro import Sintel
+from repro.core import StreamScheduler
 from repro.data import generate_signal
 from repro.streaming import PageHinkley
 
@@ -30,30 +29,33 @@ def main():
     sintel.fit(train)
     print(f"trained on {len(train)} rows; streaming {len(live)} live rows")
 
-    # 2. Open a stream. The runner keeps a sliding window, runs each
-    #    micro-batch through the pipeline's stream-mode execution plan, and
-    #    reconciles overlapping detections into stable-id events.
-    runner = sintel.stream(
-        window_size=400, warmup=64,
+    # 2. Open a stream as the one lane of a scheduler. The lane's runner
+    #    keeps a sliding window, runs each micro-batch through the
+    #    pipeline's execution plan, and reconciles overlapping detections
+    #    into stable-id events; the scheduler refits the lane when its
+    #    drift monitor fires (inline here, so the run is deterministic).
+    scheduler = StreamScheduler(refit_sync=True)
+    lane = scheduler.add_stream(
+        sintel, window_size=400, warmup=64,
         drift_detector=PageHinkley(threshold=25.0, min_samples=30),
-        retrain=True,
     )
+    runner = lane.runner
 
-    # 3. Push micro-batches as they "arrive". An injected mean shift in the
-    #    second half of the live data makes the drift monitor fire.
+    # 3. Push micro-batches as they "arrive", one scheduling round each.
+    #    An injected mean shift in the second half of the live data makes
+    #    the drift monitor fire.
     live = live.copy()
     live[300:, 1] += 4.0  # regime change mid-stream
     for start in range(0, len(live), 50):
-        changed = runner.send(live[start:start + 50])
+        scheduler.ingest(lane.lane_id, live[start:start + 50])
+        changed = scheduler.run_round().get(lane.lane_id, [])
         for event in changed:
             print(f"  batch {runner.state()['batches']:>2}  "
                   f"{event.event_id:<8} {event.status:<7} "
                   f"[{event.start:>6.0f} .. {event.end:>6.0f}]")
 
-    # 4. Wait for any drift-triggered background retrain, then close the
-    #    stream (closing flushes every still-open event).
-    runner.join_retrain(timeout=60)
-    runner.close()
+    # 4. Close the stream (closing flushes every still-open event).
+    scheduler.close_stream(lane.lane_id)
 
     state = runner.state()
     print(f"\nsamples ingested : {state['samples_seen']}")

@@ -423,8 +423,8 @@ def stream_collector(streams) -> Callable[[MetricsRegistry], None]:
         registry.gauge("sintel_stream_samples_seen_total",
                        "Samples processed across sessions").set(samples_seen)
         registry.gauge("sintel_stream_retrains_total",
-                       "Drift-triggered retrains across sessions"
-                       ).set(retrains)
+                       "Scheduler refits across sessions (drift, SLA "
+                       "staleness or backfill)").set(retrains)
         registry.gauge("sintel_stream_events_total",
                        "Anomaly events emitted across sessions").set(events)
 
@@ -434,9 +434,9 @@ def stream_collector(streams) -> Callable[[MetricsRegistry], None]:
 def fleet_collector(streams) -> Callable[[MetricsRegistry], None]:
     """Export the fleet scheduler's batching and tiered-refit view.
 
-    ``streams`` is a :class:`~repro.api.streams.StreamManager`; its fleet
-    scheduler is created lazily on the first ``open(..., fleet=True)``, so
-    every gauge renders as zero until a fleet session exists.
+    ``streams`` is a :class:`~repro.api.streams.StreamManager`; every
+    stream session is a lane on its one scheduler, so every gauge renders
+    as zero until a session exists.
     """
 
     def collect(registry: MetricsRegistry) -> None:
@@ -457,53 +457,37 @@ def fleet_collector(streams) -> Callable[[MetricsRegistry], None]:
         lag_p95 = registry.gauge(
             "sintel_fleet_ingest_lag_p95_seconds",
             "p95 time from ingest to the round that served the batch")
+        stats = streams.scheduler.stats()
         scalars = {
-            "sintel_fleet_streams": ("Lanes registered with the fleet", 0),
-            "sintel_fleet_groups": ("Pipeline-identity fleet groups", 0),
-            "sintel_fleet_rounds_total": ("Scheduling rounds executed", 0),
+            "sintel_fleet_streams": ("Lanes registered with the fleet",
+                                     "streams"),
+            "sintel_fleet_groups": ("Pipeline-identity fleet groups",
+                                    "groups"),
+            "sintel_fleet_rounds_total": ("Scheduling rounds executed",
+                                          "rounds"),
             "sintel_fleet_pending_batches": (
-                "Micro-batches ingested but not yet served", 0),
+                "Micro-batches ingested but not yet served", "pending"),
             "sintel_fleet_refit_errors_total": (
-                "Background refits that raised", 0),
+                "Background refits that raised", "refit_errors"),
             "sintel_fleet_refits_in_flight": (
-                "Refits currently running", 0),
+                "Refits currently running", "refits_in_flight"),
         }
-        scheduler = getattr(streams, "scheduler", None)
-        stats = scheduler.stats() if scheduler is not None else {}
-        for name, (help_text, default) in scalars.items():
-            registry.gauge(name, help_text).set(default)
-        if stats:
-            registry.gauge("sintel_fleet_streams").set(stats["streams"])
-            registry.gauge("sintel_fleet_groups").set(stats["groups"])
-            registry.gauge("sintel_fleet_rounds_total").set(stats["rounds"])
-            registry.gauge("sintel_fleet_pending_batches"
-                           ).set(stats["pending"])
-            registry.gauge("sintel_fleet_refit_errors_total"
-                           ).set(stats["refit_errors"])
-            registry.gauge("sintel_fleet_refits_in_flight"
-                           ).set(stats["refits_in_flight"])
-            coalesce.set(stats["coalesce_ratio"])
-            p95 = stats["ingest_lag_p95"]
-            lag_p95.set(0.0 if p95 != p95 else p95)  # NaN until first round
-        else:
-            coalesce.set(0.0)
-            lag_p95.set(0.0)
-        for size, count in stats.get("occupancy", {}).items():
+        for name, (help_text, key) in scalars.items():
+            registry.gauge(name, help_text).set(stats[key])
+        coalesce.set(stats["coalesce_ratio"])
+        lag_p95.set(stats["ingest_lag_p95"])
+        for size, count in stats["occupancy"].items():
             occupancy.set(count, lanes=size)
-        from repro.core.fleet import TierPolicy
-
-        for tier in TierPolicy.TIERS:
-            tier_depth.set(stats.get("refit_queue_depth", {}).get(tier, 0),
-                           tier=tier)
-            tier_refits.set(stats.get("refits_by_tier", {}).get(tier, 0),
-                            tier=tier)
-            tier_lanes.set(stats.get("tiers", {}).get(tier, 0), tier=tier)
-        standby = stats.get("standby", {})
+        for tier in stats["tiers"]:
+            tier_depth.set(stats["refit_queue_depth"][tier], tier=tier)
+            tier_refits.set(stats["refits_by_tier"][tier], tier=tier)
+            tier_lanes.set(stats["tiers"][tier], tier=tier)
+        standby = stats["standby"]
         standby_gauge = registry.gauge(
             "sintel_fleet_standby_cache",
             "Warm standby-pipeline cache counters")
         for field in ("hits", "misses", "evictions", "size"):
-            standby_gauge.set(standby.get(field, 0), event=field)
+            standby_gauge.set(standby[field], event=field)
 
     return collect
 

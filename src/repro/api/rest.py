@@ -142,23 +142,23 @@ class SintelAPI:
 
     Live signals go through the ``/streams`` resource instead: ``POST
     /streams`` fits the requested pipeline on the supplied training rows
-    and opens a session; micro-batches pushed to ``/streams/<id>/data``
-    are acknowledged with ``202`` and processed strictly in order by a
-    background drainer, and ``GET /streams/<id>`` reports ingest lag,
-    drift status, retrain history and the incremental anomaly events.
+    (or reuses the fitted pipeline of its ``fleet_group``) and opens a
+    session, which is a lane on one shared stream scheduler;
+    micro-batches pushed to ``/streams/<id>/data`` are acknowledged with
+    ``202`` and processed strictly in order by the scheduler's rounds,
+    coalesced with other sessions on the same fitted pipeline. The
+    scheduler refits sessions by urgency tier (drift, ``sla_deadline``
+    staleness, backfill); ``"retrain": false`` opts a session out.
+    ``GET /streams/<id>`` reports ingest lag, drift status, retrain
+    history, the ``fleet`` tier/group and the incremental anomaly events.
     ``self.streams.wait_idle(stream_id)`` joins the queue deterministically
     from in-process callers.
 
     Args:
         explorer: knowledge-base facade (a fresh in-memory one by default).
         job_workers: worker threads for background jobs.
-        stream_workers: worker threads shared by the stream drainers and
-            the fleet pump (``None`` sizes the pool from ``max_streams``
-            and the CPU count — see ``StreamManager.default_workers``).
-        max_streams: capacity bound on concurrently open classic stream
-            sessions; fleet sessions (``"fleet": true`` /
-            ``"fleet_group"`` in the create body) are bounded by the
-            fleet scheduler's own, much higher, capacity instead.
+        max_streams: capacity bound on concurrently open stream sessions
+            (every session, ``fleet_group`` or not, is one lane of it).
         coalesce_window: seconds a ``POST /detect`` leader waits for
             compatible concurrent requests before executing the batch.
             This is added latency for lone requests in exchange for
@@ -169,13 +169,11 @@ class SintelAPI:
     """
 
     def __init__(self, explorer: Optional[SintelExplorer] = None,
-                 job_workers: int = 2, stream_workers: Optional[int] = None,
-                 max_streams: int = 8, coalesce_window: float = 0.01,
-                 coalesce_max_batch: int = 8):
+                 job_workers: int = 2, max_streams: int = 64,
+                 coalesce_window: float = 0.01, coalesce_max_batch: int = 8):
         self.explorer = explorer or SintelExplorer()
         self.jobs = JobManager(max_workers=job_workers)
-        self.streams = StreamManager(max_workers=stream_workers,
-                                     max_sessions=max_streams,
+        self.streams = StreamManager(max_sessions=max_streams,
                                      explorer=self.explorer)
         self.coalescer = RequestCoalescer(self._execute_detect_group,
                                           window=coalesce_window,
@@ -620,7 +618,6 @@ class SintelAPI:
             executor=body.get("executor"),
             signal_id=body.get("signal_id"),
             drift=body.get("drift"),
-            fleet=body.get("fleet", False),
             fleet_group=body.get("fleet_group"),
             **body.get("stream_options", {}),
         )

@@ -1,13 +1,18 @@
 """Live stream session management for the REST API.
 
-A *stream session* keeps a :class:`~repro.core.stream.StreamRunner` alive
-behind the API, following the :class:`~repro.api.jobs.JobManager` pattern:
-a manager owns a shared worker pool and tracks each session's lifecycle
-(``open`` → ``closed`` | ``error``). Pushed micro-batches are queued per
-session and drained strictly in arrival order by a single active drainer,
-so concurrent pushes can never reorder or drop batches; ``POST`` returns
-immediately with the queue lag and clients poll ``GET /streams/<id>`` for
-incremental anomalies, drift status and retrain history.
+Every *stream session* is a lane on the manager's one
+:class:`~repro.core.fleet.StreamScheduler`, following the
+:class:`~repro.api.jobs.JobManager` pattern: the manager tracks each
+session's lifecycle (``open`` → ``closed`` | ``error``) under one
+capacity bound. Pushed micro-batches queue on the session's lane and a
+single pump thread serves them in scheduling rounds — one batch per lane
+per round, so each session's batches are processed strictly in arrival
+order, while sessions sharing a fitted pipeline are coalesced into one
+stream-batch plan. Refits (drift, SLA staleness, backfill) are launched
+by the scheduler's :class:`~repro.core.fleet.TierPolicy`. ``POST``
+returns immediately with the queue lag and clients poll
+``GET /streams/<id>`` for incremental anomalies, drift status and retrain
+history.
 
 When the manager is given a :class:`~repro.db.explorer.SintelExplorer`,
 sessions and the events they emit are persisted through the knowledge
@@ -18,10 +23,9 @@ closed stream event.
 from __future__ import annotations
 
 import json
-import os
+import logging
 import threading
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional
 
@@ -33,21 +37,15 @@ from repro.exceptions import (
     StreamError,
 )
 
-__all__ = ["StreamSession", "FleetStreamSession", "StreamManager",
-           "build_drift_detector"]
+__all__ = ["StreamSession", "StreamManager", "build_drift_detector"]
 
-#: Runner options clients may set through the API; anything else (including
+LOGGER = logging.getLogger(__name__)
+
+#: Lane options clients may set through the API; anything else (including
 #: ``drift_detector``/``on_event``, which the manager passes itself) is a
 #: client error, not a TypeError deep inside the constructor.
-ALLOWED_STREAM_OPTIONS = frozenset({
-    "window_size", "warmup", "drift_cooldown", "retrain", "retrain_hysteresis",
-})
-
-#: Options for fleet-routed sessions: the scheduler owns refits, so the
-#: per-runner retrain switches are replaced by the SLA deadline the
-#: :class:`~repro.core.fleet.TierPolicy` schedules against.
-FLEET_STREAM_OPTIONS = frozenset({
-    "window_size", "warmup", "drift_cooldown", "sla_deadline",
+STREAM_OPTIONS = frozenset({
+    "window_size", "warmup", "drift_cooldown", "retrain", "sla_deadline",
 })
 
 
@@ -78,36 +76,46 @@ def build_drift_detector(spec):
 
 
 class StreamSession:
-    """One live ingestion session and its observable state."""
+    """One live ingestion session: a lane on the manager's scheduler.
 
-    def __init__(self, stream_id: str, runner, pipeline_name: str,
-                 db_id: Optional[str] = None):
+    ``status`` is ``open`` until the session is closed, or ``error`` once
+    its lane failed (a malformed batch or a raising ``on_event`` hook);
+    the lane's error message is the session's ``error``.
+    """
+
+    def __init__(self, stream_id: str, lane, pipeline_name: str,
+                 db_id: Optional[str] = None,
+                 fleet_group: Optional[str] = None):
         self.stream_id = stream_id
-        self.runner = runner
+        self.lane = lane
+        self.runner = lane.runner
         self.pipeline_name = pipeline_name
         self.db_id = db_id
-        self.status = "open"
-        self.error: Optional[str] = None
+        self.fleet_group = fleet_group
         self.created_at = time.time()
         self.closed_at: Optional[float] = None
         self.batches_pushed = 0
-        self._pending: deque = deque()
-        self._lock = threading.Lock()
-        self._draining = False
-        self._idle = threading.Event()
-        self._idle.set()
+
+    @property
+    def status(self) -> str:
+        if self.closed_at is not None:
+            return "closed"
+        return "error" if self.lane.error else "open"
+
+    @property
+    def error(self) -> Optional[str]:
+        return self.lane.error
 
     @property
     def lag(self) -> dict:
         """Batches and samples queued but not yet processed."""
-        with self._lock:
-            batches = len(self._pending)
-            samples = sum(len(batch) for batch in self._pending)
-        return {"batches": batches, "samples": samples}
+        pending = list(self.lane.pending)
+        return {"batches": len(pending),
+                "samples": sum(len(batch) for batch, _ in pending)}
 
     def wait_idle(self, timeout: Optional[float] = None) -> bool:
         """Block until the ingest queue is drained (or ``timeout``)."""
-        return self._idle.wait(timeout)
+        return self.lane.idle.wait(timeout)
 
     def to_dict(self, include_events: bool = True) -> dict:
         """JSON-serializable view of the session."""
@@ -123,236 +131,93 @@ class StreamSession:
         if self.error:
             payload["error"] = self.error
         payload.update(self.runner.state())
-        if include_events:
-            payload["events"] = [event.to_dict() for event in self.runner.events]
-        return payload
-
-
-class FleetStreamSession(StreamSession):
-    """A session served by the fleet scheduler instead of a private drainer.
-
-    The runner is the lane's :class:`~repro.core.stream.StreamRunner`, so
-    state, events and persistence behave exactly like a classic session —
-    only ingestion differs: batches queue on the lane and are processed by
-    the shared scheduling rounds (coalesced across sessions), and refits
-    are owned by the scheduler's tier policy rather than the runner.
-    """
-
-    def __init__(self, stream_id: str, lane, scheduler, pipeline_name: str,
-                 db_id: Optional[str] = None,
-                 fleet_group: Optional[str] = None):
-        super().__init__(stream_id, lane.runner, pipeline_name, db_id=db_id)
-        self.lane = lane
-        self.scheduler = scheduler
-        self.fleet_group = fleet_group
-
-    @property
-    def lag(self) -> dict:
-        pending = list(self.lane.pending)
-        return {"batches": len(pending),
-                "samples": sum(len(batch) for batch, _ in pending)}
-
-    def wait_idle(self, timeout: Optional[float] = None) -> bool:
-        try:
-            return self.scheduler.wait_idle(self.stream_id, timeout)
-        except StreamError:
-            return True  # already closed and removed from the fleet
-
-    def to_dict(self, include_events: bool = True) -> dict:
-        if self.lane.error and self.status == "open":
-            self.status = "error"
-            self.error = self.lane.error
-        payload = super().to_dict(include_events)
+        payload["retrain_in_flight"] = self.lane.refit_in_flight
         payload["fleet"] = {
             "tier": self.lane.tier,
             "group": self.fleet_group,
             "sla_deadline": self.lane.sla_deadline,
         }
+        if include_events:
+            payload["events"] = [event.to_dict() for event in self.runner.events]
         return payload
 
 
 class StreamManager:
     """Open, feed, observe and close live stream sessions.
 
-    Sessions come in two flavours. Classic sessions own a private
-    :class:`~repro.core.stream.StreamRunner` drained by the shared worker
-    pool. Fleet sessions (``open(..., fleet=True)``) route onto a
-    :class:`~repro.core.fleet.StreamScheduler`: their micro-batches are
-    coalesced with other fleet sessions into stream-batch plans and their
-    refits are allocated by urgency tier — the practical session capacity
-    is the scheduler's ``max_streams`` (default 64), well past
-    ``max_sessions``. Sessions opened with the same ``fleet_group`` name
+    Each session is a lane on one :class:`~repro.core.fleet.StreamScheduler`:
+    its micro-batches are coalesced with other sessions sharing its
+    fitted pipeline into stream-batch plans, and its refits are allocated
+    by urgency tier. Sessions opened with the same ``fleet_group`` name
     share the first session's fitted pipeline (later opens skip fitting
-    entirely) and are batched together.
+    entirely) and are batched together; any other open fits its own
+    pipeline and lands in a singleton group.
 
     Args:
-        max_workers: worker threads shared by every session's drainer and
-            the fleet pump. ``None`` (the default) sizes the pool from
-            ``max_sessions`` and the CPU count; see :meth:`default_workers`.
-        max_sessions: capacity bound on concurrently *open* classic
-            sessions — opening beyond it is rejected (the JobManager
-            pattern applied to long-lived resources).
+        max_sessions: capacity bound on concurrently registered sessions
+            (the scheduler's lane capacity) — opening beyond it is
+            rejected (the JobManager pattern applied to long-lived
+            resources).
         explorer: optional knowledge-base facade; when present, sessions
             and closed events are persisted through it.
         scheduler: optional :class:`~repro.core.fleet.StreamScheduler`
-            serving fleet sessions (created lazily on the first fleet
-            open when omitted).
-        fleet_capacity: ``max_streams`` for the lazily created scheduler.
-        pool: inject a pre-built executor instead of owning one (shared
-            infrastructure); the manager then never shuts it down.
+            serving every session (a default one is created otherwise).
     """
 
-    def __init__(self, max_workers: Optional[int] = None,
-                 max_sessions: int = 8, explorer=None, scheduler=None,
-                 fleet_capacity: int = 64, pool=None):
+    def __init__(self, max_sessions: int = 64, explorer=None,
+                 scheduler=None):
+        # Imported lazily to keep the API importable without the core.
+        from repro.core.fleet import StreamScheduler
+
         if max_sessions < 1:
             raise ValueError("max_sessions must be at least 1")
-        self.max_workers = (self.default_workers(max_sessions)
-                            if max_workers is None else int(max_workers))
-        if self.max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
-        self._owns_pool = pool is None
-        self._pool = pool if pool is not None else ThreadPoolExecutor(
-            max_workers=self.max_workers, thread_name_prefix="sintel-stream"
-        )
+        self.scheduler = scheduler if scheduler is not None \
+            else StreamScheduler()
+        self.max_sessions = max_sessions
+        self.explorer = explorer
         self._sessions: Dict[str, StreamSession] = {}
         self._lock = threading.Lock()
         self._counter = 0
-        self.max_sessions = max_sessions
-        self.explorer = explorer
-        self.scheduler = scheduler
-        self.fleet_capacity = int(fleet_capacity)
         self._fleet_bases: Dict[str, tuple] = {}
-        self._fleet_pumping = False
+        self._pool = ThreadPoolExecutor(max_workers=1,
+                                        thread_name_prefix="sintel-stream")
+        self._pumping = False
 
-    @staticmethod
-    def default_workers(max_sessions: int) -> int:
-        """Size the drainer pool from session capacity and CPU count.
+    @property
+    def max_sessions(self) -> int:
+        """Capacity bound on open sessions (the scheduler's lane capacity)."""
+        return self.scheduler.fleet.max_streams
 
-        One thread can only drain one session at a time, so the pool
-        grows with ``max_sessions`` — but threads beyond a few per core
-        just contend on the GIL, so it is also capped by the CPU count
-        (and a hard ceiling of 32), with a floor of 2 so a classic
-        session drainer can never block the fleet pump.
-        """
-        cpu = os.cpu_count() or 1
-        return max(2, min(32, max_sessions, 4 * cpu))
+    @max_sessions.setter
+    def max_sessions(self, value: int) -> None:
+        self.scheduler.fleet.max_streams = int(value)
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
     def open(self, pipeline, train_data, hyperparameters: Optional[dict] = None,
              pipeline_options: Optional[dict] = None, executor=None,
-             signal_id: Optional[str] = None, drift=None, fleet: bool = False,
+             signal_id: Optional[str] = None, drift=None,
              fleet_group: Optional[str] = None,
              **stream_options) -> StreamSession:
         """Fit ``pipeline`` on ``train_data`` and open a stream over it.
 
-        With ``fleet=True`` (or a ``fleet_group`` name) the session routes
-        onto the fleet scheduler instead of a private drainer; sessions
-        sharing a ``fleet_group`` reuse the first session's fitted
-        pipeline and are batched through one stream-batch plan.
+        Sessions sharing a ``fleet_group`` reuse the first session's
+        fitted pipeline and are batched through one stream-batch plan.
         """
         # Imported lazily to keep the API importable without the core.
         from repro.core.sintel import Sintel
 
-        if fleet or fleet_group is not None:
-            return self._open_fleet(
-                pipeline, train_data, hyperparameters=hyperparameters,
-                pipeline_options=pipeline_options, executor=executor,
-                signal_id=signal_id, drift=drift, fleet_group=fleet_group,
-                **stream_options)
-
-        unknown = set(stream_options) - ALLOWED_STREAM_OPTIONS
+        unknown = set(stream_options) - STREAM_OPTIONS
         if unknown:
             raise ValueError(
                 f"Unknown stream options {sorted(unknown)}; "
-                f"allowed: {sorted(ALLOWED_STREAM_OPTIONS)}"
+                f"allowed: {sorted(STREAM_OPTIONS)}"
             )
-        with self._lock:
-            open_count = sum(
-                1 for session in self._sessions.values()
-                if session.status == "open"
-                and not isinstance(session, FleetStreamSession))
-            if open_count >= self.max_sessions:
-                raise CapacityError(
-                    f"Stream capacity reached ({self.max_sessions} open "
-                    "sessions); close one before opening another"
-                )
-            self._counter += 1
-            stream_id = f"stream-{self._counter}"
-
-        sintel = Sintel(pipeline, hyperparameters=hyperparameters,
-                        executor=executor, **(pipeline_options or {}))
-        sintel.fit(train_data)
-
-        db_id, on_event = self._persistence_hooks(
-            stream_id, sintel.pipeline_name, signal_id)
-        runner = sintel.stream(
-            drift_detector=build_drift_detector(drift),
-            on_event=on_event,
-            **stream_options,
-        )
-        session = StreamSession(stream_id, runner,
-                                pipeline_name=sintel.pipeline_name, db_id=db_id)
-        with self._lock:
-            self._sessions[stream_id] = session
-        return session
-
-    def _persistence_hooks(self, stream_id: str, pipeline_name: str,
-                           signal_id: Optional[str]):
-        """``(db_id, on_event)`` for knowledge-base persistence (or Nones)."""
-        db_id = None
-        if self.explorer is not None:
-            try:
-                db_id = self.explorer.add_stream(
-                    pipeline_name, signal_id=signal_id, api_id=stream_id
-                )
-            except DatabaseError:
-                db_id = None
-        on_event = None
-        if db_id is not None:
-            explorer = self.explorer
-            captured_db_id = db_id
-
-            def _persist_event(event):
-                try:
-                    explorer.add_stream_event(captured_db_id, event)
-                except DatabaseError:
-                    pass
-
-            on_event = _persist_event
-        return db_id, on_event
-
-    def _ensure_scheduler(self):
-        """The fleet scheduler, created lazily on the first fleet open."""
-        from repro.core.fleet import StreamScheduler
-
-        with self._lock:
-            if self.scheduler is None:
-                self.scheduler = StreamScheduler(
-                    max_streams=self.fleet_capacity)
-            return self.scheduler
-
-    def _open_fleet(self, pipeline, train_data,
-                    hyperparameters: Optional[dict] = None,
-                    pipeline_options: Optional[dict] = None, executor=None,
-                    signal_id: Optional[str] = None, drift=None,
-                    fleet_group: Optional[str] = None,
-                    **stream_options) -> "FleetStreamSession":
-        from repro.core.sintel import Sintel
-
-        unknown = set(stream_options) - FLEET_STREAM_OPTIONS
-        if unknown:
-            raise ValueError(
-                f"Unknown fleet stream options {sorted(unknown)}; "
-                f"allowed: {sorted(FLEET_STREAM_OPTIONS)}"
-            )
-        scheduler = self._ensure_scheduler()
-        if len(scheduler.fleet.lanes()) >= scheduler.fleet.max_streams:
+        if len(self.scheduler.fleet.lanes()) >= self.max_sessions:
             raise CapacityError(
-                f"Fleet capacity reached ({scheduler.fleet.max_streams} "
-                "streams); close one before opening another"
+                f"Stream capacity reached ({self.max_sessions} open "
+                "sessions); close one before opening another"
             )
         with self._lock:
             self._counter += 1
@@ -384,19 +249,43 @@ class StreamManager:
         db_id, on_event = self._persistence_hooks(
             stream_id, sintel.pipeline_name, signal_id)
         try:
-            lane = scheduler.add_stream(
+            lane = self.scheduler.add_stream(
                 sintel.pipeline, stream_id=stream_id,
                 drift_detector=build_drift_detector(drift),
                 on_event=on_event, **stream_options)
         except StreamError as error:
             raise CapacityError(str(error)) from error
-        session = FleetStreamSession(
-            stream_id, lane, scheduler,
-            pipeline_name=sintel.pipeline_name, db_id=db_id,
-            fleet_group=fleet_group)
+        session = StreamSession(stream_id, lane,
+                                pipeline_name=sintel.pipeline_name,
+                                db_id=db_id, fleet_group=fleet_group)
         with self._lock:
             self._sessions[stream_id] = session
         return session
+
+    def _persistence_hooks(self, stream_id: str, pipeline_name: str,
+                           signal_id: Optional[str]):
+        """``(db_id, on_event)`` for knowledge-base persistence (or Nones)."""
+        db_id = None
+        if self.explorer is not None:
+            try:
+                db_id = self.explorer.add_stream(
+                    pipeline_name, signal_id=signal_id, api_id=stream_id
+                )
+            except DatabaseError:
+                db_id = None
+        on_event = None
+        if db_id is not None:
+            explorer = self.explorer
+            captured_db_id = db_id
+
+            def _persist_event(event):
+                try:
+                    explorer.add_stream_event(captured_db_id, event)
+                except DatabaseError:
+                    pass
+
+            on_event = _persist_event
+        return db_id, on_event
 
     def get(self, stream_id: str) -> StreamSession:
         """Return the session with ``stream_id`` or raise NotFoundError."""
@@ -418,14 +307,10 @@ class StreamManager:
             return session
         if drain and session.status == "open":
             session.wait_idle(timeout)
-        session.status = "closed"
         session.closed_at = time.time()
-        if isinstance(session, FleetStreamSession):
-            try:
-                session.scheduler.close_stream(stream_id)
-            except StreamError:  # pragma: no cover - already removed
-                session.runner.close()
-        else:
+        try:
+            self.scheduler.close_stream(stream_id)
+        except StreamError:  # pragma: no cover - already removed
             session.runner.close()
         if self.explorer is not None and session.db_id is not None:
             try:
@@ -441,17 +326,15 @@ class StreamManager:
         return session
 
     def shutdown(self, wait: bool = True) -> None:
-        """Close every open session and stop the worker pool."""
+        """Close every open session and stop the pump and the scheduler."""
         for session in self.list():
             if session.status == "open":
                 try:
                     self.close(session.stream_id, drain=wait, timeout=10.0)
                 except StreamError:  # pragma: no cover - defensive
                     pass
-        if self.scheduler is not None:
-            self.scheduler.close()
-        if self._owns_pool:
-            self._pool.shutdown(wait=wait)
+        self.scheduler.close()
+        self._pool.shutdown(wait=wait)
 
     # ------------------------------------------------------------------ #
     # ingestion
@@ -461,91 +344,47 @@ class StreamManager:
         session = self.get(stream_id)
         if session.status != "open":
             raise ValueError(f"Stream {stream_id!r} is {session.status}")
-        if isinstance(session, FleetStreamSession):
-            session.scheduler.ingest(stream_id, batch)
-            session.batches_pushed += 1
-            self._kick_fleet()
-        else:
-            with session._lock:
-                session._pending.append(batch)
-                session.batches_pushed += 1
-                session._idle.clear()
-            self._schedule(session)
+        self.scheduler.ingest(stream_id, batch)
+        session.batches_pushed += 1
+        self._kick()
         return {"id": stream_id, "status": session.status, "lag": session.lag,
                 "batches_pushed": session.batches_pushed}
 
-    def _kick_fleet(self) -> None:
-        """Ensure a single fleet pumper is running scheduling rounds."""
+    def _kick(self) -> None:
+        """Ensure the single pump thread is running scheduling rounds."""
         with self._lock:
-            if self._fleet_pumping:
+            if self._pumping:
                 return
-            self._fleet_pumping = True
+            self._pumping = True
         try:
-            self._pool.submit(self._pump_fleet)
+            self._pool.submit(self._pump)
         except RuntimeError as error:
             with self._lock:
-                self._fleet_pumping = False
+                self._pumping = False
             raise ServiceUnavailableError(
                 "The stream manager is shut down; no new batches are accepted"
             ) from error
 
-    def _pump_fleet(self) -> None:
-        # Single active pumper (the fleet analogue of the session
-        # drainer): rounds run strictly sequentially, and the flag is
-        # only dropped after re-checking for pending work under the
-        # manager lock so a concurrent push can never strand a batch.
+    def _pump(self) -> None:
+        # Single active pumper: rounds run strictly sequentially, and the
+        # flag is only dropped after re-checking for pending work under
+        # the manager lock so a concurrent push can never strand a batch.
         try:
             while True:
-                scheduler = self.scheduler
-                if scheduler is not None and scheduler.has_pending():
-                    scheduler.run_round()
+                if self.scheduler.has_pending():
+                    self.scheduler.run_round()
                     continue
                 with self._lock:
-                    if (self.scheduler is None
-                            or not self.scheduler.has_pending()):
-                        self._fleet_pumping = False
+                    if not self.scheduler.has_pending():
+                        self._pumping = False
                         return
         except Exception:  # pragma: no cover - defensive
+            # Nobody reads the pump's future: report here, and let the
+            # next push start a fresh pump.
+            LOGGER.exception("Stream scheduling round failed")
             with self._lock:
-                self._fleet_pumping = False
-            raise
+                self._pumping = False
 
     def wait_idle(self, stream_id: str, timeout: Optional[float] = None) -> bool:
         """Block until a session has processed every queued batch."""
         return self.get(stream_id).wait_idle(timeout)
-
-    def _schedule(self, session: StreamSession) -> None:
-        with session._lock:
-            if session._draining or not session._pending:
-                return
-            session._draining = True
-        try:
-            self._pool.submit(self._drain, session)
-        except RuntimeError as error:
-            with session._lock:
-                session._draining = False
-                session._idle.set()
-            raise ServiceUnavailableError(
-                "The stream manager is shut down; no new batches are accepted"
-            ) from error
-
-    def _drain(self, session: StreamSession) -> None:
-        # Single active drainer per session: batches are processed strictly
-        # in arrival order even when pushes come from many clients.
-        while True:
-            with session._lock:
-                if not session._pending:
-                    session._draining = False
-                    session._idle.set()
-                    return
-                batch = session._pending.popleft()
-            try:
-                session.runner.send(batch)
-            except Exception as error:  # noqa: BLE001 - reported via session
-                session.error = str(error)
-                session.status = "error"
-                with session._lock:
-                    session._pending.clear()
-                    session._draining = False
-                    session._idle.set()
-                return

@@ -23,9 +23,11 @@ execution across signals — but only offline. This module joins them:
   budget by urgency tier (drift score, time-since-refit, SLA deadline)
   with per-tier budget floors, so a drift storm on hot streams can never
   starve the cold tier's periodic backfill; a :class:`StandbyCache`
-  extends the single-stream ping-pong swap (PR 5) fleet-wide — refits
-  land on warm standby pipelines whose fit-mode plans are already
-  compiled, and the displaced serving pipeline becomes the next standby.
+  lands refits on warm standby pipelines whose fit-mode plans are
+  already compiled, and the displaced serving pipeline becomes the next
+  standby. The scheduler is the only owner of refits: a single stream
+  refits through a one-lane scheduler, and every API stream session is a
+  lane on the API's one scheduler.
 """
 
 from __future__ import annotations
@@ -119,8 +121,20 @@ class FleetGroup:
         self.base = base
         self.exact = exact
         self.precision = precision
-        self.registry = LaneRegistry()
         self.lanes: List[FleetLane] = []
+
+    @property
+    def registry(self) -> LaneRegistry:
+        """The lane table of the base pipeline's cached stream-batch plan.
+
+        The registry belongs to the plan, not the group, so a group
+        re-created for a pipeline that served before (a standby swapped
+        back in by a refit) reuses its compiled plan instead of lowering
+        it again.
+        """
+        return self.base.compiler.plan(
+            "stream_batch", exact=self.exact,
+            precision=self.precision).lane_registry
 
     def detect(self, lanes: List[FleetLane]) -> List[List[tuple]]:
         """Run one stream-batch plan over the participating lanes' windows.
@@ -128,14 +142,13 @@ class FleetGroup:
         Returns one ``partial_detect``-shaped detection list per lane, in
         lane order, ready to demux into each lane's event reconciliation.
         """
-        self.registry.set_rows([lane.primitives for lane in lanes])
+        plan = self.base.compiler.plan(
+            "stream_batch", exact=self.exact, precision=self.precision)
+        plan.lane_registry.set_rows([lane.primitives for lane in lanes])
         context = {
             "data": [lane.runner.window for lane in lanes],
             "events": [None] * len(lanes),
         }
-        plan = self.base.compiler.plan(
-            "stream_batch", exact=self.exact, precision=self.precision,
-            registry=self.registry)
         context, timings = self.base.executor.run_plan(
             plan, context, fit=False)
         self.base.step_timings = timings
@@ -200,6 +213,10 @@ class FleetStreamRunner:
         self.max_streams = int(max_streams)
         self._clock = clock
         self._lock = threading.RLock()
+        # Guards each lane's idle flag together with its queue, so a lane
+        # is never marked idle over a batch that was queued meanwhile.
+        # Pushes take only this lock, never the round lock above.
+        self._queue_lock = threading.Lock()
         self._lanes: Dict[str, FleetLane] = {}
         self._groups: Dict[int, FleetGroup] = {}
         self._lane_counter = 0
@@ -224,13 +241,15 @@ class FleetStreamRunner:
                    window_size: int = 500, warmup: int = 32,
                    drift_detector="default", drift_cooldown: int = 50,
                    sla_deadline: Optional[float] = None,
+                   retrain: bool = True,
                    on_event: Optional[Callable[[StreamEvent], None]] = None,
                    ) -> FleetLane:
         """Register a stream served by ``pipeline`` (fitted; Sintel ok).
 
         Streams registered with the *same fitted pipeline object* join
-        one group and are batched together. Returns the lane handle used
-        with :meth:`ingest` / :meth:`close_stream`.
+        one group and are batched together. ``retrain=False`` keeps a
+        :class:`StreamScheduler` from ever refitting the stream. Returns
+        the lane handle used with :meth:`ingest` / :meth:`close_stream`.
         """
         base = getattr(pipeline, "pipeline", pipeline)
         with self._lock:
@@ -246,7 +265,7 @@ class FleetStreamRunner:
             runner = StreamRunner(
                 base, window_size=window_size, warmup=warmup,
                 drift_detector=drift_detector, drift_cooldown=drift_cooldown,
-                retrain=False, on_event=on_event,
+                retrain=retrain, on_event=on_event,
             )
             group = self._group_for(getattr(runner, "_pipeline"))
             lane = FleetLane(stream_id, runner, group, sla_deadline,
@@ -271,16 +290,17 @@ class FleetStreamRunner:
     def ingest(self, lane_id: str, batch) -> int:
         """Queue one micro-batch for ``lane_id``; returns its queue depth.
 
-        Validation happens on the scheduling round (like the session
-        drainer): a malformed batch surfaces as the lane's ``error``.
+        Validation happens on the scheduling round: a malformed batch
+        surfaces as the lane's ``error``.
         """
         lane = self.lane(lane_id)
-        if lane.closed:
-            raise StreamError("The stream has been closed")
-        lane.idle.clear()
-        lane.pending.append((batch, self._clock()))
-        self._batches_in += 1
-        return len(lane.pending)
+        with self._queue_lock:
+            if lane.closed:
+                raise StreamError("The stream has been closed")
+            lane.idle.clear()
+            lane.pending.append((batch, self._clock()))
+            self._batches_in += 1
+            return len(lane.pending)
 
     def has_pending(self) -> bool:
         with self._lock:
@@ -305,7 +325,6 @@ class FleetStreamRunner:
                     absorbed = lane.runner._ingest(batch)
                 except Exception as error:  # noqa: BLE001 - lane-scoped
                     lane.error = str(error)
-                    lane.pending.clear()
                     continue
                 self._lag_samples.append(now() - enqueued)
                 if absorbed and lane.runner.ready:
@@ -326,11 +345,17 @@ class FleetStreamRunner:
                     self._lanes_served += len(cohort)
                     self._occupancy[len(cohort)] += 1
                     for lane, detection in zip(cohort, detections):
-                        changed[lane.lane_id] = \
-                            lane.runner.apply_detections(detection)
-            for lane in self._lanes.values():
-                if not lane.pending:
-                    lane.idle.set()
+                        try:
+                            changed[lane.lane_id] = \
+                                lane.runner.apply_detections(detection)
+                        except Exception as error:  # noqa: BLE001 - lane-scoped
+                            lane.error = str(error)  # e.g. an on_event hook
+            with self._queue_lock:
+                for lane in self._lanes.values():
+                    if lane.error:
+                        lane.pending.clear()  # never served: drop the rest
+                    if not lane.pending:
+                        lane.idle.set()
             self._rounds += 1
             return changed
 
@@ -349,37 +374,33 @@ class FleetStreamRunner:
 
     def wait_idle(self, lane_id: str, timeout: Optional[float] = None) -> bool:
         """Block until the lane's queue has fully drained."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        lane = self.lane(lane_id)
-        while True:
-            remaining = None if deadline is None \
-                else max(0.0, deadline - time.monotonic())
-            if not lane.idle.wait(remaining):
-                return False
-            if not lane.pending:
-                return True
-            if deadline is not None and time.monotonic() >= deadline:
-                return False
+        return self.lane(lane_id).idle.wait(timeout)
 
     # ------------------------------------------------------------------ #
     # refit support (driven by StreamScheduler)
     # ------------------------------------------------------------------ #
-    def regroup(self, lane: FleetLane, base: Pipeline) -> None:
-        """Rebind ``lane`` to the group serving ``base`` (post-refit).
+    def adopt(self, lane: FleetLane, fitted: Pipeline) -> Optional[Pipeline]:
+        """Swap ``fitted`` into ``lane`` and regroup it (post-refit).
 
         A refitted lane leaves its shared group — its new fitted state is
         its own — and lands in the group keyed by the new pipeline
-        (usually a fresh singleton). Empty groups are dropped.
+        (usually a fresh singleton). Empty groups are dropped. Returns
+        the displaced pipeline, or ``None`` when the lane closed while
+        its refit ran (nothing is swapped, so no group is re-created).
         """
         with self._lock:
+            if lane.closed:
+                return None
+            previous = lane.runner.adopt_pipeline(fitted)
             old = lane.group
             if lane in old.lanes:
                 old.lanes.remove(lane)
             if not old.lanes:
                 self._groups.pop(id(old.base), None)
-            group = self._group_for(base)
+            group = self._group_for(fitted)
             group.lanes.append(lane)
             lane.rebind(group)
+            return previous
 
     # ------------------------------------------------------------------ #
     # lifecycle + observability
@@ -388,11 +409,12 @@ class FleetStreamRunner:
         """Close one stream; returns the events closed by the shutdown."""
         with self._lock:
             lane = self.lane(lane_id)
-            if lane.closed:
-                return []
-            lane.closed = True
-            lane.pending.clear()
-            lane.idle.set()
+            with self._queue_lock:
+                if lane.closed:
+                    return []
+                lane.closed = True
+                lane.pending.clear()
+                lane.idle.set()
             group = lane.group
             if lane in group.lanes:
                 group.lanes.remove(lane)
@@ -535,13 +557,13 @@ class TierPolicy:
 class StandbyCache:
     """Warm standby pipelines keyed by template + hyperparameters.
 
-    Extends the single-stream ping-pong swap fleet-wide: a refit acquires
-    a standby (a previously displaced serving pipeline when one is
-    cached — its fit-mode plan is already compiled, so the refit only
-    swaps fresh primitives into existing cells — or a cold clone
-    otherwise), and after the swap the displaced pipeline is released
-    back as the next warm standby for any lane running the same
-    template/λ. Capacity-bounded; eviction just drops the pipeline.
+    A refit acquires a standby (a previously displaced serving pipeline
+    when one is cached — its fit-mode plan is already compiled, so the
+    refit only swaps fresh primitives into existing cells — or a cold
+    clone otherwise), and after the swap the displaced pipeline is
+    released back as the next warm standby for any lane running the same
+    template/λ. A single lane therefore ping-pongs between two pipelines.
+    Capacity-bounded; eviction just drops the pipeline.
     """
 
     def __init__(self, capacity: int = 8):
@@ -603,9 +625,10 @@ class StreamScheduler:
     bounded background pool against :class:`StandbyCache` standbys and
     swap atomically via
     :meth:`~repro.core.stream.StreamRunner.adopt_pipeline`; the refitted
-    lane regroups onto its new pipeline. ``refit_sync=True`` runs refits
-    inline on the scheduling thread — deterministic, used by tests and
-    benchmarks.
+    lane regroups onto its new pipeline. Lanes whose runner sets
+    ``retrain=False`` are never refitted. ``refit_sync=True`` runs refits
+    inline on the scheduling thread — deterministic, used by tests,
+    benchmarks and single-stream callers (a one-lane scheduler).
     """
 
     def __init__(self, fleet: Optional[FleetStreamRunner] = None,
@@ -649,10 +672,6 @@ class StreamScheduler:
     def has_pending(self) -> bool:
         return self.fleet.has_pending()
 
-    def wait_idle(self, lane_id: str,
-                  timeout: Optional[float] = None) -> bool:
-        return self.fleet.wait_idle(lane_id, timeout)
-
     # ------------------------------------------------------------------ #
     # the scheduling loop
     # ------------------------------------------------------------------ #
@@ -683,7 +702,8 @@ class StreamScheduler:
             if lane.closed or lane.error:
                 continue
             lane.tier = self.policy.tier(lane, now)
-            if lane.refit_in_flight or not lane.runner.ready:
+            if (lane.refit_in_flight or not lane.runner.retrain
+                    or not lane.runner.ready):
                 continue
             if self.policy.refit_due(lane, now):
                 due[lane.tier].append(lane)
@@ -732,8 +752,11 @@ class StreamScheduler:
             self.refit_errors += 1
             lane.refit_in_flight = False
             return
-        previous = lane.runner.adopt_pipeline(standby)
-        self.fleet.regroup(lane, standby)
+        previous = self.fleet.adopt(lane, standby)
+        if previous is None:  # the lane closed while its refit ran
+            self.standby.release(standby)
+            lane.refit_in_flight = False
+            return
         self.standby.release(previous)
         lane.last_refit = self._clock()
         self.refits_by_tier[tier] = self.refits_by_tier.get(tier, 0) + 1

@@ -445,10 +445,9 @@ class Pipeline:
     def clone(self) -> "Pipeline":
         """Return an unfitted copy with the same spec, λ and executor.
 
-        Used by the streaming layer to refit a replacement pipeline in the
-        background (drift-triggered retraining) while the current instance
-        keeps serving micro-batches; the replacement is then swapped in
-        atomically.
+        Used by the stream scheduler's standby cache to refit a
+        replacement pipeline while the current instance keeps serving
+        micro-batches; the replacement is then swapped in atomically.
         """
         fresh = Pipeline(self.spec, hyperparameters=self.get_hyperparameters())
         fresh.set_executor(self._executor)

@@ -677,16 +677,16 @@ class PlanCompiler:
         plan's :class:`~repro.core.arena.ArenaPool`, exposed on the
         returned plan as ``plan.arena`` alongside ``plan.fusion_groups``.
 
-        Stream-batch plans require a :class:`LaneRegistry` and run the
-        same fusion pass over their stateless cells; incremental cells
-        lower to :class:`LaneStep` nodes bound to the registry.
+        Stream-batch plans run the same fusion pass over their stateless
+        cells; incremental cells lower to :class:`LaneStep` nodes bound to
+        ``registry`` (a fresh :class:`LaneRegistry` when omitted).
         """
         if mode not in PLAN_MODES:
             raise PipelineError(f"Unknown plan mode {mode!r}; expected one "
                                 f"of {PLAN_MODES}")
         stream_batch = mode == "stream_batch"
         if stream_batch and registry is None:
-            raise PipelineError("stream_batch plans need a LaneRegistry")
+            registry = LaneRegistry()
         self.compilations += 1
         batched = mode == "batch" or stream_batch
         fuse = batched and not os.environ.get("REPRO_NO_FUSION")
@@ -733,13 +733,14 @@ class PlanCompiler:
         """The cached plan for ``(mode, exact, precision)``, compiled lazily.
 
         A stream-batch plan is additionally pinned to its
-        :class:`LaneRegistry`: passing a different registry recompiles
-        (each fleet group owns one registry for the pipeline's lifetime,
-        so this never happens on the hot path).
+        :class:`LaneRegistry` (``plan.lane_registry``): omitting
+        ``registry`` serves the cached plan with its own registry, while
+        passing a different one recompiles.
         """
         key = (mode, bool(exact), precision)
         cached = self._plans.get(key)
         if (cached is not None and mode == "stream_batch"
+                and registry is not None
                 and cached.lane_registry is not registry):
             cached = None
         if cached is None:

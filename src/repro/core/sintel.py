@@ -151,10 +151,15 @@ class Sintel:
         """Open a live stream over the fitted pipeline.
 
         Returns a :class:`~repro.core.stream.StreamRunner` that consumes
-        ``(timestamp, values...)`` micro-batches via ``send`` and emits
-        stable-id anomaly events incrementally; keyword options (window
-        size, drift detector, retrain policy...) are forwarded to the
-        runner. The pipeline must be fitted first.
+        ``(timestamp, values...)`` micro-batches via ``send``, emits
+        stable-id anomaly events incrementally and watches for drift;
+        keyword options (window size, drift detector...) are forwarded to
+        the runner. The pipeline must be fitted first.
+
+        The runner never refits itself. For drift-triggered refits, serve
+        the stream as a lane of a
+        :class:`~repro.core.fleet.StreamScheduler` instead (one lane is
+        enough): ``StreamScheduler(refit_sync=True).add_stream(self)``.
         """
         if not self.fitted:
             raise NotFittedError("Sintel.stream called before Sintel.fit")

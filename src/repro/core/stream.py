@@ -2,7 +2,7 @@
 
 The paper deploys Sintel pipelines against live signals and calls for
 updating them "when drift is observed in the streaming data". This module
-provides that execution path:
+provides the per-stream half of that execution path:
 
 * :class:`StreamRunner` wraps a *fitted* :class:`~repro.core.pipeline.Pipeline`
   and consumes a signal as a sequence of micro-batches. It maintains a
@@ -14,10 +14,11 @@ provides that execution path:
   :class:`StreamEvent` records with **stable ids** — an anomaly spanning
   many micro-batches keeps one id while its boundaries refine, and the
   event *closes* once the window has slid past it;
-* a :class:`~repro.streaming.drift.DriftMonitor` watches the raw values;
-  confirmed drift triggers a **background refit** of a pipeline clone (run
-  through ``Executor.map``) followed by an atomic swap, with hysteresis so
-  a noisy stretch cannot cause a retrain storm.
+* a :class:`~repro.streaming.drift.DriftMonitor` watches the raw values
+  and flags confirmed drift. The runner never refits itself: refits are
+  owned by a :class:`~repro.core.fleet.StreamScheduler`, which refits a
+  standby over the runner's window and swaps it in atomically through
+  :meth:`StreamRunner.adopt_pipeline`.
 """
 
 from __future__ import annotations
@@ -89,11 +90,8 @@ class StreamRunner:
             ``None`` to disable drift monitoring; pass ``"default"`` for a
             :class:`~repro.streaming.drift.PageHinkley` with stock settings.
         drift_cooldown: samples the monitor ignores after a confirmed drift.
-        retrain: whether confirmed drift triggers a background refit over
-            the current window followed by an atomic pipeline swap.
-        retrain_hysteresis: minimum samples between retrain launches
-            (defaults to ``window_size``). Together with the single
-            in-flight-retrain rule this prevents retrain storms.
+        retrain: whether a :class:`~repro.core.fleet.StreamScheduler` may
+            refit this stream (``False`` means "never refit").
         on_event: optional callback invoked with every :class:`StreamEvent`
             at the moment it closes (used for persistence).
     """
@@ -101,7 +99,6 @@ class StreamRunner:
     def __init__(self, pipeline, window_size: int = 500, warmup: int = 32,
                  drift_detector="default", drift_cooldown: int = 50,
                  retrain: bool = True,
-                 retrain_hysteresis: Optional[int] = None,
                  on_event: Optional[Callable[[StreamEvent], None]] = None):
         pipeline = getattr(pipeline, "pipeline", pipeline)
         if not isinstance(pipeline, Pipeline):
@@ -129,9 +126,6 @@ class StreamRunner:
             )
 
         self.retrain = bool(retrain)
-        self.retrain_hysteresis = (int(retrain_hysteresis)
-                                   if retrain_hysteresis is not None
-                                   else self.window_size)
         self.retrains = 0
         self.last_retrain_at: Optional[float] = None
         self.retrain_error: Optional[str] = None
@@ -147,16 +141,8 @@ class StreamRunner:
         # Guards the event registry: _reconcile mutates it on the ingest
         # thread while pollers snapshot it from request threads.
         self._events_lock = threading.Lock()
-        self._retrain_thread: Optional[threading.Thread] = None
         self._drift_pending = False
         self._monitor_reset_pending = False
-        self._last_retrain_sample: Optional[int] = None
-        # The standby pipeline refits are trained on. Created (via clone)
-        # on the first retrain and thereafter ping-ponged with the serving
-        # pipeline on every swap, so each retrain reuses a pipeline whose
-        # fit-mode plan is already compiled — a refit only swaps fresh
-        # primitives into the plan's cells instead of lowering again.
-        self._spare: Optional[Pipeline] = None
 
     # ------------------------------------------------------------------ #
     # properties
@@ -188,9 +174,8 @@ class StreamRunner:
         return self._drift_pending
 
     def clear_drift(self) -> None:
-        """Mark pending drift as consumed (an external refit was launched)."""
+        """Mark pending drift as consumed (a scheduler launched a refit)."""
         self._drift_pending = False
-        self._last_retrain_sample = self._samples_seen
 
     @property
     def events(self) -> List[StreamEvent]:
@@ -213,18 +198,11 @@ class StreamRunner:
         closed). Calls must be serialized by the caller — the runner
         guarantees in-order processing, not concurrent ``send`` safety.
         """
-        if not self._ingest(batch):
+        if not self._ingest(batch) or not self.ready:
             return []
-
-        changed: List[StreamEvent] = []
-        if self.ready:
-            with self._swap_lock:
-                pipeline = self._pipeline
-            detections = pipeline.partial_detect(self._buffer)
-            changed = self._reconcile(detections)
-
-        self._maybe_retrain()
-        return changed
+        with self._swap_lock:
+            pipeline = self._pipeline
+        return self._reconcile(pipeline.partial_detect(self._buffer))
 
     def _ingest(self, batch) -> bool:
         """Validate + buffer one micro-batch; True when rows were absorbed.
@@ -266,8 +244,8 @@ class StreamRunner:
         self._batches += 1
 
         if self.monitor is not None:
-            # A completed retrain requests the reset; it is applied here,
-            # on the ingest thread, so it can never race a consume().
+            # An adopted refit requests the reset; it is applied here, on
+            # the ingest thread, so it can never race a consume().
             if self._monitor_reset_pending:
                 self._monitor_reset_pending = False
                 self._drift_pending = False
@@ -289,11 +267,10 @@ class StreamRunner:
         return self._reconcile(detections)
 
     def close(self) -> List[StreamEvent]:
-        """Close the stream: join any retrain, close every open event."""
+        """Close the stream: close every open event."""
         if self._closed:
             return []
         self._closed = True
-        self.join_retrain()
         if self.monitor is not None and self._monitor_reset_pending:
             self._monitor_reset_pending = False
             self.monitor.reset()
@@ -395,75 +372,19 @@ class StreamRunner:
             self.on_event(event)
 
     # ------------------------------------------------------------------ #
-    # drift-triggered retraining
+    # drift + scheduler-owned refits
     # ------------------------------------------------------------------ #
     def _on_drift(self, index: int) -> None:
         self._drift_pending = True
 
-    def _maybe_retrain(self) -> None:
-        if not (self.retrain and self._drift_pending):
-            return
-        if self._retrain_thread is not None and self._retrain_thread.is_alive():
-            return  # one retrain in flight at a time
-        if (self._last_retrain_sample is not None
-                and self._samples_seen - self._last_retrain_sample
-                < self.retrain_hysteresis):
-            return  # hysteresis: too soon after the previous retrain
-        if self._buffer is None or len(self._buffer) < self.warmup:
-            return
-        self._drift_pending = False
-        self._last_retrain_sample = self._samples_seen
-        snapshot = self._buffer.copy()
-        self._retrain_thread = threading.Thread(
-            target=self._retrain, args=(snapshot,), daemon=True,
-            name="sintel-stream-retrain",
-        )
-        self._retrain_thread.start()
-
-    def _retrain(self, snapshot: np.ndarray) -> None:
-        with self._swap_lock:
-            serving = self._pipeline
-            if self._spare is None:
-                self._spare = serving.clone()
-            standby = self._spare
-
-        # Deliberately a closure: it cannot cross a process boundary, so
-        # ProcessExecutor.map degrades to its in-process serial fallback
-        # and the refit always mutates THIS standby object — the compiled
-        # fit-mode plan is reused on every backend (a worker-side fit
-        # would return a pickled copy whose compiler was dropped).
-        def refit(data):
-            standby.fit(data)
-            return standby
-
-        try:
-            fitted = serving.executor.map(refit, [snapshot])[0]
-        except Exception as error:  # noqa: BLE001 - surfaced via state()
-            self.retrain_error = str(error)
-            return
-        with self._swap_lock:
-            # Atomic swap: the freshly fitted standby starts serving and
-            # the previous serving pipeline becomes the next standby, so
-            # after the first cycle no retrain ever compiles a new plan.
-            self._spare = self._pipeline
-            self._pipeline = fitted
-        self.retrains += 1
-        self.last_retrain_at = time.time()
-        self.retrain_error = None
-        # The monitor is owned by the ingest thread; request the post-retrain
-        # reset instead of mutating detector state from this thread.
-        if self.monitor is not None:
-            self._monitor_reset_pending = True
-
     def adopt_pipeline(self, fitted: Pipeline) -> Pipeline:
-        """Atomically swap in an externally refitted pipeline.
+        """Atomically swap in a refitted pipeline.
 
-        Used by the fleet scheduler (:mod:`repro.core.fleet`), whose tiered
-        refit loop owns standby pipelines instead of this runner's private
-        ``_spare``. Returns the previous serving pipeline so the caller can
-        recycle it as a warm standby, and performs the same bookkeeping as
-        an internal retrain (counter, hysteresis anchor, monitor reset
-        request applied on the next ingest).
+        Called by the stream scheduler (:mod:`repro.core.fleet`), whose
+        tiered refit loop owns the standby pipelines refits are trained
+        on. Returns the previous serving pipeline so the caller can
+        recycle it as a warm standby, and records the refit (counter,
+        timestamp, monitor reset request applied on the next ingest).
         """
         if not fitted.fitted:
             raise NotFittedError("adopt_pipeline requires a fitted pipeline")
@@ -472,24 +393,9 @@ class StreamRunner:
         self.retrains += 1
         self.last_retrain_at = time.time()
         self.retrain_error = None
-        self._last_retrain_sample = self._samples_seen
         if self.monitor is not None:
             self._monitor_reset_pending = True
         return previous
-
-    def join_retrain(self, timeout: Optional[float] = None) -> bool:
-        """Block until any in-flight retrain finishes; True when idle."""
-        thread = self._retrain_thread
-        if thread is None:
-            return True
-        thread.join(timeout)
-        return not thread.is_alive()
-
-    @property
-    def retrain_in_flight(self) -> bool:
-        """Whether a background refit is currently running."""
-        thread = self._retrain_thread
-        return thread is not None and thread.is_alive()
 
     # ------------------------------------------------------------------ #
     # observability
@@ -513,7 +419,6 @@ class StreamRunner:
             "events_closed": sum(1 for e in events if e.status == "closed"),
             "drift": drift,
             "retrains": self.retrains,
-            "retrain_in_flight": self.retrain_in_flight,
             "last_retrain_at": self.last_retrain_at,
             "retrain_error": self.retrain_error,
         }

@@ -136,7 +136,7 @@ class TestCollectors:
         manager = StreamManager()
         sessions = [
             manager.open("azure", data[:200], pipeline_options={"k": 4.0},
-                         drift=False, fleet=True, fleet_group="metrics",
+                         drift=False, fleet_group="metrics",
                          window_size=300, warmup=64)
             for _ in range(2)
         ]

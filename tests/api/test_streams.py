@@ -1,6 +1,8 @@
 """Tests for the live stream ingestion API (/streams)."""
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -57,6 +59,9 @@ class TestStreamLifecycle:
         assert state.body["samples_seen"] == 400
         assert state.body["lag"] == {"batches": 0, "samples": 0}
         assert state.body["events"]
+        for key in ("retrains", "retrain_in_flight", "last_retrain_at",
+                    "retrain_error", "fleet"):
+            assert key in state.body
         json.dumps(state.body)  # the whole payload is JSON-serializable
 
         assert api.delete(f"/streams/{stream_id}").status == 204
@@ -113,9 +118,15 @@ class TestStreamLifecycle:
             api, data, stream_options={"drift_detector": "default"}
         )
         assert response.status == 400
+        # Refits belong to the scheduler: the retired hysteresis is gone.
+        response = _open_stream(
+            api, data, stream_options={"retrain_hysteresis": 5}
+        )
+        assert response.status == 400
+        assert "retrain_hysteresis" in response.body["error"]["message"]
 
     def test_poll_while_ingesting_never_errors(self, api):
-        # GET /streams/<id> from the request thread races the drainer's
+        # GET /streams/<id> from the request thread races the pump's
         # event retraction; the registry lock must keep polls at 200.
         data = _signal_data()
         stream_id = _open_stream(api, data).body["id"]
@@ -141,8 +152,9 @@ class TestStreamOrderingAndPersistence:
     def test_batches_processed_in_order(self, api):
         data = _signal_data()
         stream_id = _open_stream(api, data).body["id"]
-        # Push every batch at once; the single-drainer rule must keep order
-        # (out-of-order processing would raise on non-monotonic timestamps).
+        # Push every batch at once; one batch per lane per round must keep
+        # order (out-of-order processing would raise on non-monotonic
+        # timestamps).
         for start in range(200, 600, 20):
             api.post(f"/streams/{stream_id}/data",
                      {"data": data[start:start + 20].tolist()})
@@ -150,6 +162,38 @@ class TestStreamOrderingAndPersistence:
         state = api.get(f"/streams/{stream_id}").body
         assert state["status"] == "open"
         assert state["samples_seen"] == 400
+
+    def test_concurrent_pushes_to_many_sessions_are_all_served(self, api):
+        # More pushing threads than cores, with a short switch interval,
+        # race the pump's rounds: no batch may be lost, reordered or left
+        # queued behind an idle lane.
+        data = _signal_data()
+        ids = [_open_stream(api, data, fleet_group="stress").body["id"]
+               for _ in range(4)]
+
+        def push(stream_id):
+            for start in range(200, 600, 20):
+                api.post(f"/streams/{stream_id}/data",
+                         {"data": data[start:start + 20].tolist()})
+
+        threads = [threading.Thread(target=push, args=(stream_id,))
+                   for stream_id in ids]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for stream_id in ids:
+            assert api.streams.wait_idle(stream_id, timeout=60)
+            state = api.get(f"/streams/{stream_id}").body
+            assert state["status"] == "open"
+            assert state["samples_seen"] == 400
+            assert state["lag"] == {"batches": 0, "samples": 0}
 
     def test_sessions_and_events_persisted(self, api):
         data = _signal_data()
@@ -198,7 +242,8 @@ class TestStreamOrderingAndPersistence:
         with pytest.raises(ValueError):
             manager.push(session.stream_id, data[260:300])
 
-    def test_stream_with_drift_and_retrain_via_api(self, api):
+    @staticmethod
+    def _open_drifting_stream(api, **stream_options):
         rng = np.random.default_rng(11)
         n = 900
         values = rng.normal(0.0, 0.2, n)
@@ -209,7 +254,7 @@ class TestStreamOrderingAndPersistence:
             "data": data[:300].tolist(),
             "pipeline_options": {"k": 4.0},
             "stream_options": {"window_size": 300, "warmup": 64,
-                               "retrain_hysteresis": 10_000},
+                               **stream_options},
             "drift": {"detector": "page_hinkley", "threshold": 15.0,
                       "min_samples": 30},
         })
@@ -217,17 +262,32 @@ class TestStreamOrderingAndPersistence:
         for start in range(300, n, 40):
             api.post(f"/streams/{stream_id}/data",
                      {"data": data[start:start + 40].tolist()})
-        api.streams.wait_idle(stream_id, timeout=120)
-        api.streams.get(stream_id).runner.join_retrain(timeout=60)
-        state = api.get(f"/streams/{stream_id}").body
+        assert api.streams.wait_idle(stream_id, timeout=120)
+        return api.get(f"/streams/{stream_id}").body
+
+    def test_stream_with_drift_and_retrain_via_api(self, api):
+        # The session is the only lane of the API's scheduler; refitting
+        # inline makes the refit land before the lane drains.
+        api.streams.scheduler.refit_sync = True
+        state = self._open_drifting_stream(api)
         assert state["drift"]["points"]
         assert state["retrains"] == 1
+        assert state["retrain_in_flight"] is False
         assert state["last_retrain_at"] is not None
+
+    def test_retrain_false_session_never_refits(self, api):
+        api.streams.scheduler.refit_sync = True
+        state = self._open_drifting_stream(api, retrain=False)
+        assert state["drift"]["points"]
+        assert state["retrains"] == 0
+        assert state["fleet"]["tier"] == "hot"
 
 
 class TestFleetSessions:
     def test_fleet_sessions_via_api(self, api):
         data = _signal_data()
+        # Every session is a fleet lane; the legacy "fleet" key is
+        # accepted and ignored.
         created = _open_stream(
             api, data, fleet=True,
             stream_options={"window_size": 400, "warmup": 64})
@@ -281,27 +341,6 @@ class TestFleetSessions:
         assert "different pipeline configuration" \
             in rejected.body["error"]["message"]
 
-    def test_fleet_sessions_bypass_classic_capacity(self, api):
-        api.streams.max_sessions = 1
-        data = _signal_data()
-        assert _open_stream(api, data).status == 201
-        assert _open_stream(api, data).status == 429
-        # Fleet sessions are bounded by the scheduler, not max_sessions.
-        assert _open_stream(
-            api, data, fleet=True,
-            stream_options={"window_size": 400, "warmup": 64}).status == 201
-        assert _open_stream(
-            api, data, fleet=True,
-            stream_options={"window_size": 400, "warmup": 64}).status == 201
-
-    def test_fleet_rejects_classic_only_options(self, api):
-        data = _signal_data()
-        response = _open_stream(
-            api, data, fleet=True,
-            stream_options={"window_size": 400, "retrain_hysteresis": 5})
-        assert response.status == 400
-        assert "retrain_hysteresis" in response.body["error"]["message"]
-
     def test_fleet_bad_batch_scopes_error_to_session(self, api):
         data = _signal_data()
         bad = _open_stream(
@@ -334,39 +373,3 @@ class TestFleetSessions:
         assert len(streams) == 1
         assert streams[0]["status"] == "closed"
         assert api.explorer.get_events(signal_id="sig-fleet")
-
-
-class TestManagerPoolSizing:
-    def test_default_workers_scale_with_sessions_and_cpu(self):
-        import os
-
-        cpu = os.cpu_count() or 1
-        assert StreamManager.default_workers(8) \
-            == max(2, min(32, 8, 4 * cpu))
-        assert StreamManager.default_workers(1) == 2  # floor
-        assert StreamManager.default_workers(10_000) <= 32  # ceiling
-
-    def test_manager_sizes_pool_unless_told_otherwise(self):
-        manager = StreamManager(max_sessions=4)
-        assert manager.max_workers == StreamManager.default_workers(4)
-        manager.shutdown()
-        manager = StreamManager(max_workers=5, max_sessions=4)
-        assert manager.max_workers == 5
-        manager.shutdown()
-        with pytest.raises(ValueError):
-            StreamManager(max_workers=0)
-
-    def test_injected_pool_survives_shutdown(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(max_workers=2)
-        manager = StreamManager(pool=pool)
-        data = _signal_data()
-        session = manager.open("azure", data[:200],
-                               pipeline_options={"k": 4.0}, drift=False,
-                               window_size=400, warmup=64)
-        manager.push(session.stream_id, data[200:260])
-        manager.shutdown()
-        # The manager never owns an injected pool.
-        assert pool.submit(lambda: 41 + 1).result(timeout=10) == 42
-        pool.shutdown()

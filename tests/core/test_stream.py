@@ -1,9 +1,16 @@
-"""Tests for the streaming execution path (StreamRunner + partial_detect)."""
+"""Tests for the streaming execution path (StreamRunner + partial_detect).
+
+A runner never refits itself; its drift-triggered refits run through a
+one-lane :class:`~repro.core.fleet.StreamScheduler`, as here.
+"""
+
+import time
 
 import numpy as np
 import pytest
 
 from repro import Sintel, StreamRunner
+from repro.core.fleet import StreamScheduler, TierPolicy
 from repro.data import generate_signal
 from repro.exceptions import NotFittedError, StreamError
 from repro.streaming import PageHinkley
@@ -143,33 +150,44 @@ class TestStreamEvents:
         assert payload["start"] == event.to_tuple()[0]
 
 
+def _one_lane(pipeline, policy=None, clock=time.monotonic, **options):
+    """A one-lane scheduler refitting inline: the single-stream refit path."""
+    scheduler = StreamScheduler(policy=policy, refit_budget=1,
+                                refit_sync=True, clock=clock)
+    return scheduler, scheduler.add_stream(pipeline, **options)
+
+
 class TestDriftRetrain:
+    """Drift-triggered refits of one stream through a one-lane scheduler."""
+
     def _drifting_data(self, n=900, shift_at=500):
         rng = np.random.default_rng(3)
         values = rng.normal(0.0, 0.3, n)
         values[shift_at:] += 6.0
         return np.column_stack([np.arange(n, dtype=float), values])
 
+    @staticmethod
+    def _replay(scheduler, lane, data, start=300, step=40):
+        for offset in range(start, len(data), step):
+            scheduler.ingest(lane.lane_id, data[offset:offset + step])
+            scheduler.run_round()
+
     def test_drift_triggers_background_retrain_and_swap(self):
         data = self._drifting_data()
         sintel = Sintel("azure", k=4.0)
         sintel.fit(data[:300])
-        runner = sintel.stream(
-            window_size=300, warmup=64,
-            drift_detector=PageHinkley(threshold=15.0, min_samples=30),
-            retrain=True, retrain_hysteresis=10_000,
-        )
-        before = runner.pipeline
-        for start in range(300, len(data), 40):
-            runner.send(data[start:start + 40])
-        assert runner.join_retrain(timeout=60)
-        runner.close()
-        state = runner.state()
+        scheduler, lane = _one_lane(
+            sintel, window_size=300, warmup=64,
+            drift_detector=PageHinkley(threshold=15.0, min_samples=30))
+        before = lane.runner.pipeline
+        self._replay(scheduler, lane, data)
+        scheduler.close_stream(lane.lane_id)
+        state = lane.runner.state()
         assert state["drift"]["points"]
-        assert state["retrains"] == 1  # hysteresis: one retrain only
+        assert state["retrains"] == 1  # one drift, one refit
         assert state["retrain_error"] is None
-        assert runner.pipeline is not before
-        assert runner.pipeline.fitted
+        assert lane.runner.pipeline is not before
+        assert lane.runner.pipeline.fitted
         # No batch was dropped while the swap happened.
         assert state["samples_seen"] == len(data) - 300
 
@@ -178,14 +196,11 @@ class TestDriftRetrain:
         sintel = Sintel("azure", k=4.0)
         sintel.fit(data[:300])
         detector = PageHinkley(threshold=15.0, min_samples=30)
-        runner = sintel.stream(window_size=300, warmup=64,
-                               drift_detector=detector, retrain=True,
-                               retrain_hysteresis=10_000)
-        for start in range(300, len(data), 40):
-            runner.send(data[start:start + 40])
-        runner.join_retrain(timeout=60)
-        runner.close()
-        assert runner.retrains == 1
+        scheduler, lane = _one_lane(sintel, window_size=300, warmup=64,
+                                    drift_detector=detector)
+        self._replay(scheduler, lane, data)
+        scheduler.close_stream(lane.lane_id)
+        assert lane.runner.retrains == 1
         # The detector restarted its cold-start warm-up after the swap.
         assert detector._count < len(data) - 300
 
@@ -193,35 +208,45 @@ class TestDriftRetrain:
         data = self._drifting_data()
         sintel = Sintel("azure", k=4.0)
         sintel.fit(data[:300])
-        runner = sintel.stream(
-            window_size=300, warmup=64,
+        scheduler, lane = _one_lane(
+            sintel, window_size=300, warmup=64,
             drift_detector=PageHinkley(threshold=15.0, min_samples=30),
-            retrain=False,
-        )
-        before = runner.pipeline
-        for start in range(300, len(data), 40):
-            runner.send(data[start:start + 40])
-        runner.close()
-        assert runner.retrains == 0
-        assert runner.pipeline is before
-        assert runner.state()["drift"]["points"]
+            retrain=False)
+        before = lane.runner.pipeline
+        self._replay(scheduler, lane, data)
+        assert lane.tier == "hot"  # the drift is seen, never consumed
+        scheduler.close_stream(lane.lane_id)
+        assert lane.runner.retrains == 0
+        assert lane.runner.pipeline is before
+        assert lane.runner.state()["drift"]["points"]
 
     def test_retrain_failure_is_reported_not_raised(self, fitted):
         sintel, data = fitted
-        runner = sintel.stream(window_size=200, warmup=8, drift_detector=None)
-        runner.send(data[:100])
-        runner._retrain(data[:0])  # empty snapshot fails inside fit
-        assert runner.retrain_error is not None
-        assert runner.retrains == 0
+        scheduler, lane = _one_lane(sintel, window_size=200, warmup=8,
+                                    drift_detector=None)
+        scheduler.ingest(lane.lane_id, data[:100])
+        scheduler.run_round()
+        serving = lane.runner.pipeline
+        # An empty snapshot fails inside fit.
+        scheduler._refit("hot", lane, scheduler.standby.acquire(serving),
+                         data[:0])
+        assert lane.runner.retrain_error is not None
+        assert lane.runner.retrains == 0
+        assert lane.runner.pipeline is serving
+        # Serving continues on the previous pipeline.
+        scheduler.ingest(lane.lane_id, data[100:150])
+        scheduler.run_round()
+        assert lane.error is None
+        assert lane.runner.samples_seen == 150
 
 
 class TestRefitPlanReuse:
-    """Satellite guarantee: refits reuse compiled fit-mode plans.
+    """Refits of a one-lane scheduler reuse compiled plans.
 
-    The runner keeps one standby pipeline and ping-pongs it with the
-    serving pipeline on every swap, so after the first retrain cycle no
-    refit ever lowers a plan again — the compilation counters of both
-    pipelines stay frozen no matter how many retrains run.
+    The scheduler's standby cache hands a singleton lane the pipeline
+    its previous refit displaced, so the lane ping-pongs between two
+    pipeline objects, and after the first two refit cycles neither of
+    them ever lowers a plan again.
     """
 
     @staticmethod
@@ -229,85 +254,74 @@ class TestRefitPlanReuse:
         timestamps = np.arange(start, start + count, dtype=float)
         return np.column_stack([timestamps, np.sin(timestamps / 9.0)])
 
-    def test_compilation_count_constant_across_refits(self):
-        data = self._rows(0, 300)
-        sintel = Sintel("azure")
-        sintel.fit(data)
-        runner = StreamRunner(sintel.pipeline, window_size=64, warmup=32,
-                              drift_detector=None, retrain=True)
-        cursor = 300
+    def _refitting_lane(self, executor="serial"):
+        """A lane that blows its SLA every cycle; ``cycle()`` refits it."""
+        sintel = Sintel("azure", executor=executor)
+        sintel.fit(self._rows(0, 300))
+        clock = {"now": 0.0}
+        scheduler, lane = _one_lane(
+            sintel, policy=TierPolicy(sla_deadline=10.0),
+            clock=lambda: clock["now"], window_size=64, warmup=32,
+            drift_detector=None)
+        cursor = [300]
 
         def cycle():
-            nonlocal cursor
-            runner.send(self._rows(cursor, 40))   # stream-mode plan in use
-            cursor += 40
-            runner._retrain(runner._buffer.copy())  # synchronous refit
+            # One detection round on the serving pipeline, then a refit.
+            scheduler.ingest(lane.lane_id, self._rows(cursor[0], 40))
+            cursor[0] += 40
+            clock["now"] += 20.0
+            scheduler.run_round()
 
-        # Two warm-up cycles: the standby is created and both pipelines
-        # compile their fit/stream plans once.
+        return scheduler, lane, cycle
+
+    def _assert_compilations_constant(self, executor):
+        scheduler, lane, cycle = self._refitting_lane(executor)
+        # Two warm-up cycles: the standby is cloned and both pipelines
+        # compile their fit and stream-batch plans once.
         cycle()
+        standby = lane.runner.pipeline
         cycle()
-        serving, spare = runner.pipeline, runner._spare
-        compiled = (serving.plan_compilations, spare.plan_compilations)
+        serving = lane.runner.pipeline
+        compiled = (serving.plan_compilations, standby.plan_compilations)
         for _ in range(3):
             cycle()
-        assert runner.retrains == 5
-        # The same two pipeline objects keep swapping roles...
-        assert {runner.pipeline, runner._spare} == {serving, spare}
+            # The same two pipeline objects keep swapping roles...
+            assert lane.runner.pipeline in (serving, standby)
+        assert lane.runner.retrains == 5
+        assert lane.runner.retrain_error is None
+        assert scheduler.stats()["standby"]["misses"] == 1
         # ...and neither ever compiled another plan.
-        assert (serving.plan_compilations, spare.plan_compilations) == compiled
+        assert (serving.plan_compilations,
+                standby.plan_compilations) == compiled
+
+    def test_compilation_count_constant_across_refits(self):
+        self._assert_compilations_constant("serial")
 
     def test_plan_reuse_holds_under_process_executor(self):
-        # The refit closure is unpicklable on purpose, so the process
-        # backend degrades to its in-process fallback and the standby's
-        # compiled plans survive the refit (a worker-side fit would hand
-        # back a pickled copy with no compiler).
-        data = self._rows(0, 300)
-        sintel = Sintel("azure", executor="process")
-        sintel.fit(data)
-        runner = StreamRunner(sintel.pipeline, window_size=64, warmup=32,
-                              drift_detector=None, retrain=True)
-        runner.send(self._rows(300, 64))
-        with pytest.warns(RuntimeWarning, match="unpicklable"):
-            runner._retrain(runner._buffer.copy())
-            runner._retrain(runner._buffer.copy())
-        compiled = sorted((runner.pipeline.plan_compilations,
-                           runner._spare.plan_compilations))
-        with pytest.warns(RuntimeWarning, match="unpicklable"):
-            runner._retrain(runner._buffer.copy())
-        assert runner.retrain_error is None
-        # The pair swaps roles every retrain; neither object compiled
-        # another plan.
-        assert sorted((runner.pipeline.plan_compilations,
-                       runner._spare.plan_compilations)) == compiled
+        # The scheduler fits the standby in its own process, so the
+        # process backend's compiled plans survive every refit too.
+        self._assert_compilations_constant("process")
 
     def test_swap_ping_pongs_serving_and_standby(self):
-        data = self._rows(0, 300)
-        sintel = Sintel("azure")
-        sintel.fit(data)
-        runner = StreamRunner(sintel.pipeline, window_size=64, warmup=32,
-                              drift_detector=None, retrain=True)
-        original = runner.pipeline
-        runner.send(self._rows(300, 64))
-        runner._retrain(runner._buffer.copy())
-        first_standby = runner._spare
-        assert first_standby is original  # old serving became the standby
-        assert runner.pipeline is not original
-        runner._retrain(runner._buffer.copy())
-        assert runner.pipeline is original  # swapped straight back
-        assert runner.retrain_error is None
+        scheduler, lane, cycle = self._refitting_lane()
+        original = lane.runner.pipeline
+        cycle()
+        first = lane.runner.pipeline
+        assert first is not original  # a cold clone took over...
+        assert scheduler.standby.size == 1  # ...and the original waits
+        cycle()
+        assert lane.runner.pipeline is original  # swapped straight back
+        cycle()
+        assert lane.runner.pipeline is first
+        assert lane.runner.retrain_error is None
 
     def test_refitted_stream_still_detects(self):
-        data = self._rows(0, 300)
-        sintel = Sintel("azure")
-        sintel.fit(data)
-        runner = StreamRunner(sintel.pipeline, window_size=64, warmup=32,
-                              drift_detector=None, retrain=True)
-        cursor = 300
+        scheduler, lane, cycle = self._refitting_lane()
         for _ in range(4):
-            runner.send(self._rows(cursor, 40))
-            cursor += 40
-            runner._retrain(runner._buffer.copy())
-        assert runner.pipeline.fitted
-        runner.send(self._rows(cursor, 40))
-        runner.close()
+            cycle()
+        assert lane.runner.pipeline.fitted
+        scheduler.ingest(lane.lane_id, self._rows(300 + 4 * 40, 40))
+        scheduler.fleet.run_round()
+        assert lane.error is None
+        assert lane.runner.samples_seen == 5 * 40
+        scheduler.close_stream(lane.lane_id)

@@ -4,8 +4,8 @@ These are the acceptance tests for the streaming subsystem: streaming
 detection over micro-batches must produce the same anomaly intervals as
 batch ``detect`` over the full signal (within one micro-batch of edge
 tolerance), under both the serial and the threaded executor; and an
-injected mean shift must flow through DriftMonitor → background refit →
-atomic pipeline swap without dropping or reordering in-flight batches.
+injected mean shift must flow through DriftMonitor → scheduler refit →
+atomic pipeline swap without dropping or reordering queued batches.
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ import pytest
 
 from repro import Sintel
 from repro.benchmark import default_streaming_signals, intervals_match
+from repro.core.fleet import StreamScheduler
 from repro.streaming import PageHinkley
 
 BATCH = 50
@@ -47,20 +48,21 @@ def test_drift_retrain_swaps_pipeline_without_losing_batches():
 
     sintel = Sintel("azure", k=4.0)
     sintel.fit(data[:400])
-    runner = sintel.stream(
-        window_size=400, warmup=64,
-        drift_detector=PageHinkley(threshold=20.0, min_samples=30),
-        retrain=True, retrain_hysteresis=10_000,
-    )
+    # A one-lane scheduler owns the stream's refits.
+    scheduler = StreamScheduler(refit_sync=True)
+    lane = scheduler.add_stream(
+        sintel, window_size=400, warmup=64,
+        drift_detector=PageHinkley(threshold=20.0, min_samples=30))
+    runner = lane.runner
     original = runner.pipeline
 
-    sent = []
-    for start in range(400, n, 40):
-        chunk = data[start:start + 40]
-        runner.send(chunk)
-        sent.append(chunk)
-    assert runner.join_retrain(timeout=60)
-    runner.close()
+    # Queue every micro-batch up front, so the refit and swap happen
+    # while later batches are still waiting on the lane.
+    sent = [data[start:start + 40] for start in range(400, n, 40)]
+    for chunk in sent:
+        scheduler.ingest(lane.lane_id, chunk)
+    scheduler.run_until_idle()
+    scheduler.close_stream(lane.lane_id)
 
     state = runner.state()
     # Drift was confirmed after the shift and exactly one retrain ran.
@@ -68,8 +70,8 @@ def test_drift_retrain_swaps_pipeline_without_losing_batches():
     assert state["retrains"] == 1
     assert state["retrain_error"] is None
     assert runner.pipeline is not original and runner.pipeline.fitted
-    # Every in-flight micro-batch was processed, in order: the buffered
+    # Every queued micro-batch was processed, in order: the buffered
     # window is exactly the tail of what was sent.
     assert state["samples_seen"] == sum(len(chunk) for chunk in sent)
     tail = np.vstack(sent)[-state["window"]:]
-    np.testing.assert_array_equal(runner._buffer, tail)
+    np.testing.assert_array_equal(runner.window, tail)
