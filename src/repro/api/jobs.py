@@ -6,12 +6,14 @@ submits the work to a :class:`JobManager`, which runs it on a worker pool
 and tracks its lifecycle; ``GET /jobs/<id>`` polls status and, once the job
 has finished, its result.
 
-Jobs themselves may fan further out: a detect job's ``executor`` and a
-benchmark job's ``executor`` / ``pipeline_executor`` accept any registered
-executor name — ``"process"`` schedules the work across a multiprocessing
-pool, ``"distributed"`` enqueues it into a durable work queue served by
-stateless ``python -m repro.worker`` processes (benchmark jobs then also
-honour ``queue_path``) — and benchmark jobs take ``shard_index`` /
+A detect job's ``executor`` and a benchmark job's ``pipeline_executor``
+accept any registered executor name; every executor runs a pipeline's
+steps in order in the thread that runs the job. Benchmark jobs may fan
+further out through their ``executor``: ``"process"`` spreads the
+(pipeline, signal) jobs across a multiprocessing pool, ``"distributed"``
+enqueues them into a durable work queue served by stateless
+``python -m repro.worker`` processes (benchmark jobs then also honour
+``queue_path``). Benchmark jobs also take ``shard_index`` /
 ``shard_count`` / ``checkpoint_dir`` / ``resume`` for sharded, resumable
 sweeps (see :mod:`repro.benchmark.runner`).
 

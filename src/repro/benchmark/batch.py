@@ -47,7 +47,7 @@ __all__ = [
 #: Relative tolerance of the fused (``exact=False``) batch plane, applied
 #: to every anomaly tuple ``(start, end, severity)``. Single-precision
 #: forwards deviate around 1e-7 relative on the raw network outputs; the
-#: thresholding stages absorb most of it, so this band is generous for
+#: thresholding stages flatten most of it, so this band is generous for
 #: timestamps yet still tight enough to catch a real behaviour change.
 PARITY_RTOL = 1e-4
 #: Absolute tolerance companion of :data:`PARITY_RTOL` (severities near 0).

@@ -306,9 +306,11 @@ def benchmark(pipelines: Optional[Sequence[str]] = None,
             start than ``"process"`` but crash-survivable: a killed
             worker costs one lease timeout, and a re-run against the same
             ``queue_path`` resumes from the finished jobs.
-        pipeline_executor: optional executor forwarded to each pipeline for
-            its internal step scheduling. With ``executor="process"`` this
-            must be a registry *name* (it crosses the process boundary).
+        pipeline_executor: optional executor forwarded to each pipeline.
+            Every executor runs the pipeline's steps in order in the job's
+            thread; ``"caching"`` additionally memoizes step outputs. With
+            ``executor="process"`` this must be a registry *name* (it
+            crosses the process boundary).
         shard_index / shard_count: run only a deterministic round-robin
             slice of the job list. Both must be given together; distinct
             indices partition the run, so N invocations with

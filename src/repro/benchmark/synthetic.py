@@ -199,7 +199,7 @@ def benchmark_synthetic(pipelines: Optional[Dict[str, dict]] = None,
 
 
 #: Slack allowed between the committed baseline and a fresh run. Quality is
-#: deterministic on a fixed platform; the tolerance only absorbs numeric
+#: deterministic on a fixed platform; the tolerance only covers numeric
 #: differences across BLAS builds and Python versions.
 GATE_TOLERANCE = 0.1
 

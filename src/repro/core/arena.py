@@ -17,8 +17,8 @@ Ownership rules (documented in ARCHITECTURE.md):
 * leased buffers come back uninitialised — callers zero or overwrite
   them, exactly as with ``np.empty``.
 
-The pool never crosses a process boundary: ``FusedStep.__getstate__``
-drops it, and workers rebuild a private pool lazily.
+The pool never crosses a process boundary: plans run in the process
+that compiled them.
 """
 
 from __future__ import annotations

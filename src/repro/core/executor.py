@@ -2,20 +2,24 @@
 
 The paper models a pipeline as a DAG of primitives (§3.2) and the benchmark
 runs every pipeline × signal combination under identical conditions (§3.4).
-This module separates *what* to run from *how* to run it:
+This module separates *what* to run from *how* to run it.
 
-* :class:`SerialExecutor` — runs steps in declaration order (the default,
-  preserving the original semantics exactly);
-* :class:`ThreadedExecutor` — schedules independent DAG branches concurrently
-  with a topological ready-queue, and fans generic job lists (benchmark
-  pipeline × signal jobs) out over a thread pool;
+Every executor runs a compiled plan the same way: :meth:`Executor.run_plan`
+executes the plan's nodes one by one, in plan order, on the calling thread.
+Hub pipelines are chains — every pair of steps is ordered by the data they
+share — so no plan ever has two steps ready at once. Apart from the caching
+wrapper, executors differ only in how :meth:`Executor.map` fans a job list
+(the benchmark's pipeline × signal sweep) out:
+
+* :class:`SerialExecutor` — in order, in the caller (the default);
+* :class:`ThreadedExecutor` — on a thread pool;
+* :class:`ProcessExecutor` — on a ``multiprocessing`` pool, sidestepping
+  the GIL for CPU-heavy jobs. Large arrays travel to and from the workers
+  through POSIX shared memory (``multiprocessing.shared_memory``) with a
+  plain-pickle fallback;
 * :class:`CachingExecutor` — wraps another executor and memoizes per-step
   outputs keyed by (step spec, hyperparameters, input digests) so repeated
-  tuning or benchmark runs skip unchanged pipeline prefixes;
-* :class:`ProcessExecutor` — schedules independent DAG branches and benchmark
-  jobs across a ``multiprocessing`` pool, sidestepping the GIL for CPU-heavy
-  primitives. Large arrays travel to the workers through POSIX shared memory
-  (``multiprocessing.shared_memory``) with a plain-pickle fallback.
+  tuning or benchmark runs skip unchanged pipeline prefixes.
 
 An executor consumes an :class:`ExecutionPlan` — a list of :class:`StepNode`
 entries carrying the variables each step reads and writes — and returns the
@@ -137,23 +141,12 @@ class StepNode:
         writes: context variable names the step produces, in output order.
         execute: ``execute(context, fit)`` callable returning a dictionary of
             context updates. It must not mutate ``context`` itself — the
-            executor applies updates so it can serialize writes.
+            executor applies the updates.
         fingerprint: stable identity of the step configuration (spec +
             hyperparameters, plus a per-build token for stateful steps) used
             as the cache key prefix.
         cacheable: ``cacheable(fit)`` predicate deciding whether the step's
             outputs may be served from a cache in the given mode.
-        payload: optional zero-argument factory returning a *picklable* work
-            unit for cross-process dispatch. The returned object must expose
-            an ``engine`` attribute and a ``run(context, fit)`` method
-            returning ``(updates, state)``, where ``state`` is ``None`` or an
-            object for :attr:`absorb` (typically the fitted primitive).
-            Plans without payloads still run on every in-process executor;
-            :class:`ProcessExecutor` falls back to serial for them.
-        absorb: parent-side callback receiving the ``state`` a process worker
-            returned, so mutations that happened in the worker (a fitted or
-            incrementally-updated primitive) are grafted back into the
-            pipeline that built the plan.
         mode: plan mode this node was lowered for (``fit`` / ``detect`` /
             ``stream`` / ``batch`` — see :mod:`repro.core.plan`). The
             caching executor treats ``batch`` nodes specially (per-signal
@@ -172,8 +165,6 @@ class StepNode:
     execute: Callable[[dict, bool], dict]
     fingerprint: str = ""
     cacheable: Callable[[bool], bool] = field(default=lambda fit: False)
-    payload: Optional[Callable[[], object]] = None
-    absorb: Optional[Callable[[object], None]] = None
     mode: str = "detect"
     signal_fingerprint: str = ""
     #: Fused batch nodes only — indices of the compiler cells this node
@@ -184,17 +175,10 @@ class StepNode:
 
 
 class ExecutionPlan:
-    """An ordered list of step nodes plus their dependency structure.
+    """An ordered list of step nodes.
 
-    The dependency graph is derived from the read/write sets in serial
-    declaration order and covers all three hazard classes, so any schedule
-    that respects it is equivalent to the serial one:
-
-    * read-after-write — a consumer waits for the last producer of each
-      variable it reads;
-    * write-after-write — a re-producer waits for the previous producer;
-    * write-after-read — a re-producer waits for every earlier reader of
-      the variable it overwrites.
+    Every executor runs the nodes one by one in list order — the
+    template's declaration order — so the order is the plan's semantics.
     """
 
     def __init__(self, nodes: Sequence[StepNode]):
@@ -202,27 +186,6 @@ class ExecutionPlan:
         names = [node.name for node in self.nodes]
         if len(set(names)) != len(names):
             raise ExecutorError(f"Duplicate step names in plan: {names}")
-        self.dependencies = self._build_dependencies(self.nodes)
-
-    @staticmethod
-    def _build_dependencies(nodes: Sequence[StepNode]) -> Dict[str, set]:
-        dependencies: Dict[str, set] = {node.name: set() for node in nodes}
-        last_writer: Dict[str, str] = {}
-        readers: Dict[str, set] = {}
-        for node in nodes:
-            for variable in node.reads:
-                if variable in last_writer:
-                    dependencies[node.name].add(last_writer[variable])
-                readers.setdefault(variable, set()).add(node.name)
-            for variable in node.writes:
-                if variable in last_writer:
-                    dependencies[node.name].add(last_writer[variable])
-                for reader in readers.get(variable, ()):
-                    if reader != node.name:
-                        dependencies[node.name].add(reader)
-                last_writer[variable] = node.name
-                readers[variable] = set()
-        return dependencies
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -534,27 +497,6 @@ def _in_worker_process() -> bool:
     return multiprocessing.parent_process() is not None
 
 
-def _process_plan_worker(payload, context, fit: bool, profile: bool):
-    """Run one step payload inside a pool worker.
-
-    Returns ``(updates, timing, state)``; ``state`` is the mutated primitive
-    (fit or incremental update) the parent must absorb, or ``None``. Large
-    arrays in ``updates`` return through shared memory
-    (:func:`encode_result`); the parent materializes them with
-    :func:`decode_and_release`.
-    """
-    context = decode_from_transfer(context)
-    started = time.perf_counter()
-    with trace_memory(profile) as probe:
-        updates, state = payload.run(context, fit)
-    timing = {
-        "elapsed": time.perf_counter() - started,
-        "engine": payload.engine,
-        "memory": probe.memory,
-    }
-    return encode_result(updates), timing, state
-
-
 def _process_map_worker(function, item):
     """Apply one mapped function inside a pool worker.
 
@@ -568,26 +510,31 @@ def _process_map_worker(function, item):
 # executors
 # --------------------------------------------------------------------------- #
 class Executor:
-    """Scheduling strategy for pipeline steps and generic job lists.
+    """Scheduling strategy for pipeline plans and generic job lists.
 
-    Subclasses implement :meth:`run_plan` (pipeline step scheduling) and
-    :meth:`map` (benchmark fan-out). Both must preserve serial semantics:
-    ``run_plan`` may only reorder steps the dependency graph allows, and
-    ``map`` returns results in the order of ``items`` regardless of the
-    order in which they complete.
+    :meth:`run_plan` is shared by every executor (the caching wrapper only
+    wraps the nodes first): it runs a plan's nodes one by one, in plan
+    order, on the calling thread. Subclasses implement :meth:`map`
+    (benchmark fan-out), which must return results in the order of
+    ``items`` regardless of the order in which they complete.
     """
 
     name = "executor"
 
     def run_plan(self, plan: ExecutionPlan, context: dict, fit: bool = False,
                  profile: bool = False) -> Tuple[dict, Dict[str, dict]]:
-        """Execute every node of ``plan`` over ``context``.
+        """Execute every node of ``plan`` over ``context``, in plan order.
 
         Returns the final context and a ``{step: timing}`` mapping with keys
         ``elapsed``, ``engine`` and ``memory`` (plus ``cached`` when a
         caching layer served the step).
         """
-        raise NotImplementedError
+        timings: Dict[str, dict] = {}
+        for node in plan:
+            updates, timing = self._run_node(node, context, fit, profile)
+            context.update(updates)
+            timings[node.name] = timing
+        return context, timings
 
     def map(self, function: Callable, items: Iterable,
             progress: Optional[Callable[[int, object], None]] = None) -> List:
@@ -616,17 +563,9 @@ class Executor:
 
 
 class SerialExecutor(Executor):
-    """Run steps strictly in declaration order — the original semantics."""
+    """Map jobs in order, in the caller — the original semantics."""
 
     name = "serial"
-
-    def run_plan(self, plan, context, fit=False, profile=False):
-        timings: Dict[str, dict] = {}
-        for node in plan:
-            updates, timing = self._run_node(node, context, fit, profile)
-            context.update(updates)
-            timings[node.name] = timing
-        return context, timings
 
     def map(self, function, items, progress=None):
         results = []
@@ -639,15 +578,14 @@ class SerialExecutor(Executor):
 
 
 class ThreadedExecutor(Executor):
-    """Schedule independent DAG branches concurrently.
+    """Fan ``map`` jobs out over a thread pool.
 
-    A topological ready-queue submits every step whose dependencies have
-    completed to a thread pool, so parallel template branches (e.g. two
-    independent feature extractors) overlap while the dependency graph —
-    including write hazards — keeps results identical to the serial run.
+    Plans run like on every executor (in order, in the caller); only the
+    job list of :meth:`map` is spread across threads, which pays off when
+    the jobs release the GIL (NumPy/BLAS kernels, I/O).
 
     Args:
-        max_workers: thread pool size (default: ``min(8, n_steps)``).
+        max_workers: thread pool size (default: ``min(8, n_items)``).
     """
 
     name = "threaded"
@@ -661,56 +599,6 @@ class ThreadedExecutor(Executor):
         if self.max_workers is not None:
             return self.max_workers
         return max(1, min(8, n_items))
-
-    def run_plan(self, plan, context, fit=False, profile=False):
-        remaining = {name: set(deps) for name, deps in plan.dependencies.items()}
-        dependents: Dict[str, set] = {node.name: set() for node in plan}
-        for name, deps in plan.dependencies.items():
-            for dep in deps:
-                dependents[dep].add(name)
-        by_name = {node.name: node for node in plan}
-
-        timings: Dict[str, dict] = {}
-        lock = threading.Lock()
-        ready = [node.name for node in plan if not remaining[node.name]]
-        failure: List[BaseException] = []
-
-        def run_one(name: str) -> str:
-            node = by_name[name]
-            updates, timing = self._run_node(node, context, fit, profile)
-            with lock:
-                context.update(updates)
-                timings[name] = timing
-            return name
-
-        # Hold one trace across the whole schedule: concurrent steps must
-        # not own (and stop) the global tracemalloc trace while siblings
-        # are still measuring.
-        with trace_memory(profile):
-            with ThreadPoolExecutor(max_workers=self._pool_size(len(plan))) as pool:
-                pending = {pool.submit(run_one, name) for name in ready}
-                while pending:
-                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        error = future.exception()
-                        if error is not None:
-                            failure.append(error)
-                            continue
-                        finished = future.result()
-                        for name in dependents[finished]:
-                            remaining[name].discard(finished)
-                            if not remaining[name] and not failure:
-                                pending.add(pool.submit(run_one, name))
-                    if failure:
-                        # Drain in-flight work, then surface the first error.
-                        wait(pending)
-                        pending = set()
-        if failure:
-            raise failure[0]
-
-        # Report timings in plan order, matching the serial executor.
-        ordered = {node.name: timings[node.name] for node in plan}
-        return context, ordered
 
     def map(self, function, items, progress=None):
         items = list(items)
@@ -760,7 +648,8 @@ class CachingExecutor(Executor):
     ``single``).
 
     Args:
-        inner: the executor that actually schedules steps (default serial).
+        inner: the executor wrapped plans and ``map`` are delegated to
+            (default serial).
         maxsize: LRU capacity in cached step outputs (``max_entries`` is
             accepted as an alias).
     """
@@ -1014,47 +903,29 @@ class CachingExecutor(Executor):
 
 
 class ProcessExecutor(Executor):
-    """Schedule steps and job lists across a ``multiprocessing`` pool.
+    """Fan ``map`` jobs out across a ``multiprocessing`` pool.
 
-    Both executor duties escape the GIL:
-
-    * :meth:`run_plan` runs the same topological ready-queue as
-      :class:`ThreadedExecutor`, but dispatches each ready step's *payload*
-      (a picklable work unit built by the pipeline — see
-      :attr:`StepNode.payload`) to a ``ProcessPoolExecutor`` worker together
-      with only the context variables the step reads. Mutated primitive
-      state (a fit, or an incremental streaming update) is returned and
-      grafted back through :attr:`StepNode.absorb`, so a pipeline fitted
-      through the process backend is indistinguishable from a serial fit.
-    * :meth:`map` fans a job list out across the pool — the benchmark's
-      pipeline × signal sweep. The mapped function and items must be
-      picklable (module-level functions, plain-data items); an unpicklable
-      *function* degrades to a serial in-process run with a
-      ``RuntimeWarning`` rather than failing the fan-out.
+    Plans run like on every executor (in order, in the caller); :meth:`map`
+    spreads a job list — the benchmark's pipeline × signal sweep — across
+    pool workers, escaping the GIL. The mapped function and items must be
+    picklable (module-level functions, plain-data items); an unpicklable
+    *function* degrades to a serial in-process run with a
+    ``RuntimeWarning`` rather than failing the fan-out.
 
     Large numpy arrays travel through POSIX shared memory segments instead
-    of the worker pipe — in *both* directions: inputs via
+    of the worker pipe — in *both* directions: items via
     :func:`encode_for_transfer` (parent creates, parent unlinks after the
-    task), outputs via :func:`encode_result` in the worker (worker creates,
+    job), results via :func:`encode_result` in the worker (worker creates,
     parent unlinks on receipt through :func:`decode_and_release`).
     Everything else — and every array when shared memory is unavailable —
-    falls back to pickle. Per-step ``elapsed`` / ``memory`` timings are
-    measured inside the worker, so they report the step's own cost without
-    IPC overhead.
+    falls back to pickle.
 
     The pool's start method follows the platform default unless the
     ``REPRO_MP_START`` environment variable names one explicitly
     (``fork`` / ``spawn`` / ``forkserver``) — the hook CI uses to prove
-    parity under macOS-default ``spawn`` semantics.
-
-    Two safety fallbacks keep the executor composable:
-
-    * inside a worker process (nested process fan-out, e.g. a benchmark job
-      whose pipeline also selects ``"process"``) it degrades to serial
-      execution rather than forking grandchildren;
-    * a plan whose nodes carry no payloads (hand-built closure plans, or
-      plans wrapped by :class:`CachingExecutor`, whose memo store lives in
-      the parent) runs serially as well.
+    parity under macOS-default ``spawn`` semantics. Inside a pool worker
+    (a nested fan-out) :meth:`map` runs serially rather than forking
+    grandchildren.
 
     Args:
         max_workers: pool size (default: ``min(cpu_count, 8, n_items)``).
@@ -1079,78 +950,6 @@ class ProcessExecutor(Executor):
     def __setstate__(self, state: dict) -> None:
         self.max_workers = state["max_workers"]
 
-    def run_plan(self, plan, context, fit=False, profile=False):
-        if _in_worker_process() or any(node.payload is None for node in plan):
-            return SerialExecutor().run_plan(plan, context, fit=fit,
-                                             profile=profile)
-
-        remaining = {name: set(deps) for name, deps in plan.dependencies.items()}
-        dependents: Dict[str, set] = {node.name: set() for node in plan}
-        for name, deps in plan.dependencies.items():
-            for dep in deps:
-                dependents[dep].add(name)
-        by_name = {node.name: node for node in plan}
-
-        timings: Dict[str, dict] = {}
-        failure: List[BaseException] = []
-        in_flight: Dict[object, Tuple[str, list]] = {}
-
-        sweep_orphan_segments()
-        with ProcessPoolExecutor(max_workers=self._pool_size(len(plan)),
-                                 mp_context=_mp_context()) as pool:
-            def dispatch(name: str) -> None:
-                node = by_name[name]
-                segments: list = []
-                # Missing read variables are omitted (not shipped as None),
-                # so the worker raises the same "needs variable" error the
-                # in-process executors produce.
-                subcontext = {var: context[var] for var in node.reads
-                              if var in context}
-                encoded = encode_for_transfer(subcontext, segments)
-                future = pool.submit(
-                    _process_plan_worker, node.payload(), encoded, fit, profile
-                )
-                in_flight[future] = (name, segments)
-
-            for name in [node.name for node in plan if not remaining[node.name]]:
-                dispatch(name)
-
-            while in_flight:
-                done, _ = wait(set(in_flight), return_when=FIRST_COMPLETED)
-                for future in done:
-                    name, segments = in_flight.pop(future)
-                    release_transfers(segments)
-                    error = future.exception()
-                    if error is not None:
-                        failure.append(error)
-                        continue
-                    updates, timing, state = future.result()
-                    context.update(decode_and_release(updates))
-                    timings[name] = timing
-                    node = by_name[name]
-                    if state is not None and node.absorb is not None:
-                        node.absorb(state)
-                    for dependent in dependents[name]:
-                        remaining[dependent].discard(name)
-                        if not remaining[dependent] and not failure:
-                            dispatch(dependent)
-                if failure:
-                    # Drain in-flight work, then surface the first error.
-                    # Results that still completed are decoded and dropped
-                    # so their return segments are reclaimed too.
-                    wait(set(in_flight))
-                    for future, (_, segments) in in_flight.items():
-                        release_transfers(segments)
-                        if future.exception() is None:
-                            with contextlib.suppress(Exception):
-                                decode_and_release(future.result()[0])
-                    in_flight = {}
-        if failure:
-            raise self._surface(failure[0])
-
-        ordered = {node.name: timings[node.name] for node in plan}
-        return context, ordered
-
     def map(self, function, items, progress=None):
         items = list(items)
         if not items:
@@ -1160,9 +959,8 @@ class ProcessExecutor(Executor):
         try:
             pickle.dumps(function)
         except Exception:
-            # A closure (e.g. the streaming layer's background-refit hook)
-            # cannot cross the process boundary; degrade to a correct serial
-            # run instead of failing the whole fan-out.
+            # A closure cannot cross the process boundary; degrade to a
+            # correct serial run instead of failing the whole fan-out.
             warnings.warn(
                 "ProcessExecutor.map received an unpicklable function; "
                 "running serially. Use a module-level function to "

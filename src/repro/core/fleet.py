@@ -322,12 +322,12 @@ class FleetStreamRunner:
                     continue
                 batch, enqueued = lane.pending.popleft()
                 try:
-                    absorbed = lane.runner._ingest(batch)
+                    buffered = lane.runner._ingest(batch)
                 except Exception as error:  # noqa: BLE001 - lane-scoped
                     lane.error = str(error)
                     continue
                 self._lag_samples.append(now() - enqueued)
-                if absorbed and lane.runner.ready:
+                if buffered and lane.runner.ready:
                     participants.setdefault(
                         id(lane.group), []).append(lane)
             for members in participants.values():

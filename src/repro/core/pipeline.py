@@ -251,11 +251,10 @@ class Pipeline:
         """(Re)build every step's primitive, preserving cell identity.
 
         Each entry of ``_primitives`` is a mutable ``[step, primitive]``
-        cell: compiled plan nodes and payload factories read the primitive
-        through the cell, so a refit only has to swap fresh instances into
-        the existing cells (and a process worker can hand back a fitted
-        replacement through the node's ``absorb`` callback) — every
-        already-compiled plan sees the new build without recompiling.
+        cell: compiled plan nodes read the primitive through the cell, so
+        a refit only has to swap fresh instances into the existing cells —
+        every already-compiled plan sees the new build without
+        recompiling.
         """
         # Stateful steps carry this token in their cache fingerprint so a
         # rebuild (refit or hyperparameter change) invalidates their entries.

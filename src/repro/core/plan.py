@@ -20,11 +20,10 @@ execution surface consumes the same IR:
   based instead of bitwise (BLAS summation order changes with the GEMM
   shape), namespaced under a separate cache fingerprint.
 
-A ``CompiledStep`` is simultaneously the in-process step body (wrapped in
-a closure by the compiler) and the picklable work unit
-:class:`~repro.core.executor.ProcessExecutor` ships to pool workers, so
-there is exactly one implementation of argument collection, output
-mapping, and mode dispatch for all four modes and all executors.
+Every node's ``execute`` closure builds its ``CompiledStep`` over the
+primitive the ``[step, primitive]`` cell holds at call time and runs it in
+the caller, so there is exactly one implementation of argument collection,
+output mapping, and mode dispatch for every mode and every executor.
 
 Batch plans additionally run a **step-fusion pass**: contiguous runs of
 steps whose primitives declare a ``fuse_category`` (elementwise / window /
@@ -32,18 +31,18 @@ forward) lower into a single :class:`FusedStep` work unit — one node that
 executes the whole chain in one pass, threading intermediate ndarrays
 straight from member to member and leasing NN scratch space from the
 plan's :class:`~repro.core.arena.ArenaPool` instead of re-entering the
-executor (and its allocation, dependency and cache machinery) per step.
-Fusion is transparent to all four executors: a ``FusedStep`` is picklable
-like any ``CompiledStep``, and its cache fingerprints combine *every*
-member's fingerprint while its memoized values are the chain-tail
-outputs, so the caching executor's semantics are unchanged. Setting the
+executor (and its allocation and cache machinery) per step. Fusion is
+transparent to every executor: a ``FusedStep`` node runs like any other
+node, and its cache fingerprints combine *every* member's fingerprint
+while its memoized values are the chain-tail outputs, so the caching
+executor's semantics are unchanged. Setting the
 ``REPRO_NO_FUSION`` environment variable disables the pass (each step
 lowers to its own node, the pre-fusion behaviour) — the benchmark uses
 this to attribute speedups.
 
 The compiler also owns the plan cache: plans are compiled lazily per
 ``(mode, exact, precision)`` key and *refreshed* — not recompiled — when
-a refit replaces the primitive instances (the fingerprints absorb the new
+a refit replaces the primitive instances (the fingerprints take the new
 build token while the node closures keep reading the live primitive
 through the shared ``[step, primitive]`` cell). ``compilations`` counts
 actual lowering passes, which is what the streaming layer's refit-reuse
@@ -92,18 +91,12 @@ def collect_args(context: dict, args, inputs: dict, step: dict) -> dict:
 
 
 class CompiledStep:
-    """One step of the lowered plan: a mode-tagged, picklable work unit.
+    """One step of the lowered plan: a mode-tagged step body.
 
-    The same object serves every executor: in-process executors call
-    :meth:`run` directly (through the node's ``execute`` closure), and
-    :class:`~repro.core.executor.ProcessExecutor` pickles it to a pool
-    worker. It carries the *current* primitive instance (fitted state
-    included), so payload factories build it at dispatch time.
-
-    :meth:`run` returns ``(updates, state)`` where ``state`` is the
-    primitive whenever the call mutated it (a fit, or an incremental
-    streaming update) and ``None`` otherwise; the parent grafts returned
-    state back through the node's ``absorb`` callback.
+    The node's ``execute`` closure builds it over the *current* primitive
+    of its cell and calls :meth:`run`, which returns the step's context
+    updates. A fit or an incremental streaming update mutates that
+    primitive in place, so the pipeline owning the cell sees it directly.
 
     Args:
         mode: one of :data:`PLAN_MODES`.
@@ -124,16 +117,6 @@ class CompiledStep:
         self.step = step
         self.primitive = primitive
         self.exact = exact
-
-    def __getstate__(self):
-        return (self.mode, self.step, self.primitive, self.exact)
-
-    def __setstate__(self, state):
-        self.mode, self.step, self.primitive, self.exact = state
-
-    @property
-    def engine(self) -> str:
-        return self.primitive.engine
 
     def _map_outputs(self, produced) -> dict:
         if not isinstance(produced, dict):
@@ -159,7 +142,7 @@ class CompiledStep:
                 produced = primitive.produce_batch_fused(**kwargs)
             else:
                 produced = primitive.produce_batch(**kwargs)
-            return self._map_outputs(produced), None
+            return self._map_outputs(produced)
         inputs = step.get("inputs", {})
         incremental = self.mode == "stream" and primitive.supports_stream
         if fit and primitive.fit_args:
@@ -168,8 +151,7 @@ class CompiledStep:
         kwargs = collect_args(context, primitive.produce_args, inputs, step)
         produced = primitive.update(**kwargs) if incremental \
             else primitive.produce(**kwargs)
-        mutated = (fit and bool(primitive.fit_args)) or incremental
-        return self._map_outputs(produced), (primitive if mutated else None)
+        return self._map_outputs(produced)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"CompiledStep(mode={self.mode!r}, "
@@ -198,44 +180,28 @@ class FusedStep:
     the post-run context is identical to the unfused plan's — fusion
     changes scheduling, never results (bitwise on the exact plane).
 
-    Like :class:`CompiledStep` it is simultaneously the in-process step
-    body and the picklable work unit shipped to process-pool workers. The
-    arena is deliberately *not* part of the pickled state: the plan owns
-    it on the parent side (:class:`PlanCompiler` attaches it after
-    construction), and workers lease from a private per-run pool.
-
     Args:
-        mode: must be ``"batch"`` — the only mode the fusion pass runs on.
+        mode: ``"batch"`` or ``"stream_batch"`` — the modes the fusion
+            pass runs on.
         steps: the member :class:`CompiledStep`s, in chain order.
         precision: ``None`` or ``"float32"`` — the reduced-precision
             plane casts every member's float64 ndarray inputs down before
             the call, keeping the whole chain in single precision.
+        arena: the plan's :class:`~repro.core.arena.ArenaPool` for NN
+            scratch buffers (a private pool per run when omitted).
     """
 
     __slots__ = ("mode", "steps", "precision", "arena")
 
-    def __init__(self, mode: str, steps, precision: Optional[str] = None):
+    def __init__(self, mode: str, steps, precision: Optional[str] = None,
+                 arena: Optional[ArenaPool] = None):
         if mode not in ("batch", "stream_batch"):
             raise PipelineError(
                 f"FusedStep only exists in batch modes, not {mode!r}")
         self.mode = mode
         self.steps = list(steps)
         self.precision = precision
-        self.arena = None
-
-    def __getstate__(self):
-        return (self.mode, self.steps, self.precision)
-
-    def __setstate__(self, state):
-        self.mode, self.steps, self.precision = state
-        self.arena = None
-
-    @property
-    def engine(self) -> str:
-        # The chain's dominant engine: modeling if any member models,
-        # otherwise the first member's engine.
-        engines = [compiled.engine for compiled in self.steps]
-        return "modeling" if "modeling" in engines else engines[0]
+        self.arena = arena
 
     def run(self, context: dict, fit: bool):
         if fit:
@@ -265,7 +231,7 @@ class FusedStep:
             mapped = compiled._map_outputs(produced)
             local.update(mapped)
             updates.update(mapped)
-        return updates, None
+        return updates
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         names = "+".join(compiled.step.get("name", "?")
@@ -284,9 +250,9 @@ class LaneRegistry:
     here (:meth:`set_rows`), and the compiled :class:`LaneStep` nodes read
     their column at dispatch time — the same late-binding idiom the
     single-signal plans use for ``[step, primitive]`` cells, extended to a
-    second axis. ``rows[j][i]`` is stream *j*'s primitive for cell *i*;
-    each row is the stream's own (mutable) list, so in-process updates and
-    worker-absorbed state both land back on the stream that owns them.
+    second axis. ``rows[j][i]`` is stream *j*'s primitive for cell *i*,
+    and every incremental update mutates that primitive in place, so the
+    state stays with the stream that owns it.
     """
 
     def __init__(self):
@@ -300,11 +266,6 @@ class LaneRegistry:
         """Every participating lane's primitive for template cell ``index``."""
         return [row[index] for row in self.rows]
 
-    def absorb(self, index: int, primitives: list) -> None:
-        """Write worker-mutated primitives back into their owning rows."""
-        for row, primitive in zip(self.rows, primitives):
-            row[index] = primitive
-
     def __len__(self) -> int:
         return len(self.rows)
 
@@ -317,11 +278,8 @@ class LaneStep:
     window)`` stack, but a ``supports_stream`` primitive mutates running
     state that belongs to exactly one stream, so this work unit loops the
     participating lanes, feeding each lane's slice of the batched context
-    through *that lane's* primitive copy via ``update``. Like
-    :class:`CompiledStep` it is both the in-process step body and the
-    picklable payload shipped to process-pool workers; :meth:`run` returns
-    the mutated primitive list as state so the parent can graft it back
-    into the :class:`LaneRegistry` rows.
+    through *that lane's* primitive copy via ``update``. :meth:`run`
+    returns the per-lane outputs collected into one list per variable.
     """
 
     __slots__ = ("step", "primitives")
@@ -329,16 +287,6 @@ class LaneStep:
     def __init__(self, step: dict, primitives: list):
         self.step = step
         self.primitives = list(primitives)
-
-    def __getstate__(self):
-        return (self.step, self.primitives)
-
-    def __setstate__(self, state):
-        self.step, self.primitives = state
-
-    @property
-    def engine(self) -> str:
-        return self.primitives[0].engine if self.primitives else "transform"
 
     def run(self, context: dict, fit: bool):
         if fit:
@@ -350,7 +298,6 @@ class LaneStep:
         inputs = step.get("inputs", {})
         outputs = step.get("outputs", {})
         collected: dict = {}
-        mutated = False
         for lane_index, primitive in enumerate(self.primitives):
             kwargs = {}
             for arg in primitive.produce_args:
@@ -363,7 +310,6 @@ class LaneStep:
                 kwargs[arg] = context[variable][lane_index]
             if primitive.supports_stream:
                 produced = primitive.update(**kwargs)
-                mutated = True
             else:  # pragma: no cover - lanes are built from stream steps
                 produced = primitive.produce(**kwargs)
             if not isinstance(produced, dict):
@@ -373,7 +319,7 @@ class LaneStep:
                 )
             for out, value in produced.items():
                 collected.setdefault(outputs.get(out, out), []).append(value)
-        return collected, (self.primitives if mutated else None)
+        return collected
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"LaneStep(step={self.step.get('name')!r}, "
@@ -385,9 +331,8 @@ class PlanCompiler:
 
     Args:
         cells: the pipeline's mutable ``[step, primitive]`` cells. Node
-            closures and payload factories read the primitive *through*
-            the cell at call time, so a refit (or a process worker's
-            absorbed state) is visible to every already-compiled plan.
+            closures read the primitive *through* the cell at call time,
+            so a refit is visible to every already-compiled plan.
         build_token: opaque token identifying the current primitive build;
             folded into the fingerprint of stateful steps so caches never
             serve results across refits.
@@ -514,17 +459,10 @@ class PlanCompiler:
             step, primitive, mode, exact, precision)
 
         def execute(context: dict, fit: bool, entry=entry) -> dict:
-            # The primitive is read through the cell at call time, and runs
-            # in-process: mutation (fit / update) lands on the shared
-            # object directly, so there is no state to absorb.
-            updates, _ = CompiledStep(mode, entry[0], entry[1], exact).run(
+            # The primitive is read through the cell at call time.
+            return CompiledStep(mode, entry[0], entry[1], exact).run(
                 context, fit)
-            return updates
 
-        absorb = None
-        if mode in ("fit", "stream"):
-            absorb = (lambda fitted, entry=entry:
-                      entry.__setitem__(1, fitted))
         return StepNode(
             name=step["name"],
             engine=primitive.engine,
@@ -533,9 +471,6 @@ class PlanCompiler:
             execute=execute,
             fingerprint=fingerprint,
             cacheable=self._cacheable(primitive, mode),
-            payload=(lambda entry=entry:
-                     CompiledStep(mode, entry[0], entry[1], exact)),
-            absorb=absorb,
             mode=mode,
             signal_fingerprint=signal_fingerprint,
         )
@@ -572,16 +507,6 @@ class PlanCompiler:
             chains.append(tuple(run))
         return chains
 
-    def _build_fused_step(self, indices: Tuple[int, ...], exact: bool,
-                          precision: Optional[str],
-                          mode: str = "batch") -> FusedStep:
-        return FusedStep(
-            mode,
-            [CompiledStep(mode, self.cells[i][0], self.cells[i][1], exact)
-             for i in indices],
-            precision=precision,
-        )
-
     def _lower_fused_node(self, indices: Tuple[int, ...], exact: bool,
                           precision: Optional[str], arena,
                           mode: str = "batch") -> StepNode:
@@ -589,8 +514,7 @@ class PlanCompiler:
         # External reads: variables a member consumes that no earlier
         # member of the same chain produced. Writes keep every member's
         # outputs (in order) so the post-run context matches the unfused
-        # plan exactly and dependency hazards against neighbouring nodes
-        # are computed on the same variables.
+        # plan exactly.
         internal: set = set()
         reads: List[str] = []
         writes: List[str] = []
@@ -607,10 +531,10 @@ class PlanCompiler:
             indices, exact, precision, mode)
 
         def execute(context: dict, fit: bool) -> dict:
-            fused = self._build_fused_step(indices, exact, precision, mode)
-            fused.arena = arena
-            updates, _ = fused.run(context, fit)
-            return updates
+            members = [CompiledStep(mode, cell[0], cell[1], exact)
+                       for cell in entries]
+            return FusedStep(mode, members, precision, arena).run(
+                context, fit)
 
         cacheable = ((lambda fit: False) if mode == "stream_batch"
                      else (lambda fit: not fit))
@@ -624,9 +548,6 @@ class PlanCompiler:
             execute=execute,
             fingerprint=fingerprint,
             cacheable=cacheable,
-            payload=(lambda: self._build_fused_step(indices, exact,
-                                                    precision, mode)),
-            absorb=None,
             mode=mode,
             signal_fingerprint=signal_fingerprint,
             members=tuple(indices),
@@ -648,9 +569,8 @@ class PlanCompiler:
             step, primitive, "stream_batch", exact, precision)
 
         def execute(context: dict, fit: bool) -> dict:
-            updates, _ = LaneStep(entry[0], registry.column(index)).run(
+            return LaneStep(entry[0], registry.column(index)).run(
                 context, fit)
-            return updates
 
         return StepNode(
             name=step["name"],
@@ -660,8 +580,6 @@ class PlanCompiler:
             execute=execute,
             fingerprint=fingerprint,
             cacheable=lambda fit: False,
-            payload=lambda: LaneStep(entry[0], registry.column(index)),
-            absorb=lambda primitives: registry.absorb(index, primitives),
             mode="stream_batch",
             signal_fingerprint=signal_fingerprint,
         )
@@ -757,7 +675,7 @@ class PlanCompiler:
 
         A refit replaces every cell's primitive in place; the compiled
         node closures keep working (they read through the cell), but the
-        fingerprints of stateful steps must absorb the new build token so
+        fingerprints of stateful steps must take the new build token so
         caching executors never serve the previous fit's outputs. Fused
         nodes carry the indices of the cells they cover (``members``), so
         their combined fingerprints are recomputed from the same cells

@@ -205,7 +205,7 @@ class StreamRunner:
         return self._reconcile(pipeline.partial_detect(self._buffer))
 
     def _ingest(self, batch) -> bool:
-        """Validate + buffer one micro-batch; True when rows were absorbed.
+        """Validate + buffer one micro-batch; True when rows were buffered.
 
         This is the ingestion half of :meth:`send` — buffer maintenance,
         counters and drift monitoring, but no detection. The fleet plane

@@ -10,8 +10,8 @@ executor that drives both while keeping the established
 (:class:`~repro.distributed.executor.DistributedExecutor`, registered as
 ``"distributed"``).
 
-Work units are plain picklable dictionaries (the same property the plan
-IR and benchmark jobs already have), results aggregate idempotently
+Work units are plain picklable dictionaries (the same property benchmark
+jobs already have), results aggregate idempotently
 through lease fencing plus
 :func:`repro.benchmark.results.merge_shard_checkpoints`, and the
 single-host degenerate case — ``benchmark(..., executor="distributed",

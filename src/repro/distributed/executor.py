@@ -65,6 +65,8 @@ INJECT_CRASH_ENV = "REPRO_DIST_INJECT_CRASH"
 class DistributedExecutor(Executor):
     """Fan ``map`` out over stateless workers via a durable work queue.
 
+    Plans run like on every executor: in order, in the caller.
+
     Args:
         max_workers: worker processes to spawn (default 2); ``0`` drains
             the queue inline in the parent process.
@@ -115,14 +117,6 @@ class DistributedExecutor(Executor):
     # ------------------------------------------------------------------ #
     # the Executor contract
     # ------------------------------------------------------------------ #
-    def run_plan(self, plan, context, fit=False, profile=False):
-        # Plan nodes close over live pipeline objects — they are not
-        # durable work units. The distributed tier parallelizes *across*
-        # jobs; each job's own pipeline picks serial/threaded/process for
-        # its steps. Degrade to the exact serial semantics.
-        return SerialExecutor().run_plan(plan, context, fit=fit,
-                                         profile=profile)
-
     def map(self, function: Callable, items: Iterable,
             progress: Optional[Callable[[int, object], None]] = None) -> List:
         items = list(items)

@@ -20,8 +20,7 @@ Work-unit dictionaries are dispatched on their ``task`` field:
   :meth:`Executor.map` payload (module-level picklable functions);
 * ``benchmark_job`` — one benchmark (pipeline, signal) job dictionary,
   run through :func:`repro.benchmark.runner._execute_benchmark_job`
-  (which honours the job's own ``pipeline_executor`` — ``"process"``
-  keeps the shared-memory fast path inside the worker);
+  (which honours the job's own ``pipeline_executor``);
 * ``detect_batch`` — a ``POST /detect/batch`` body, run through the API
   layer's batched detection.
 

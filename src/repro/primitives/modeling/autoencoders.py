@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.primitive import Primitive, register_primitive
-from repro.exceptions import NotFittedError
+from repro.exceptions import NotFittedError, PrimitiveError
 from repro.nn import (
     LSTM,
     Dense,
@@ -19,6 +19,25 @@ from repro.nn import (
 )
 
 __all__ = ["LSTMAutoencoder", "DenseAutoencoder"]
+
+
+def fitted_windows(name: str, window_shape: tuple, X) -> np.ndarray:
+    """``X`` as float ``(n, window, channels)`` windows of the fitted shape.
+
+    ``rolling_window_sequences`` shrinks the window of a signal shorter
+    than ``window_size + target_size``, so a model fitted on such a signal
+    learned another window shape than later signals produce. Raise a
+    typed error naming both shapes instead of failing inside numpy.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 2:
+        X = X[..., np.newaxis]
+    if X.shape[1:] != tuple(window_shape):
+        raise PrimitiveError(
+            f"{name} was fitted on windows of shape {tuple(window_shape)} "
+            f"but received windows of shape {X.shape[1:]}; refit it on a "
+            "signal that yields the same window shape")
+    return X
 
 
 class _WindowAutoencoder(Primitive):
@@ -62,9 +81,7 @@ class _WindowAutoencoder(Primitive):
     def produce(self, X):
         if self._model is None:
             raise NotFittedError(f"{self.name} must be fit before produce")
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 2:
-            X = X[..., np.newaxis]
+        X = fitted_windows(self.name, self._window_shape, X)
         reconstruction = self._model.predict(X)
         reconstruction = reconstruction.reshape((len(X),) + self._window_shape)
         return {"y_hat": reconstruction}
@@ -82,12 +99,8 @@ class _WindowAutoencoder(Primitive):
         """
         if self._model is None:
             raise NotFittedError(f"{self.name} must be fit before produce")
-        arrays = []
-        for x in X:
-            x = np.asarray(x, dtype=float)
-            if x.ndim == 2:
-                x = x[..., np.newaxis]
-            arrays.append(x)
+        arrays = [fitted_windows(self.name, self._window_shape, x)
+                  for x in X]
         if not arrays:
             return {"y_hat": []}
         fused = self._model.predict_fused(np.concatenate(arrays, axis=0),

@@ -23,6 +23,7 @@ from repro.nn import (
     Sequential,
     TimeDistributed,
 )
+from repro.primitives.modeling.autoencoders import fitted_windows
 
 __all__ = ["TadGAN"]
 
@@ -197,9 +198,7 @@ class TadGAN(Primitive):
     def produce(self, X):
         if self._encoder is None:
             raise NotFittedError("TadGAN must be fit before produce")
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 2:
-            X = X[..., np.newaxis]
+        X = fitted_windows(self.name, self._window_shape, X)
         encoded = self._encoder.predict(X)
         reconstructed = self._generator.predict(encoded)
         reconstructed = reconstructed.reshape((len(X),) + self._window_shape)
@@ -220,12 +219,8 @@ class TadGAN(Primitive):
         """
         if self._encoder is None:
             raise NotFittedError("TadGAN must be fit before produce")
-        arrays = []
-        for x in X:
-            x = np.asarray(x, dtype=float)
-            if x.ndim == 2:
-                x = x[..., np.newaxis]
-            arrays.append(x)
+        arrays = [fitted_windows(self.name, self._window_shape, x)
+                  for x in X]
         if not arrays:
             return {"y_hat": [], "critic": []}
         stacked = np.concatenate(arrays, axis=0)

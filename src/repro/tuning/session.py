@@ -60,10 +60,9 @@ class TuningSession:
             candidate pipeline. A shared
             :class:`~repro.core.executor.CachingExecutor` lets candidates
             that only change late-stage hyperparameters skip the unchanged
-            pipeline prefix entirely, while ``"process"`` schedules each
-            candidate's independent DAG branches across a multiprocessing
-            pool (fitted state is absorbed back into the candidate, so
-            scoring sees the same pipeline a serial run would produce).
+            pipeline prefix entirely. Every executor runs a candidate's
+            steps in order in the calling thread, so any other registered
+            name scores exactly the pipeline a serial run would produce.
     """
 
     def __init__(self, pipeline, data, ground_truth=None,

@@ -9,7 +9,6 @@ schedules the plan and whether the batch mixes signal lengths.
 import pytest
 
 from repro.core.pipeline import Pipeline
-from repro.core.plan import CompiledStep, FusedStep
 from repro.core.sintel import Sintel
 from repro.data import generate_signal
 from repro.exceptions import NotFittedError, PipelineError
@@ -120,11 +119,10 @@ class TestDetectBatchEdges:
     def test_batch_payload_rejects_fit(self, batch_signals):
         pipeline = Pipeline(get_pipeline_spec("azure"))
         pipeline.fit(batch_signals[0])
-        payload = pipeline.compiled_plan("batch").nodes[0].payload()
-        assert isinstance(payload, (CompiledStep, FusedStep))
-        assert payload.mode == "batch"
+        node = pipeline.compiled_plan("batch").nodes[0]
+        assert node.mode == "batch"
         with pytest.raises(PipelineError, match="produce-only"):
-            payload.run({"data": [batch_signals[0]]}, fit=True)
+            node.execute({"data": [batch_signals[0]]}, True)
 
     def test_refit_after_batch_detect(self, batch_signals):
         # A refit rebuilds the primitives; the stale batch plan must not

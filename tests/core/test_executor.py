@@ -165,7 +165,7 @@ class TestRegistry:
 
 
 # --------------------------------------------------------------------------- #
-# dependency analysis
+# execution plans
 # --------------------------------------------------------------------------- #
 def _node(name, reads=(), writes=()):
     return StepNode(name=name, engine="preprocessing", reads=tuple(reads),
@@ -173,45 +173,9 @@ def _node(name, reads=(), writes=()):
 
 
 class TestExecutionPlan:
-    def test_read_after_write_edges(self):
-        plan = ExecutionPlan([
-            _node("a", reads=["data"], writes=["x"]),
-            _node("b", reads=["x"], writes=["y"]),
-            _node("c", reads=["data"], writes=["z"]),
-        ])
-        assert plan.dependencies["b"] == {"a"}
-        assert plan.dependencies["c"] == set()
-
-    def test_write_after_write_edges(self):
-        plan = ExecutionPlan([
-            _node("a", reads=["data"], writes=["x"]),
-            _node("b", reads=["data"], writes=["x"]),
-        ])
-        assert "a" in plan.dependencies["b"]
-
-    def test_write_after_read_edges(self):
-        # ``b`` reads x, then ``c`` overwrites it: c must wait for b.
-        plan = ExecutionPlan([
-            _node("a", reads=[], writes=["x"]),
-            _node("b", reads=["x"], writes=["y"]),
-            _node("c", reads=[], writes=["x"]),
-        ])
-        assert plan.dependencies["c"] == {"a", "b"}
-
     def test_duplicate_names_rejected(self):
         with pytest.raises(ExecutorError, match="Duplicate"):
             ExecutionPlan([_node("a"), _node("a")])
-
-    def test_diamond_pipeline_dependencies(self):
-        pipeline = Pipeline(_diamond_spec())
-        pipeline.fit(_data())
-        plan = pipeline.compiled_plan("detect")
-        deps = plan.dependencies
-        assert deps["test_executor_split"] == set()
-        assert deps["test_executor_left"] == {"test_executor_split"}
-        assert deps["test_executor_right"] == {"test_executor_split"}
-        assert deps["test_executor_join"] == {"test_executor_left",
-                                              "test_executor_right"}
 
 
 # --------------------------------------------------------------------------- #
@@ -424,8 +388,6 @@ class TestSintelIntegration:
 
     def test_base_executor_is_abstract(self):
         executor = Executor()
-        with pytest.raises(NotImplementedError):
-            executor.run_plan(ExecutionPlan([]), {})
         with pytest.raises(NotImplementedError):
             executor.map(lambda item: item, [])
 

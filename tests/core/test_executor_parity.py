@@ -1,13 +1,14 @@
 """Executor parity and picklability guarantees.
 
 Every executor strategy must produce the same anomalies as the serial
-reference for the same plan, and everything the process backend ships
-across the worker boundary — primitives, pipelines, payloads — must
-survive a pickle round-trip.
+reference for the same plan, run a plan's steps in order in the caller,
+and everything ``map`` jobs and saved models carry across a process
+boundary — primitives, pipelines — must survive a pickle round-trip.
 """
 
 import os
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -22,10 +23,16 @@ from repro.core.executor import (
     encode_for_transfer,
     encode_result,
     get_executor,
+    list_executors,
     release_transfers,
 )
 from repro.core.pipeline import Pipeline
-from repro.core.primitive import get_primitive, list_primitives
+from repro.core.primitive import (
+    Primitive,
+    get_primitive,
+    list_primitives,
+    register_primitive,
+)
 from repro.core.sintel import Sintel
 from repro.exceptions import ExecutorError
 from repro.pipelines import get_pipeline_spec
@@ -52,6 +59,21 @@ def _return_large_array(n):
 
 def _worker_boom(n):
     raise RuntimeError(f"injected worker failure {n}")
+
+
+@register_primitive
+class _WhereProbe(Primitive):
+    """Appends ``(step, pid, thread id)`` to the trace it passes on."""
+
+    name = "test_executor_parity_where_probe"
+    engine = "preprocessing"
+    produce_args = ["events"]
+    produce_output = ["events"]
+    fixed_hyperparameters = {"step": ""}
+
+    def produce(self, events):
+        where = (self.step, os.getpid(), threading.get_ident())
+        return {"events": tuple(events or ()) + (where,)}
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +120,29 @@ class TestExecutorParity:
             "arima", window_size=30).fit(data).detect(data)
 
 
+class TestPlanRunsInCaller:
+    @pytest.mark.parametrize("executor", list_executors())
+    def test_steps_run_in_plan_order_in_the_caller(self, executor):
+        # Every executor runs a plan node by node, in plan order, on the
+        # calling thread; executors differ only in how ``map`` fans out.
+        steps = ["first", "second", "third"]
+        pipeline = Pipeline({
+            "name": "where",
+            "steps": [{"primitive": _WhereProbe.name,
+                       "hyperparameters": {"step": step}}
+                      for step in steps],
+        }, executor=executor)
+        pipeline.fit(np.zeros((8, 2)))
+        caller = (os.getpid(), threading.get_ident())
+        for mode in ("fit", "detect"):
+            context, _ = pipeline.executor.run_plan(
+                pipeline.compiled_plan(mode),
+                {"data": np.zeros((8, 2)), "events": None},
+                fit=mode == "fit")
+            assert [where[0] for where in context["events"]] == steps
+            assert {where[1:] for where in context["events"]} == {caller}
+
+
 class TestPrimitivePickling:
     @pytest.mark.parametrize("name", list_primitives())
     def test_round_trip(self, name):
@@ -112,16 +157,6 @@ class TestPrimitivePickling:
         pipeline.fit(data)
         clone = pickle.loads(pickle.dumps(pipeline))
         assert clone.detect(data) == pipeline.detect(data)
-
-    def test_step_payloads_round_trip(self, small_signal):
-        data = small_signal.to_array()
-        pipeline = Pipeline(get_pipeline_spec("azure"))
-        pipeline.fit(data)
-        for node in pipeline.compiled_plan("fit"):
-            assert node.payload is not None
-            payload = pickle.loads(pickle.dumps(node.payload()))
-            assert payload.engine in ("preprocessing", "modeling",
-                                      "postprocessing")
 
 
 class TestSharedMemoryTransfer:
@@ -196,22 +231,6 @@ class TestSharedMemoryReturnPath:
                 _worker_boom_on_even, list(range(6)))
         assert _shm_entries() == before
 
-    def test_plan_outputs_return_through_shm(self, small_signal):
-        # A pipeline whose step outputs exceed SHM_MIN_BYTES must come back
-        # through shared memory bit-for-bit and leave /dev/shm clean.
-        rows = SHM_MIN_BYTES // 16
-        data = np.column_stack([
-            np.arange(rows, dtype=float),
-            np.sin(np.arange(rows) / 25.0),
-        ])
-        before = _shm_entries()
-        process = Sintel("azure", executor="process")
-        process.fit(data)
-        serial = Sintel("azure")
-        serial.fit(data)
-        assert process.detect(data) == serial.detect(data)
-        assert _shm_entries() == before
-
 
 def _worker_boom_on_even(n):
     if n % 2 == 0:
@@ -253,9 +272,8 @@ class TestProcessExecutor:
         assert ProcessExecutor().map(abs, []) == []
 
     def test_unpicklable_function_falls_back_to_serial(self):
-        # Closures (e.g. the streaming layer's background-refit hook)
-        # cannot cross the process boundary; map must still run them —
-        # serially, with a warning — instead of failing the fan-out.
+        # Closures cannot cross the process boundary; map must still run
+        # them — serially, with a warning — instead of failing the fan-out.
         executor = ProcessExecutor(max_workers=1)
         offset = 10
         with pytest.warns(RuntimeWarning, match="unpicklable"):
@@ -263,8 +281,8 @@ class TestProcessExecutor:
         assert results == [11, 12]
 
     def test_closure_plan_falls_back_to_serial(self, small_signal):
-        # Hand-built plans carry no payloads; the process executor must run
-        # them (serially) rather than fail.
+        # Hand-built closure plans run like compiled ones: in order, in
+        # the caller.
         from repro.core.executor import ExecutionPlan, StepNode
 
         node = StepNode(name="double", engine="preprocessing",

@@ -4,9 +4,9 @@ The load-bearing guarantee is bitwise parity: on the exact plane a fleet
 serving N streams through coalesced stream-batch plans must emit events
 identical — tuple for tuple — to N independent
 :class:`~repro.core.stream.StreamRunner` replays of the same per-stream
-workloads, under every executor strategy (including the process executor,
-whose lane payloads must survive the pickle round-trip that
-``REPRO_MP_START=spawn`` makes mandatory). On top of that sit the
+workloads, under every executor strategy (each runs the stream-batch
+plan in order in the caller, so the choice must never change an event).
+On top of that sit the
 scheduling semantics: mixed-template grouping, straggler draining,
 coalescing bookkeeping, and the tier policy's starvation-free budget
 floors, all pinned with a synthetic clock and synchronous refits.
@@ -79,9 +79,8 @@ class TestFleetParity:
     def test_bitwise_parity_vs_independent_runners(self, executor, workload):
         """Exact-plane fleet events == independent events, per executor.
 
-        The process executor ships every lane payload through pickle, so
-        this case doubles as the spawn-safe round-trip proof (the CI
-        spawn leg re-runs it under ``REPRO_MP_START=spawn``).
+        Every executor runs the stream-batch plan in the caller; the CI
+        spawn leg re-runs this case under ``REPRO_MP_START=spawn``.
         """
         train, replays = workload
         sintel = Sintel("azure", executor=executor)

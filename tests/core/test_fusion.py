@@ -4,20 +4,17 @@ The fusion pass lowers contiguous runs of fusable batch steps into single
 :class:`~repro.core.plan.FusedStep` nodes. These tests pin its contract: a
 non-fusable step mid-chain splits the run into two fused nodes around a
 plain passthrough; results stay bitwise-identical to the unfused plan on
-every executor; a ``FusedStep`` survives a ``spawn`` pickle round-trip;
-the plan's arena genuinely reuses buffers across repeat batches; and the
-reduced-precision plane is opt-in, validated and tolerance-correct.
+every executor; the plan's arena genuinely reuses buffers across repeat
+batches; and the reduced-precision plane is opt-in, validated and
+tolerance-correct.
 """
-
-import multiprocessing
-import pickle
 
 import numpy as np
 import pytest
 
 from repro.core.executor import get_executor
 from repro.core.pipeline import Pipeline
-from repro.core.plan import CompiledStep, FusedStep
+from repro.core.plan import FusedStep
 from repro.core.sintel import Sintel
 from repro.exceptions import PipelineError
 
@@ -80,14 +77,6 @@ def _assert_context_equal(actual: dict, expected: dict) -> None:
             np.testing.assert_array_equal(got, want)
 
 
-# Module-level on purpose: spawn workers import this module and resolve
-# the function by name, so it must not be a closure.
-def _run_fused_payload_in_child(blob: bytes) -> bytes:
-    payload, context = pickle.loads(blob)
-    updates, state = payload.run(context, fit=False)
-    return pickle.dumps((updates, state is None))
-
-
 class TestChainSplitting:
     def test_non_fusable_step_splits_the_chain(self, split_pipeline):
         plan = split_pipeline.compiled_plan("batch", exact=True)
@@ -96,12 +85,10 @@ class TestChainSplitting:
         assert names[0].startswith("fused:") and "+" in names[0]
         assert names[1] == split_pipeline.steps[2]["name"]
         assert names[2].startswith("fused:") and "+" in names[2]
-        payloads = [node.payload() for node in plan.nodes]
-        assert isinstance(payloads[0], FusedStep)
-        assert isinstance(payloads[1], CompiledStep)
-        assert isinstance(payloads[2], FusedStep)
-        assert len(payloads[0].steps) == 2
-        assert len(payloads[2].steps) == 2
+        members = [node.members for node in plan.nodes]
+        assert members[0] == (0, 1)
+        assert members[1] is None
+        assert members[2] == (3, 4)
         assert [group["steps"] for group in plan.fusion_groups] == [
             [split_pipeline.steps[0]["name"], split_pipeline.steps[1]["name"]],
             [split_pipeline.steps[3]["name"], split_pipeline.steps[4]["name"]],
@@ -120,8 +107,7 @@ class TestChainSplitting:
         })
         pipeline.fit(_data())
         plan = pipeline.compiled_plan("batch", exact=True)
-        assert all(isinstance(node.payload(), CompiledStep)
-                   for node in plan.nodes)
+        assert all(node.members is None for node in plan.nodes)
         assert plan.fusion_groups == []
 
     def test_no_fusion_env_disables_the_pass(self, split_pipeline,
@@ -178,33 +164,11 @@ class TestFusedParity:
         _assert_context_equal(second, first)
         assert executor.stats()["hits"] > 0
 
-    def test_fused_step_spawn_pickle_round_trip(self, split_pipeline):
-        plan = split_pipeline.compiled_plan("batch", exact=True)
-        payload = plan.nodes[0].payload()
-        assert isinstance(payload, FusedStep)
-        context = _batch_context(_signals())
-        expected, _ = payload.run(dict(context), fit=False)
-        ctx = multiprocessing.get_context("spawn")
-        with ctx.Pool(1) as pool:
-            blob = pool.apply(_run_fused_payload_in_child,
-                              (pickle.dumps((payload, context)),))
-        updates, stateless = pickle.loads(blob)
-        assert stateless
-        _assert_context_equal(updates, expected)
-
-    def test_pickle_drops_the_arena(self, split_pipeline):
-        payload = split_pipeline.compiled_plan(
-            "batch", exact=True).nodes[0].payload()
-        payload.arena = object()
-        clone = pickle.loads(pickle.dumps(payload))
-        assert clone.arena is None
-        assert len(clone.steps) == len(payload.steps)
-
     def test_fused_step_rejects_fit(self, split_pipeline):
-        payload = split_pipeline.compiled_plan(
-            "batch", exact=True).nodes[0].payload()
+        node = split_pipeline.compiled_plan("batch", exact=True).nodes[0]
+        assert node.members is not None
         with pytest.raises(PipelineError, match="produce-only"):
-            payload.run(_batch_context(_signals()), fit=True)
+            node.execute(_batch_context(_signals()), True)
 
     def test_fused_step_is_batch_only(self):
         with pytest.raises(PipelineError, match="batch"):

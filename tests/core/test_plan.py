@@ -2,14 +2,12 @@
 
 Every execution surface (fit / detect / stream / batch) lowers through one
 :class:`~repro.core.plan.PlanCompiler` into mode-tagged
-:class:`~repro.core.plan.CompiledStep` work units. These tests pin the IR's
-guarantees: mode semantics (produce-only modes reject fit), per-mode cache
-fingerprint namespacing, picklability of every mode's payloads across a
-``spawn`` process boundary, and plan *reuse* — a refit refreshes compiled
-plans in place instead of lowering them again.
+:class:`~repro.core.plan.CompiledStep` step bodies. These tests pin the
+IR's guarantees: mode semantics (produce-only modes reject fit), per-mode
+cache fingerprint namespacing, and plan *reuse* — a refit refreshes
+compiled plans in place instead of lowering them again.
 """
 
-import multiprocessing
 import pickle
 
 import numpy as np
@@ -37,30 +35,6 @@ def fitted_pipeline():
     return pipeline
 
 
-# Module-level on purpose: spawn workers import this module and resolve the
-# function by name, so it must not be a closure.
-def _run_payload_in_child(blob: bytes) -> bytes:
-    payload, context, fit = pickle.loads(blob)
-    updates, state = payload.run(context, fit)
-    return pickle.dumps((updates, state is not None))
-
-
-def _assert_updates_equal(actual: dict, expected: dict) -> None:
-    assert set(actual) == set(expected)
-    for key, value in expected.items():
-        if isinstance(value, np.ndarray):
-            np.testing.assert_array_equal(actual[key], value)
-        elif isinstance(value, list):
-            assert len(actual[key]) == len(value)
-            for got, want in zip(actual[key], value):
-                if isinstance(want, np.ndarray):
-                    np.testing.assert_array_equal(got, want)
-                else:
-                    assert got == want
-        else:
-            assert actual[key] == value
-
-
 class TestCompiledStep:
     def test_unknown_mode_rejected(self):
         with pytest.raises(PipelineError, match="Unknown plan mode"):
@@ -68,31 +42,31 @@ class TestCompiledStep:
 
     @pytest.mark.parametrize("mode", ["detect", "stream", "batch"])
     def test_produce_only_modes_reject_fit(self, fitted_pipeline, mode):
-        payload = fitted_pipeline.compiled_plan(mode).nodes[0].payload()
-        assert payload.mode == mode
+        node = fitted_pipeline.compiled_plan(mode).nodes[0]
+        assert node.mode == mode
         with pytest.raises(PipelineError, match="produce-only"):
-            payload.run({"data": _data()}, fit=True)
+            node.execute({"data": _data()}, True)
 
     def test_fit_mode_payload_fits(self):
         pipeline = Pipeline(get_pipeline_spec("arima", window_size=30))
         pipeline.fit(_data())
         plan = pipeline.compiled_plan("fit")
-        # Replay the plan through bare payloads: every fit-mode payload
-        # must run with fit=True and report mutated state for stateful
-        # steps.
+        # Swap unfitted primitives into the cells, then replay the plan
+        # node by node: every fit-mode node must run with fit=True and
+        # leave the stateful primitives of its cell fitted.
+        pipeline._rebuild_primitives()
+        stateful = [cell[1] for cell in pipeline._primitives
+                    if cell[1].fit_args]
+        unfitted = [pickle.dumps(primitive) for primitive in stateful]
         context = {"data": _data(), "events": None}
-        mutated = []
         for node in plan:
-            updates, state = node.payload().run(context, fit=True)
-            context.update(updates)
-            mutated.append(state is not None)
-        assert any(mutated)
+            context.update(node.execute(context, True))
+        assert stateful
+        for primitive, before in zip(stateful, unfitted):
+            assert pickle.dumps(primitive) != before
         assert "anomalies" in context
-
-    def test_payload_repr_and_engine(self, fitted_pipeline):
-        payload = fitted_pipeline.compiled_plan("detect").nodes[0].payload()
-        assert payload.engine in ("preprocessing", "modeling", "postprocessing")
-        assert "detect" in repr(payload)
+        assert pipeline.detect(_data()) == Pipeline(get_pipeline_spec(
+            "arima", window_size=30)).fit(_data()).detect(_data())
 
 
 class TestModeLowering:
@@ -111,19 +85,19 @@ class TestModeLowering:
         assert covered == [step["name"] for step in fitted_pipeline.steps]
         for node in plan:
             assert node.mode == mode
-            assert node.payload is not None
 
     def test_modes_share_dependency_structure(self, fitted_pipeline,
                                               monkeypatch):
-        # With fusion disabled every mode lowers 1:1, so the dependency
-        # structure must be identical across all of them. The fused batch
+        # With fusion disabled every mode lowers 1:1, so every node must
+        # read and write the same variables in every mode. The fused batch
         # plan merges chain members into one node but must still write
         # the same set of context variables.
         monkeypatch.setenv("REPRO_NO_FUSION", "1")
-        reference = fitted_pipeline.compiled_plan("detect").dependencies
+        reference = [(node.reads, node.writes)
+                     for node in fitted_pipeline.compiled_plan("detect")]
         for mode, exact in ALL_MODE_PLANS:
-            assert fitted_pipeline.compiled_plan(
-                mode, exact=exact).dependencies == reference
+            plan = fitted_pipeline.compiled_plan(mode, exact=exact)
+            assert [(node.reads, node.writes) for node in plan] == reference
 
     def test_fused_plan_writes_the_same_variables(self, fitted_pipeline):
         unfused = fitted_pipeline.compiled_plan("detect")
@@ -165,43 +139,6 @@ class TestModeLowering:
         assert compiler.compilations == before + 1
         assert compiler.plan("stream") is plan
         assert compiler.compilations == before + 1
-
-
-class TestPickleRoundTripUnderSpawn:
-    """Satellite guarantee: every mode's payloads cross a spawn boundary.
-
-    For each mode the plan is replayed step by step; every step's payload
-    (plus the exact subcontext it reads) is pickled into a ``spawn``
-    worker, executed there, and the returned updates must equal the
-    parent-side execution bit for bit.
-    """
-
-    @pytest.fixture(scope="class")
-    def spawn_pool(self):
-        ctx = multiprocessing.get_context("spawn")
-        with ctx.Pool(processes=1) as pool:
-            yield pool
-
-    @pytest.mark.parametrize("mode,exact", ALL_MODE_PLANS)
-    def test_round_trip(self, spawn_pool, mode, exact):
-        pipeline = Pipeline(get_pipeline_spec("azure"))
-        pipeline.fit(_data())
-        plan = pipeline.compiled_plan(mode, exact=exact)
-        fit = mode == "fit"
-        if mode == "batch":
-            context = {"data": [_data(), _data(300)], "events": [None, None]}
-        else:
-            context = {"data": _data(), "events": None}
-        for node in plan:
-            subcontext = {var: context[var] for var in node.reads
-                          if var in context}
-            blob = pickle.dumps((node.payload(), subcontext, fit))
-            child_updates, child_mutated = pickle.loads(
-                spawn_pool.apply(_run_payload_in_child, (blob,)))
-            updates, state = node.payload().run(dict(subcontext), fit)
-            _assert_updates_equal(child_updates, updates)
-            assert child_mutated == (state is not None)
-            context.update(updates)
 
 
 class TestRefitReusesCompiledPlans:

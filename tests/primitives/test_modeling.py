@@ -8,6 +8,8 @@ learning actually reduces error, not to reach paper-level accuracy.
 import numpy as np
 import pytest
 
+from repro.core.sintel import Sintel
+from repro.data.synthetic import WorkloadGenerator
 from repro.exceptions import NotFittedError, PrimitiveError
 from repro.primitives.modeling import (
     ARIMA,
@@ -77,6 +79,33 @@ class TestAutoencoders:
     def test_produce_before_fit_rejected(self):
         with pytest.raises(NotFittedError):
             LSTMAutoencoder().produce(X=np.zeros((2, 5, 1)))
+
+
+class TestFittedWindowShape:
+    """A model fitted on a shrunk window rejects other window shapes.
+
+    ``rolling_window_sequences`` shrinks the window of a signal shorter
+    than ``window_size + target_size``: fitted on 60 rows, the default
+    100-row window becomes 58 rows, while the full 600-row signal later
+    yields 100-row windows.
+    """
+
+    @pytest.fixture(scope="class")
+    def signal(self):
+        return WorkloadGenerator(seed=1, length=600).signal(0).to_array()
+
+    @pytest.mark.parametrize("call", ["detect", "detect_many"])
+    @pytest.mark.parametrize("pipeline", ["dense_autoencoder",
+                                          "lstm_autoencoder", "tadgan"])
+    def test_detect_names_both_shapes(self, signal, pipeline, call):
+        sintel = Sintel(pipeline, epochs=1)
+        sintel.fit(signal[:60])
+        with pytest.raises(PrimitiveError,
+                           match=r"shape \(58, 1\).*shape \(100, 1\)"):
+            if call == "detect":
+                sintel.detect(signal)
+            else:
+                sintel.detect_many([signal], exact=False)
 
 
 class TestTadGAN:
