@@ -12,7 +12,6 @@ The top-level package exposes the most common entry points:
 """
 
 from repro.core import (
-    CachingExecutor,
     Pipeline,
     ProcessExecutor,
     SerialExecutor,
@@ -42,7 +41,6 @@ __all__ = [
     "list_primitives",
     "SerialExecutor",
     "ThreadedExecutor",
-    "CachingExecutor",
     "ProcessExecutor",
     "get_executor",
     "list_executors",

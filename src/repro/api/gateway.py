@@ -29,9 +29,9 @@ the log record and stamps a ``Deprecation`` response header.
 the gateway's :class:`~repro.api.metrics.MetricsRegistry` in Prometheus
 text format: request counters and latency summaries by route, rate-limit
 and shed counters by tenant, plus collectors over the stats the stack
-already keeps — executor step timings, ``CachingExecutor`` hit/miss by
-plan mode, coalescer requests-vs-executions, stream session state, and
-work-queue depth/dead-letters. ``GET /health`` is a public liveness probe.
+already keeps — executor step timings, coalescer requests-vs-executions,
+stream session state, and work-queue depth/dead-letters. ``GET /health``
+is a public liveness probe.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from typing import Dict, Optional, Tuple
 from repro.api.metrics import (
     ExecutorTimingCollector,
     MetricsRegistry,
-    cache_collector,
     coalescer_collector,
     fleet_collector,
     jobs_collector,
@@ -234,10 +233,6 @@ class Gateway:
         registry.gauge("sintel_admission_max_concurrent",
                        "Bound on concurrently executing requests"
                        ).set(stats["max_concurrent"])
-
-    def attach_executor(self, executor) -> None:
-        """Export a ``CachingExecutor``'s hit/miss stats on ``/metrics``."""
-        self.metrics.add_collector(cache_collector(executor))
 
     def attach_work_queue(self, queue) -> None:
         """Export a distributed ``WorkQueue``'s depth/dead-letters."""

@@ -7,10 +7,9 @@ Prometheus text exposition format served by ``GET /metrics``.
 
 Beyond the gateway's own request counters and latency summaries, the
 registry accepts *collectors*: callables invoked at render time that pull
-the rich stats the stack already keeps — ``CachingExecutor.stats()`` hit/
-miss by plan mode, ``RequestCoalescer.stats()`` requests-vs-executions,
-stream session state, work-queue depth and dead-letters, and the
-per-step executor timings observed through
+the rich stats the stack already keeps — ``RequestCoalescer.stats()``
+requests-vs-executions, stream session state, work-queue depth and
+dead-letters, and the per-step executor timings observed through
 :func:`repro.core.executor.set_timing_sink` — and restate them as gauges
 and counters, so a single scrape covers every layer.
 
@@ -27,7 +26,7 @@ from typing import Callable, Dict, List, Tuple
 
 __all__ = [
     "Counter", "Gauge", "Summary", "MetricsRegistry", "parse_prometheus",
-    "ExecutorTimingCollector", "cache_collector", "coalescer_collector",
+    "ExecutorTimingCollector", "coalescer_collector",
     "stream_collector", "fleet_collector", "work_queue_collector",
     "jobs_collector",
 ]
@@ -349,26 +348,6 @@ class ExecutorTimingCollector:
         for step, total, count in snapshot:
             seconds.set(total, step=step)
             runs.set(count, step=step)
-
-
-def cache_collector(executor) -> Callable[[MetricsRegistry], None]:
-    """Export ``CachingExecutor.stats()``: hit/miss/evictions by plan mode."""
-
-    def collect(registry: MetricsRegistry) -> None:
-        stats = executor.stats()
-        for counter_name in ("hits", "misses", "evictions"):
-            gauge = registry.gauge(
-                f"sintel_cache_{counter_name}_total",
-                f"CachingExecutor {counter_name} by plan mode")
-            gauge.set(stats[counter_name], plan_mode="all")
-            for mode, counters in stats.get("by_mode", {}).items():
-                gauge.set(counters[counter_name], plan_mode=mode)
-        registry.gauge("sintel_cache_entries",
-                       "Entries currently memoized").set(stats["entries"])
-        registry.gauge("sintel_cache_max_entries",
-                       "LRU capacity bound").set(stats["max_entries"])
-
-    return collect
 
 
 def coalescer_collector(coalescer) -> Callable[[MetricsRegistry], None]:

@@ -27,6 +27,8 @@ import json
 import sys
 from typing import List, Optional
 
+from repro.core.executor import list_executors
+
 __all__ = ["main", "build_parser"]
 
 
@@ -62,10 +64,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="discard an existing checkpoint instead of "
                           "resuming from it")
     run.add_argument("--workers", type=int, default=1,
-                     help="concurrent benchmark jobs (default: 1)")
+                     help="concurrent benchmark jobs, and the pool size of "
+                          "a named --executor (default: 1)")
     run.add_argument("--executor", default=None,
-                     help="job fan-out executor name (serial, threaded, "
-                          "process, caching, distributed)")
+                     help="job fan-out executor name ("
+                          f"{', '.join(list_executors())})")
     run.add_argument("--queue-path", default=None,
                      help="distributed executor only: durable work-queue "
                           "file shared by the worker fleet (default: a "

@@ -139,9 +139,7 @@ def _execute_benchmark_job(job: dict) -> dict:
 
     Module-level and pickle-friendly on purpose: this is the function the
     benchmark fans out through ``Executor.map``, and the process backend
-    ships it (and the job dict) to pool workers. The signal's arrays sit at
-    the top level of the dict so the process executor can move them through
-    shared memory.
+    ships it (and the job dict) to pool workers.
     """
     signal = Signal(
         name=job["signal_name"],
@@ -293,10 +291,12 @@ def benchmark(pipelines: Optional[Sequence[str]] = None,
             concurrent workers the trace is shared across jobs, so per-job
             peaks become upper-bound estimates.
         verbose: print one line per (pipeline, signal).
-        workers: number of concurrent (pipeline, signal) jobs. ``1`` keeps
-            the original serial behaviour; ``N > 1`` fans jobs out over a
-            :class:`~repro.core.executor.ThreadedExecutor` (or whichever
-            executor ``executor`` names).
+        workers: number of concurrent (pipeline, signal) jobs. Without an
+            ``executor``, ``1`` keeps the original serial behaviour and
+            ``N > 1`` fans jobs out over a
+            :class:`~repro.core.executor.ThreadedExecutor`. An executor
+            named ``"threaded"``, ``"process"`` or ``"distributed"`` always
+            gets ``workers`` workers, ``1`` included.
         executor: executor name, class or instance for the job fan-out.
             ``"process"`` schedules jobs across a multiprocessing pool of
             ``workers`` processes — the fastest option for the CPU-bound
@@ -308,9 +308,8 @@ def benchmark(pipelines: Optional[Sequence[str]] = None,
             ``queue_path`` resumes from the finished jobs.
         pipeline_executor: optional executor forwarded to each pipeline.
             Every executor runs the pipeline's steps in order in the job's
-            thread; ``"caching"`` additionally memoizes step outputs. With
-            ``executor="process"`` this must be a registry *name* (it
-            crosses the process boundary).
+            thread. With ``executor="process"`` this must be a registry
+            *name* (it crosses the process boundary).
         shard_index / shard_count: run only a deterministic round-robin
             slice of the job list. Both must be given together; distinct
             indices partition the run, so N invocations with
@@ -424,7 +423,7 @@ def benchmark(pipelines: Optional[Sequence[str]] = None,
     pending = [job for job in jobs if job["key"] not in completed]
 
     if executor is not None:
-        if isinstance(executor, str) and executor == "distributed":
+        if executor == "distributed":
             # The fleet executor always honours the worker count (one
             # worker is still a durable, crash-survivable subprocess) and
             # shares the benchmark's checkpoint directory so workers
@@ -432,8 +431,7 @@ def benchmark(pipelines: Optional[Sequence[str]] = None,
             job_executor = get_executor(
                 executor, max_workers=workers, queue_path=queue_path,
                 checkpoint_dir=checkpoint_dir)
-        elif isinstance(executor, str) and workers > 1 \
-                and executor in (ThreadedExecutor.name, ProcessExecutor.name):
+        elif executor in (ThreadedExecutor.name, ProcessExecutor.name):
             job_executor = get_executor(executor, max_workers=workers)
         else:
             job_executor = get_executor(executor)

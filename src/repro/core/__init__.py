@@ -2,7 +2,6 @@
 
 from repro.core.analysis import AnalysisReport, analyze
 from repro.core.executor import (
-    CachingExecutor,
     ExecutionPlan,
     ProcessExecutor,
     Executor,
@@ -65,7 +64,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ThreadedExecutor",
-    "CachingExecutor",
     "ProcessExecutor",
     "ExecutionPlan",
     "StepNode",

@@ -720,7 +720,12 @@ class StreamScheduler:
     def _launch_refit(self, tier: str, lane: FleetLane) -> None:
         lane.refit_in_flight = True
         lane.runner.clear_drift()
-        standby = self.standby.acquire(lane.runner.pipeline)
+        try:
+            standby = self.standby.acquire(lane.runner.pipeline)
+        except Exception as error:  # noqa: BLE001 - surfaced via state
+            self._refit_failed(lane, error)
+            lane.refit_in_flight = False
+            return
         snapshot = lane.runner.window.copy()
         if self.refit_sync:
             self._refit(tier, lane, standby, snapshot)
@@ -745,22 +750,31 @@ class StreamScheduler:
 
     def _refit(self, tier: str, lane: FleetLane, standby: Pipeline,
                snapshot: np.ndarray) -> None:
+        """Fit ``standby`` on ``snapshot`` and swap it into ``lane``.
+
+        Never raises: a failure anywhere from the fit to the release of
+        the displaced pipeline is recorded on the lane, which keeps
+        serving its current pipeline and stays eligible for later refits.
+        """
         try:
             standby.fit(snapshot)
+            previous = self.fleet.adopt(lane, standby)
+            if previous is None:  # the lane closed while its refit ran
+                self.standby.release(standby)
+                return
+            self.standby.release(previous)
+            lane.last_refit = self._clock()
+            with self._lock:  # async refits finish on several threads
+                self.refits_by_tier[tier] = self.refits_by_tier.get(tier, 0) + 1
         except Exception as error:  # noqa: BLE001 - surfaced via state
-            lane.runner.retrain_error = str(error)
+            self._refit_failed(lane, error)
+        finally:
+            lane.refit_in_flight = False
+
+    def _refit_failed(self, lane: FleetLane, error: Exception) -> None:
+        lane.runner.retrain_error = str(error)
+        with self._lock:
             self.refit_errors += 1
-            lane.refit_in_flight = False
-            return
-        previous = self.fleet.adopt(lane, standby)
-        if previous is None:  # the lane closed while its refit ran
-            self.standby.release(standby)
-            lane.refit_in_flight = False
-            return
-        self.standby.release(previous)
-        lane.last_refit = self._clock()
-        self.refits_by_tier[tier] = self.refits_by_tier.get(tier, 0) + 1
-        lane.refit_in_flight = False
 
     # ------------------------------------------------------------------ #
     # lifecycle + observability

@@ -12,13 +12,15 @@ mode-tagged :class:`~repro.core.plan.CompiledStep` representation per mode
 (``fit`` / ``detect`` / ``stream`` / ``batch``), and every public entry
 point — :meth:`Pipeline.fit`, :meth:`Pipeline.detect`,
 :meth:`Pipeline.partial_detect`, :meth:`Pipeline.detect_batch` — runs the
-corresponding compiled plan through the pipeline's executor.
+corresponding compiled plan through the pipeline's executor. Plans are
+compiled once and kept across refits: a refit swaps fresh primitives into
+the ``[step, primitive]`` cells that every compiled node reads at call
+time.
 """
 
 from __future__ import annotations
 
 import copy
-import uuid
 from typing import Dict, List, Optional
 
 import networkx as nx
@@ -149,9 +151,8 @@ class Pipeline:
     All execution goes through the unified plan IR: the first run of each
     mode lowers the template once via :class:`~repro.core.plan.PlanCompiler`
     and the compiled plan is reused afterwards — a refit swaps fresh
-    primitives into the compiler's shared cells and re-stamps cache
-    fingerprints instead of lowering again (observable through
-    :attr:`plan_compilations`).
+    primitives into the compiler's shared cells instead of lowering again
+    (observable through :attr:`plan_compilations`).
 
     Args:
         spec: template specification dictionary.
@@ -170,7 +171,6 @@ class Pipeline:
         if hyperparameters:
             self.set_hyperparameters(hyperparameters)
         self._primitives = None
-        self._build_token = ""
         self._compiler: Optional[PlanCompiler] = None
         self._executor = get_executor(executor)
         self.fitted = False
@@ -178,8 +178,8 @@ class Pipeline:
 
     def __getstate__(self) -> dict:
         # Compiled plans hold step closures, which cannot be pickled; the
-        # compiler is rebuilt lazily (from the pickled cells and build
-        # token) on the next run.
+        # compiler is rebuilt lazily (from the pickled cells) on the next
+        # run.
         state = self.__dict__.copy()
         state["_compiler"] = None
         return state
@@ -226,9 +226,8 @@ class Pipeline:
             if step not in step_names:
                 raise PipelineError(f"Unknown pipeline step {step!r}")
             self._hyperparameters.setdefault(step, {}).update(values)
-        # A changed λ invalidates the primitives AND the compiled plans —
-        # node closures read primitives through the compiler's cells, so
-        # the cells must be rebuilt, not refreshed.
+        # A changed λ invalidates the primitives AND the compiled plans:
+        # the next fit builds fresh cells and a compiler over them.
         self._primitives = None
         self._compiler = None
         self.fitted = False
@@ -256,18 +255,12 @@ class Pipeline:
         every already-compiled plan sees the new build without
         recompiling.
         """
-        # Stateful steps carry this token in their cache fingerprint so a
-        # rebuild (refit or hyperparameter change) invalidates their entries.
-        self._build_token = uuid.uuid4().hex
         if self._primitives is None:
             self._primitives = [[step, self._fresh_primitive(step)]
                                 for step in self.steps]
         else:
             for cell in self._primitives:
                 cell[1] = self._fresh_primitive(cell[0])
-        if self._compiler is not None:
-            self._compiler.cells = self._primitives
-            self._compiler.refresh(self._build_token)
 
     @property
     def compiler(self) -> PlanCompiler:
@@ -278,7 +271,7 @@ class Pipeline:
                 "before detect()"
             )
         if self._compiler is None:
-            self._compiler = PlanCompiler(self._primitives, self._build_token)
+            self._compiler = PlanCompiler(self._primitives)
         return self._compiler
 
     def compiled_plan(self, mode: str, exact: bool = True,

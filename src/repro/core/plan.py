@@ -18,7 +18,7 @@ execution surface consumes the same IR:
   ``produce_batch_fused`` for primitives that declare
   ``supports_fused_batch`` — fused NN forwards whose parity is tolerance-
   based instead of bitwise (BLAS summation order changes with the GEMM
-  shape), namespaced under a separate cache fingerprint.
+  shape), compiled as a plan of its own.
 
 Every node's ``execute`` closure builds its ``CompiledStep`` over the
 primitive the ``[step, primitive]`` cell holds at call time and runs it in
@@ -31,27 +31,22 @@ forward) lower into a single :class:`FusedStep` work unit — one node that
 executes the whole chain in one pass, threading intermediate ndarrays
 straight from member to member and leasing NN scratch space from the
 plan's :class:`~repro.core.arena.ArenaPool` instead of re-entering the
-executor (and its allocation and cache machinery) per step. Fusion is
-transparent to every executor: a ``FusedStep`` node runs like any other
-node, and its cache fingerprints combine *every* member's fingerprint
-while its memoized values are the chain-tail outputs, so the caching
-executor's semantics are unchanged. Setting the
-``REPRO_NO_FUSION`` environment variable disables the pass (each step
+executor (and its allocation machinery) per step. Fusion is transparent
+to every executor: a ``FusedStep`` node runs like any other node. Setting
+the ``REPRO_NO_FUSION`` environment variable disables the pass (each step
 lowers to its own node, the pre-fusion behaviour) — the benchmark uses
 this to attribute speedups.
 
 The compiler also owns the plan cache: plans are compiled lazily per
-``(mode, exact, precision)`` key and *refreshed* — not recompiled — when
-a refit replaces the primitive instances (the fingerprints take the new
-build token while the node closures keep reading the live primitive
-through the shared ``[step, primitive]`` cell). ``compilations`` counts
-actual lowering passes, which is what the streaming layer's refit-reuse
-regression test pins.
+``(mode, exact, precision)`` key and reused — not recompiled — when a
+refit replaces the primitive instances, because the node closures read
+the live primitive through the shared ``[step, primitive]`` cell.
+``compilations`` counts actual lowering passes, which is what the
+streaming layer's refit-reuse regression test pins.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Dict, List, Optional, Tuple
 
@@ -333,147 +328,25 @@ class PlanCompiler:
         cells: the pipeline's mutable ``[step, primitive]`` cells. Node
             closures read the primitive *through* the cell at call time,
             so a refit is visible to every already-compiled plan.
-        build_token: opaque token identifying the current primitive build;
-            folded into the fingerprint of stateful steps so caches never
-            serve results across refits.
     """
 
-    def __init__(self, cells: List[list], build_token: str = ""):
+    def __init__(self, cells: List[list]):
         self.cells = cells
-        self.build_token = build_token
         self.compilations = 0
         self._plans: Dict[Tuple[str, bool], ExecutionPlan] = {}
-
-    # ------------------------------------------------------------------ #
-    # fingerprints
-    # ------------------------------------------------------------------ #
-    def _base_fingerprint(self, step: dict, primitive) -> str:
-        identity = {
-            "primitive": step["primitive"],
-            "inputs": step.get("inputs", {}),
-            "outputs": step.get("outputs", {}),
-            "hyperparameters": primitive.hyperparameters,
-        }
-        if primitive.fit_args:
-            identity["build"] = self.build_token
-        return json.dumps(identity, sort_keys=True, default=repr)
-
-    @staticmethod
-    def _batch_namespace(exact: bool, precision: Optional[str],
-                         mode: str = "batch") -> str:
-        prefix = "stream-batch" if mode == "stream_batch" else "batch"
-        if precision is not None:
-            # Reduced precision changes every value flowing through the
-            # plan, so the whole plan gets its own cache namespace.
-            return f"{prefix}-fused-{precision}:"
-        return f"{prefix}:" if exact else f"{prefix}-fused:"
-
-    def _fingerprints(self, step: dict, primitive, mode: str, exact: bool,
-                      precision: Optional[str] = None) -> Tuple[str, str]:
-        """``(fingerprint, signal_fingerprint)`` for one single-step node.
-
-        fit / detect / stream share the base fingerprint on purpose: a
-        step cacheable in fit mode is one whose fitting is a no-op, so a
-        fit run warms the cache for subsequent detect runs. Batch plans
-        are namespaced (``batch:`` / ``batch-fused:`` /
-        ``batch-fused-float32:``) so a whole-batch memo entry can never
-        collide with a single-signal one, and exact batch nodes
-        additionally expose the *single-signal* fingerprint — the handle
-        the caching executor uses to serve and memoize per-signal slices
-        from inside the batch. Fused-plane and reduced-precision nodes do
-        not: their outputs are only tolerance-equal to per-signal
-        results, and must never poison (or be served from) the exact
-        per-signal cache.
-        """
-        base = self._base_fingerprint(step, primitive)
-        if mode not in ("batch", "stream_batch"):
-            return base, ""
-        namespace = self._batch_namespace(exact, precision, mode)
-        if mode == "batch" and exact and precision is None:
-            return namespace + base, base
-        # Fused-plane, reduced-precision and stream-batch nodes never
-        # expose a per-signal handle: stream-batch results depend on
-        # per-lane incremental state and are never cached at all.
-        return namespace + base, ""
-
-    def _chain_fingerprints(self, indices: Tuple[int, ...], exact: bool,
-                            precision: Optional[str],
-                            mode: str = "batch") -> Tuple[str, str]:
-        """``(fingerprint, signal_fingerprint)`` for one fused chain node.
-
-        The fingerprint combines **every** member's base fingerprint, not
-        just the tail's: the memoized *values* are the chain-tail outputs,
-        but keying them on the tail alone would let two pipelines whose
-        chains differ mid-stream (say, different scaler hyperparameters
-        feeding the same NN step) serve each other stale results. On the
-        exact plane the combined string doubles as the per-signal handle,
-        so repeat batches are served slice-by-slice at chain granularity.
-        """
-        bases = [self._base_fingerprint(self.cells[i][0], self.cells[i][1])
-                 for i in indices]
-        combined = json.dumps(bases)
-        namespace = self._batch_namespace(exact, precision, mode)
-        if mode == "batch" and exact and precision is None:
-            return namespace + combined, combined
-        return namespace + combined, ""
 
     # ------------------------------------------------------------------ #
     # lowering
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _io_sets(step: dict, primitive) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-        inputs = step.get("inputs", {})
-        outputs = step.get("outputs", {})
-        reads = tuple(sorted({
-            inputs.get(arg, arg)
-            for arg in set(primitive.produce_args) | set(primitive.fit_args)
-        }))
-        writes = tuple(outputs.get(out, out) for out in primitive.produce_output)
-        return reads, writes
-
-    @staticmethod
-    def _cacheable(primitive, mode: str):
-        if mode == "stream" and primitive.supports_stream:
-            # An incremental step mutates internal state on every call, so
-            # its outputs must never be served from a memo cache.
-            return lambda fit: False
-        if mode == "stream_batch":
-            # Stream-batch outputs depend on which lanes participate in
-            # the round and on their sliding windows — both change every
-            # round, so memoization can only ever miss (or worse, hit
-            # across rounds). Never cache.
-            return lambda fit: False
-        if mode == "batch":
-            return lambda fit: not fit
-        # A step with no fit state is deterministic given its inputs and
-        # hyperparameters; a fitted stateful step is only safe to cache in
-        # produce mode (the fingerprint pins its build).
-        stateful = bool(primitive.fit_args)
-        return lambda fit, stateful=stateful: not (fit and stateful)
-
-    def _lower_node(self, entry: list, mode: str, exact: bool,
-                    precision: Optional[str] = None) -> StepNode:
-        step, primitive = entry
-        reads, writes = self._io_sets(step, primitive)
-        fingerprint, signal_fingerprint = self._fingerprints(
-            step, primitive, mode, exact, precision)
-
-        def execute(context: dict, fit: bool, entry=entry) -> dict:
+    def _lower_node(entry: list, mode: str, exact: bool) -> StepNode:
+        def execute(context: dict, fit: bool) -> dict:
             # The primitive is read through the cell at call time.
             return CompiledStep(mode, entry[0], entry[1], exact).run(
                 context, fit)
 
-        return StepNode(
-            name=step["name"],
-            engine=primitive.engine,
-            reads=reads,
-            writes=writes,
-            execute=execute,
-            fingerprint=fingerprint,
-            cacheable=self._cacheable(primitive, mode),
-            mode=mode,
-            signal_fingerprint=signal_fingerprint,
-        )
+        return StepNode(name=entry[0]["name"], engine=entry[1].engine,
+                        execute=execute)
 
     # ------------------------------------------------------------------ #
     # the step-fusion pass (batch mode only)
@@ -485,8 +358,7 @@ class PlanCompiler:
         A cell is fusable when its primitive declares one of the
         :data:`FUSABLE_CATEGORIES`. Single fusable steps between
         non-fusable neighbours stay plain ``CompiledStep`` nodes — a
-        one-step "chain" has no step boundary to eliminate, and keeping
-        it plain preserves the per-step cache granularity. Stream-batch
+        one-step "chain" has no step boundary to eliminate. Stream-batch
         plans pass ``exclude_stream``: incremental (``supports_stream``)
         cells hold per-lane state and lower to :class:`LaneStep` nodes,
         so they break chains instead of joining them.
@@ -511,24 +383,6 @@ class PlanCompiler:
                           precision: Optional[str], arena,
                           mode: str = "batch") -> StepNode:
         entries = [self.cells[i] for i in indices]
-        # External reads: variables a member consumes that no earlier
-        # member of the same chain produced. Writes keep every member's
-        # outputs (in order) so the post-run context matches the unfused
-        # plan exactly.
-        internal: set = set()
-        reads: List[str] = []
-        writes: List[str] = []
-        for step, primitive in entries:
-            step_reads, step_writes = self._io_sets(step, primitive)
-            for variable in step_reads:
-                if variable not in internal and variable not in reads:
-                    reads.append(variable)
-            for variable in step_writes:
-                internal.add(variable)
-                if variable not in writes:
-                    writes.append(variable)
-        fingerprint, signal_fingerprint = self._chain_fingerprints(
-            indices, exact, precision, mode)
 
         def execute(context: dict, fit: bool) -> dict:
             members = [CompiledStep(mode, cell[0], cell[1], exact)
@@ -536,26 +390,18 @@ class PlanCompiler:
             return FusedStep(mode, members, precision, arena).run(
                 context, fit)
 
-        cacheable = ((lambda fit: False) if mode == "stream_batch"
-                     else (lambda fit: not fit))
         return StepNode(
             name="fused:" + "+".join(entry[0]["name"] for entry in entries),
             engine=("modeling" if any(
                 entry[1].engine == "modeling" for entry in entries)
                 else entries[0][1].engine),
-            reads=tuple(sorted(reads)),
-            writes=tuple(writes),
             execute=execute,
-            fingerprint=fingerprint,
-            cacheable=cacheable,
-            mode=mode,
-            signal_fingerprint=signal_fingerprint,
             members=tuple(indices),
         )
 
-    def _lower_lane_node(self, entry: list, index: int,
-                         registry: LaneRegistry, exact: bool,
-                         precision: Optional[str]) -> StepNode:
+    @staticmethod
+    def _lower_lane_node(entry: list, index: int,
+                         registry: LaneRegistry) -> StepNode:
         """Lower one incremental cell into a per-lane stream-batch node.
 
         The node reads the participating lanes' primitive copies through
@@ -563,26 +409,12 @@ class PlanCompiler:
         is rebound every scheduling round, so one compiled plan serves
         every round regardless of which streams show up.
         """
-        step, primitive = entry
-        reads, writes = self._io_sets(step, primitive)
-        fingerprint, signal_fingerprint = self._fingerprints(
-            step, primitive, "stream_batch", exact, precision)
-
         def execute(context: dict, fit: bool) -> dict:
             return LaneStep(entry[0], registry.column(index)).run(
                 context, fit)
 
-        return StepNode(
-            name=step["name"],
-            engine=primitive.engine,
-            reads=reads,
-            writes=writes,
-            execute=execute,
-            fingerprint=fingerprint,
-            cacheable=lambda fit: False,
-            mode="stream_batch",
-            signal_fingerprint=signal_fingerprint,
-        )
+        return StepNode(name=entry[0]["name"], engine=entry[1].engine,
+                        execute=execute)
 
     def compile(self, mode: str, exact: bool = True,
                 precision: Optional[str] = None,
@@ -633,10 +465,9 @@ class PlanCompiler:
             assert index not in fused_indices
             if stream_batch and self.cells[index][1].supports_stream:
                 nodes.append(self._lower_lane_node(
-                    self.cells[index], index, registry, exact, precision))
+                    self.cells[index], index, registry))
             else:
-                nodes.append(self._lower_node(
-                    self.cells[index], mode, exact, precision))
+                nodes.append(self._lower_node(self.cells[index], mode, exact))
             index += 1
 
         plan = ExecutionPlan(nodes)
@@ -666,35 +497,3 @@ class PlanCompiler:
                                   registry=registry)
             self._plans[key] = cached
         return self._plans[key]
-
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-    def refresh(self, build_token: Optional[str] = None) -> None:
-        """Re-stamp fingerprints after the cells received fresh primitives.
-
-        A refit replaces every cell's primitive in place; the compiled
-        node closures keep working (they read through the cell), but the
-        fingerprints of stateful steps must take the new build token so
-        caching executors never serve the previous fit's outputs. Fused
-        nodes carry the indices of the cells they cover (``members``), so
-        their combined fingerprints are recomputed from the same cells
-        the chain executes. This is the cheap path that makes refits
-        reuse compiled plans instead of lowering them again.
-        """
-        if build_token is not None:
-            self.build_token = build_token
-        for (mode, exact, precision), plan in self._plans.items():
-            index = 0
-            for node in plan.nodes:
-                if node.members:
-                    node.fingerprint, node.signal_fingerprint = \
-                        self._chain_fingerprints(node.members, exact,
-                                                 precision, mode)
-                    index = node.members[-1] + 1
-                else:
-                    entry = self.cells[index]
-                    node.fingerprint, node.signal_fingerprint = \
-                        self._fingerprints(entry[0], entry[1], mode, exact,
-                                           precision)
-                    index += 1

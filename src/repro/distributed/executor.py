@@ -41,12 +41,7 @@ import warnings
 from typing import Callable, Dict, Iterable, List, Optional
 
 import repro
-from repro.core.executor import (
-    EXECUTORS,
-    Executor,
-    SerialExecutor,
-    sweep_orphan_segments,
-)
+from repro.core.executor import EXECUTORS, Executor, SerialExecutor
 from repro.distributed.queue import WorkQueue
 from repro.distributed.worker import drain_queue
 from repro.exceptions import ExecutorError
@@ -109,10 +104,6 @@ class DistributedExecutor(Executor):
         if respawn_limit is None:
             respawn_limit = 2 * max_workers + 2
         self.respawn_limit = respawn_limit
-
-    # -- subprocess handles must never ride along with a pickled pipeline
-    def __getstate__(self) -> dict:
-        return dict(self.__dict__)
 
     # ------------------------------------------------------------------ #
     # the Executor contract
@@ -268,7 +259,6 @@ class DistributedExecutor(Executor):
 
     def _drive_fleet(self, queue: WorkQueue, path: str, keys: List[str],
                      progress: Optional[Callable], reported: set) -> None:
-        sweep_orphan_segments()
         crash = self._crash_injection()
         workers = [self._spawn(path, index, crash.get(index))
                    for index in range(self.max_workers)]

@@ -204,14 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """Worker process entry point; returns the exit code."""
     args = build_parser().parse_args(argv)
-
-    # Reclaim shared-memory segments a previously killed worker on this
-    # host may have stranded (the names embed the creator pid, so only
-    # segments of dead processes are swept).
-    from repro.core.executor import sweep_orphan_segments
-
-    sweep_orphan_segments()
-
     crash_after = args.crash_after_claims
     if crash_after is None and os.environ.get(WORKER_CRASH_ENV):
         crash_after = int(os.environ[WORKER_CRASH_ENV])

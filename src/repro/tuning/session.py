@@ -57,12 +57,9 @@ class TuningSession:
         engines: restrict tuning to hyperparameters of these engines
             (e.g. ``["postprocessing"]``); ``None`` tunes everything.
         executor: optional executor (name, class or instance) used by every
-            candidate pipeline. A shared
-            :class:`~repro.core.executor.CachingExecutor` lets candidates
-            that only change late-stage hyperparameters skip the unchanged
-            pipeline prefix entirely. Every executor runs a candidate's
-            steps in order in the calling thread, so any other registered
-            name scores exactly the pipeline a serial run would produce.
+            candidate pipeline. Every executor runs a candidate's steps in
+            order in the calling thread, so any registered name scores
+            exactly the pipeline a serial run would produce.
     """
 
     def __init__(self, pipeline, data, ground_truth=None,
@@ -84,7 +81,7 @@ class TuningSession:
         self._pipeline_source = pipeline
         self._pipeline_options = pipeline_options or {}
         # Resolve once so every candidate pipeline shares the same executor
-        # instance (and therefore the same step cache, when caching is on).
+        # instance.
         self._executor = get_executor(executor) if executor is not None else None
         self.data = np.asarray(data, dtype=float)
         self.ground_truth = ground_truth

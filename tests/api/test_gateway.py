@@ -438,10 +438,7 @@ class TestErrorEnvelope:
 
 class TestMetricsEndpoint:
     def test_scrape_covers_every_layer(self, gateway, tenant_key):
-        from repro.core.executor import CachingExecutor
         from repro.data import generate_signal
-
-        gateway.attach_executor(CachingExecutor(maxsize=8))
 
         # Drive a detection so executor timings and coalescer stats exist.
         signal = generate_signal("gm-1", length=120, n_anomalies=1,
@@ -460,8 +457,7 @@ class TestMetricsEndpoint:
         assert "sintel_inflight_requests" in names
         # Executor timings (fed by the detection above).
         assert "sintel_executor_step_seconds_total" in names
-        # Cache, coalescer, stream, jobs.
-        assert "sintel_cache_hits_total" in names
+        # Coalescer, stream, jobs.
         assert samples[("sintel_coalescer_requests_total", ())] >= 1
         assert ("sintel_stream_sessions", (("status", "open"),)) in samples
         assert ("sintel_jobs", (("status", "succeeded"),)) in samples

@@ -8,7 +8,6 @@ from repro.api.jobs import RequestCoalescer
 from repro.api.metrics import (
     ExecutorTimingCollector,
     MetricsRegistry,
-    cache_collector,
     coalescer_collector,
     fleet_collector,
     jobs_collector,
@@ -93,19 +92,6 @@ class TestParser:
 
 
 class TestCollectors:
-    def test_cache_collector(self):
-        from repro.core.executor import CachingExecutor
-
-        executor = CachingExecutor(maxsize=4)
-        registry = MetricsRegistry()
-        registry.add_collector(cache_collector(executor))
-        samples = parse_prometheus(registry.render())
-        assert samples[("sintel_cache_hits_total",
-                        (("plan_mode", "all"),))] == 0
-        assert samples[("sintel_cache_max_entries", ())] == 4
-        assert ("sintel_cache_misses_total",
-                (("plan_mode", "batch"),)) in samples
-
     def test_coalescer_collector(self):
         coalescer = RequestCoalescer(lambda items: list(items), window=0)
         coalescer.submit("k", 1)

@@ -149,3 +149,26 @@ class TestBenchmarkFanOut:
     def test_invalid_workers_rejected(self, tiny_datasets):
         with pytest.raises(BenchmarkError):
             benchmark(pipelines=["azure"], datasets=tiny_datasets, workers=0)
+
+    @pytest.mark.parametrize("executor,pool", [
+        ("threaded", "ThreadPoolExecutor"),
+        ("process", "ProcessPoolExecutor"),
+    ])
+    def test_named_executor_opens_a_pool_of_workers(
+            self, tiny_datasets, monkeypatch, executor, pool):
+        # workers=1 is a pool size like any other, not "use the default".
+        from repro.core import executor as executors
+
+        opened = []
+        real_pool = getattr(executors, pool)
+
+        def spy(*args, max_workers=None, **kwargs):
+            opened.append(max_workers)
+            return real_pool(*args, max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(executors, pool, spy)
+        result = benchmark(pipelines=["azure"], datasets=tiny_datasets,
+                           profile_memory=False, executor=executor,
+                           workers=1)
+        assert len(result) == 2
+        assert opened == [1]

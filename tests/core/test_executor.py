@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro.core.executor import (
-    CachingExecutor,
     ExecutionPlan,
     Executor,
     SerialExecutor,
@@ -87,20 +86,6 @@ class _JoinPrimitive(Primitive):
         return {"anomalies": np.array([[0.0, 1.0, left_sum + right_sum]])}
 
 
-@register_primitive
-class _CountingPrimitive(Primitive):
-    name = "test_executor_counting"
-    engine = "preprocessing"
-    produce_args = ["data"]
-    produce_output = ["doubled"]
-    fixed_hyperparameters = {"offset": 0.0}
-    calls = 0
-
-    def produce(self, data):
-        type(self).calls += 1
-        return {"doubled": data * 2.0 + self.offset}
-
-
 def _diamond_spec():
     return {
         "name": "diamond",
@@ -110,13 +95,6 @@ def _diamond_spec():
             {"primitive": "test_executor_right"},
             {"primitive": "test_executor_join"},
         ],
-    }
-
-
-def _counting_spec():
-    return {
-        "name": "counting",
-        "steps": [{"primitive": "test_executor_counting"}],
     }
 
 
@@ -135,7 +113,6 @@ class TestRegistry:
     def test_resolve_by_name(self):
         assert isinstance(get_executor("serial"), SerialExecutor)
         assert isinstance(get_executor("threaded"), ThreadedExecutor)
-        assert isinstance(get_executor("caching"), CachingExecutor)
 
     def test_instances_pass_through(self):
         executor = ThreadedExecutor(max_workers=2)
@@ -154,22 +131,20 @@ class TestRegistry:
             get_executor(42)
 
     def test_list_executors(self):
-        assert list_executors() == ["caching", "distributed", "process",
-                                    "serial", "threaded"]
+        assert list_executors() == ["distributed", "process", "serial",
+                                    "threaded"]
 
     def test_invalid_worker_counts_rejected(self):
         with pytest.raises(ExecutorError):
             ThreadedExecutor(max_workers=0)
-        with pytest.raises(ExecutorError):
-            CachingExecutor(maxsize=0)
 
 
 # --------------------------------------------------------------------------- #
 # execution plans
 # --------------------------------------------------------------------------- #
-def _node(name, reads=(), writes=()):
-    return StepNode(name=name, engine="preprocessing", reads=tuple(reads),
-                    writes=tuple(writes), execute=lambda context, fit: {})
+def _node(name):
+    return StepNode(name=name, engine="preprocessing",
+                    execute=lambda context, fit: {})
 
 
 class TestExecutionPlan:
@@ -242,128 +217,6 @@ class TestSchedulingEquivalence:
 
 
 # --------------------------------------------------------------------------- #
-# caching
-# --------------------------------------------------------------------------- #
-class TestCachingExecutor:
-    def test_repeated_detect_hits_cache(self):
-        _CountingPrimitive.calls = 0
-        executor = CachingExecutor()
-        pipeline = Pipeline(_counting_spec(), executor=executor)
-        data = _data()
-        pipeline.fit(data)
-        assert _CountingPrimitive.calls == 1
-        pipeline.detect(data)
-        pipeline.detect(data)
-        # The stateless step is served from cache for every repeat run.
-        assert _CountingPrimitive.calls == 1
-        assert executor.hits == 2
-        assert pipeline.step_timings["test_executor_counting"]["cached"] is True
-
-    def test_hyperparameter_change_invalidates(self):
-        _CountingPrimitive.calls = 0
-        executor = CachingExecutor()
-        pipeline = Pipeline(_counting_spec(), executor=executor)
-        data = _data()
-        pipeline.fit(data)
-        pipeline.set_hyperparameters(
-            {"test_executor_counting": {"offset": 5.0}})
-        pipeline.fit(data)
-        assert _CountingPrimitive.calls == 2
-        assert executor.misses == 2
-
-    def test_input_change_invalidates(self):
-        _CountingPrimitive.calls = 0
-        pipeline = Pipeline(_counting_spec(), executor=CachingExecutor())
-        pipeline.fit(_data(16))
-        pipeline.fit(_data(24))
-        assert _CountingPrimitive.calls == 2
-
-    def test_cache_shared_across_pipelines(self):
-        _CountingPrimitive.calls = 0
-        executor = CachingExecutor()
-        data = _data()
-        Pipeline(_counting_spec(), executor=executor).fit(data)
-        Pipeline(_counting_spec(), executor=executor).fit(data)
-        assert _CountingPrimitive.calls == 1
-        assert executor.hits == 1
-
-    def test_clear_resets_cache_and_counters(self):
-        _CountingPrimitive.calls = 0
-        executor = CachingExecutor()
-        pipeline = Pipeline(_counting_spec(), executor=executor)
-        pipeline.fit(_data())
-        executor.clear()
-        assert executor.hits == 0 and executor.misses == 0
-        pipeline.fit(_data())
-        assert _CountingPrimitive.calls == 2
-
-    def test_lru_eviction(self):
-        executor = CachingExecutor(maxsize=1)
-        pipeline = Pipeline(_counting_spec(), executor=executor)
-        pipeline.fit(_data(16))
-        pipeline.fit(_data(24))
-        pipeline.fit(_data(16))  # evicted by the 24-row entry
-        assert executor.hits == 0
-        assert executor.misses == 3
-        assert executor.evictions == 2
-
-    def test_memo_store_stays_bounded(self):
-        executor = CachingExecutor(max_entries=4)
-        pipeline = Pipeline(_counting_spec(), executor=executor)
-        for size in range(16, 16 + 20):
-            pipeline.fit(_data(size))
-        stats = executor.stats()
-        assert stats["entries"] <= 4
-        assert stats["max_entries"] == 4
-        assert stats["evictions"] == stats["misses"] - stats["entries"]
-        assert executor.max_entries == executor.maxsize == 4
-
-    def test_stats_and_clear_reset_evictions(self):
-        executor = CachingExecutor(maxsize=1)
-        pipeline = Pipeline(_counting_spec(), executor=executor)
-        pipeline.fit(_data(16))
-        pipeline.fit(_data(24))
-        assert executor.stats()["evictions"] == 1
-        executor.clear()
-        stats = executor.stats()
-        zero = {"hits": 0, "misses": 0, "evictions": 0}
-        assert stats == {"hits": 0, "misses": 0, "evictions": 0,
-                         "entries": 0, "max_entries": 1,
-                         "by_mode": {"single": zero, "batch": zero}}
-
-    def test_caching_over_threaded_inner(self):
-        executor = CachingExecutor(inner="threaded")
-        pipeline = Pipeline(_diamond_spec(), executor=executor)
-        expected = pipeline.fit_detect(_data())
-        again = Pipeline(_diamond_spec(), executor=executor).fit_detect(_data())
-        np.testing.assert_allclose(np.asarray(again), np.asarray(expected))
-        assert executor.hits > 0
-
-    def test_cached_results_match_uncached(self, small_signal):
-        data = small_signal.to_array()
-        spec = get_pipeline_spec("arima", window_size=30)
-        expected = Pipeline(spec).fit_detect(data)
-        executor = CachingExecutor()
-        pipeline = Pipeline(get_pipeline_spec("arima", window_size=30),
-                            executor=executor)
-        pipeline.fit(data)
-        first = pipeline.detect(data)
-        second = pipeline.detect(data)
-        assert first == second
-        np.testing.assert_allclose(np.asarray(first), np.asarray(expected))
-        assert executor.hits > 0
-
-    def test_pickles_without_cache(self, tmp_path):
-        import pickle
-
-        executor = CachingExecutor()
-        Pipeline(_counting_spec(), executor=executor).fit(_data())
-        restored = pickle.loads(pickle.dumps(executor))
-        assert isinstance(restored, CachingExecutor)
-        assert len(restored._cache) == 0
-
-
-# --------------------------------------------------------------------------- #
 # integration with Sintel
 # --------------------------------------------------------------------------- #
 class TestSintelIntegration:
@@ -378,12 +231,12 @@ class TestSintelIntegration:
     def test_sintel_save_load_with_executor(self, small_signal, tmp_path):
         from repro.core.sintel import Sintel
 
-        sintel = Sintel("azure", executor=CachingExecutor())
+        sintel = Sintel("azure", executor=ThreadedExecutor(max_workers=2))
         sintel.fit_detect(small_signal)
         path = tmp_path / "sintel.pkl"
         sintel.save(path)
         restored = Sintel.load(path)
-        assert isinstance(restored.pipeline.executor, CachingExecutor)
+        assert isinstance(restored.pipeline.executor, ThreadedExecutor)
         assert restored.detect(small_signal) == sintel.detect(small_signal)
 
     def test_base_executor_is_abstract(self):

@@ -2,13 +2,15 @@
 
 Every executor strategy must produce the same anomalies as the serial
 reference for the same plan, run a plan's steps in order in the caller,
-and everything ``map`` jobs and saved models carry across a process
-boundary — primitives, pipelines — must survive a pickle round-trip.
+and stop a failed ``map`` fan-out early. Everything ``map`` jobs and saved
+models carry across a process boundary — primitives, pipelines — must
+survive a pickle round-trip.
 """
 
 import os
 import pickle
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -16,15 +18,9 @@ import pytest
 from repro.core.executor import (
     MP_START_ENV,
     ProcessExecutor,
-    SHM_MIN_BYTES,
     _mp_context,
-    decode_and_release,
-    decode_from_transfer,
-    encode_for_transfer,
-    encode_result,
     get_executor,
     list_executors,
-    release_transfers,
 )
 from repro.core.pipeline import Pipeline
 from repro.core.primitive import (
@@ -37,28 +33,33 @@ from repro.core.sintel import Sintel
 from repro.exceptions import ExecutorError
 from repro.pipelines import get_pipeline_spec
 
-EXECUTORS = ["serial", "threaded", "process", "caching"]
+EXECUTORS = ["serial", "threaded", "process"]
 
 #: Fast, deterministic pipelines exercised by the parity suite.
 PIPELINES = [("azure", {}), ("arima", {"window_size": 30})]
 
-
-def _shm_entries():
-    """Current /dev/shm entries (empty set where unsupported)."""
-    try:
-        return set(os.listdir("/dev/shm"))
-    except OSError:
-        return set()
+#: Rows of a 1 MiB float64 array: a large payload for ``map`` results.
+LARGE_ROWS = 1 << 17
 
 
 # Module-level on purpose: the process executor ships mapped functions by
 # reference, so they must be importable from inside pool workers.
 def _return_large_array(n):
-    return {"payload": np.full(SHM_MIN_BYTES, float(n)), "tag": n}
+    return {"payload": np.full(LARGE_ROWS, float(n)), "tag": n}
 
 
 def _worker_boom(n):
     raise RuntimeError(f"injected worker failure {n}")
+
+
+def _mark_then_fail_first(job):
+    """Leave a marker file per job that ran; job 0 fails at once."""
+    directory, index = job
+    open(os.path.join(directory, f"{index}.ran"), "w").close()
+    if index == 0:
+        raise RuntimeError("injected first-job failure")
+    time.sleep(0.05)
+    return index
 
 
 @register_primitive
@@ -159,83 +160,45 @@ class TestPrimitivePickling:
         assert clone.detect(data) == pipeline.detect(data)
 
 
-class TestSharedMemoryTransfer:
-    def test_large_arrays_round_trip_through_shm(self):
-        rows = SHM_MIN_BYTES // 8 + 16
-        original = {"data": np.arange(rows, dtype=float),
-                    "small": np.ones(4), "label": "x",
-                    "nested": [np.zeros(3), ("tuple", 1)]}
-        segments = []
-        encoded = encode_for_transfer(original, segments)
-        try:
-            assert len(segments) == 1  # only the large array moved to shm
-            assert not isinstance(encoded["data"], np.ndarray)
-            assert isinstance(encoded["small"], np.ndarray)
-            decoded = decode_from_transfer(pickle.loads(pickle.dumps(encoded)))
-        finally:
-            release_transfers(segments)
-        np.testing.assert_array_equal(decoded["data"], original["data"])
-        np.testing.assert_array_equal(decoded["small"], original["small"])
-        assert decoded["label"] == "x"
-        assert decoded["nested"][1] == ("tuple", 1)
-
-    def test_release_is_idempotent(self):
-        segments = []
-        encode_for_transfer(np.zeros(SHM_MIN_BYTES, dtype=np.uint8), segments)
-        release_transfers(segments)
-        release_transfers(segments)
-        assert segments == []
-
-
 class TestSharedMemoryReturnPath:
-    def test_encode_result_round_trip(self):
-        original = {"big": np.arange(SHM_MIN_BYTES // 8 + 8, dtype=float),
-                    "small": np.ones(3), "label": "x"}
-        before = _shm_entries()
-        encoded = encode_result(original)
-        assert not isinstance(encoded["big"], np.ndarray)  # rides a handle
-        assert isinstance(encoded["small"], np.ndarray)
-        decoded = decode_and_release(pickle.loads(pickle.dumps(encoded)))
-        np.testing.assert_array_equal(decoded["big"], original["big"])
-        assert decoded["label"] == "x"
-        # decode_and_release unlinked every segment the encode created.
-        assert _shm_entries() == before
+    """Large results and worker errors on ``ProcessExecutor.map``'s way back."""
 
     def test_map_returns_large_arrays_through_shm(self):
-        before = _shm_entries()
         results = ProcessExecutor(max_workers=2).map(
             _return_large_array, [1, 2, 3])
         for i, result in enumerate(results):
             assert result["tag"] == i + 1
             np.testing.assert_array_equal(
-                result["payload"], np.full(SHM_MIN_BYTES, float(i + 1)))
-        assert _shm_entries() == before
+                result["payload"], np.full(LARGE_ROWS, float(i + 1)))
 
     def test_worker_failure_leaks_no_segments(self):
-        # Satellite guarantee: a worker that dies mid-fan-out (here: an
-        # exception; encode_result's except path plus the parent's
-        # abandoned-future drain cover the partial cases) must leave
-        # /dev/shm exactly as it found it.
-        before = _shm_entries()
+        # A worker's exception surfaces from ``map`` unchanged.
         with pytest.raises(RuntimeError, match="injected worker failure"):
             ProcessExecutor(max_workers=2).map(
                 _worker_boom, [1, 2, 3, 4])
-        assert _shm_entries() == before
 
     def test_mixed_success_and_failure_leaks_no_segments(self):
-        # Successful results abandoned because a sibling failed must have
-        # their return segments reclaimed by the parent's drain path.
-        before = _shm_entries()
+        # A failure surfaces even when sibling jobs returned large results.
         with pytest.raises(RuntimeError, match="injected worker failure"):
             ProcessExecutor(max_workers=2).map(
                 _worker_boom_on_even, list(range(6)))
-        assert _shm_entries() == before
 
 
 def _worker_boom_on_even(n):
     if n % 2 == 0:
-        return {"payload": np.full(SHM_MIN_BYTES, float(n))}
+        return {"payload": np.full(LARGE_ROWS, float(n))}
     raise RuntimeError(f"injected worker failure {n}")
+
+
+class TestMapStopsOnFailure:
+    @pytest.mark.parametrize("executor", ["threaded", "process"])
+    def test_first_failure_cancels_jobs_not_started(self, executor,
+                                                    tmp_path):
+        jobs = [(str(tmp_path), index) for index in range(20)]
+        with pytest.raises(RuntimeError, match="injected first-job failure"):
+            get_executor(executor, max_workers=1).map(
+                _mark_then_fail_first, jobs)
+        assert len(os.listdir(tmp_path)) < 20
 
 
 class TestStartMethodEnv:
@@ -286,7 +249,6 @@ class TestProcessExecutor:
         from repro.core.executor import ExecutionPlan, StepNode
 
         node = StepNode(name="double", engine="preprocessing",
-                        reads=("data",), writes=("data",),
                         execute=lambda context, fit: {
                             "data": context["data"] * 2})
         context, timings = ProcessExecutor().run_plan(

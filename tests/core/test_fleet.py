@@ -13,6 +13,7 @@ floors, all pinned with a synthetic clock and synchronous refits.
 """
 
 import copy
+import time
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from repro.core.stream import StreamRunner
 from repro.data.synthetic import WorkloadGenerator
 from repro.exceptions import PipelineError, StreamError
 
-EXECUTORS = ["serial", "threaded", "process", "caching"]
+EXECUTORS = ["serial", "threaded", "process"]
 
 WINDOW = 150
 WARMUP = 60
@@ -489,6 +490,57 @@ class TestStreamScheduler:
         scheduler.ingest(lane.lane_id, batches[3])
         scheduler.fleet.run_round()
         assert lane.error is None
+
+    @pytest.mark.parametrize("refit_sync", [True, False])
+    @pytest.mark.parametrize("stage,call", [
+        ("fleet", "adopt"),      # the standby fitted, then the swap raises
+        ("standby", "acquire"),  # no standby to fit at all
+    ])
+    def test_failed_refit_keeps_the_lane_refittable(
+            self, workload, monkeypatch, refit_sync, stage, call):
+        train, replays = workload
+        sintel = Sintel("azure")
+        sintel.fit(train)
+        clock = {"now": 0.0}
+        scheduler = StreamScheduler(
+            policy=TierPolicy(sla_deadline=10.0), refit_budget=1,
+            refit_sync=refit_sync, clock=lambda: clock["now"])
+        lane = scheduler.add_stream(sintel.pipeline, window_size=WINDOW,
+                                    warmup=WARMUP, drift_detector=None)
+        for batch in _batches(replays[0])[:3]:
+            scheduler.ingest(lane.lane_id, batch)
+        scheduler.run_until_idle()
+        serving = lane.runner.pipeline
+
+        def fail(*args):
+            raise RuntimeError(f"injected {call} failure")
+
+        monkeypatch.setattr(getattr(scheduler, stage), call, fail)
+        clock["now"] = 20.0
+        scheduler.run_round()
+        _await_refits(scheduler)
+        assert not lane.refit_in_flight
+        assert scheduler.stats()["refit_errors"] == 1
+        assert f"injected {call} failure" in lane.runner.retrain_error
+        assert lane.runner.pipeline is serving
+
+        # Once the call works again the lane refits like any other.
+        monkeypatch.undo()
+        clock["now"] = 40.0
+        scheduler.run_round()
+        _await_refits(scheduler)
+        assert not lane.refit_in_flight
+        assert lane.runner.retrains == 1
+        assert lane.runner.pipeline is not serving
+        scheduler.close()
+
+
+def _await_refits(scheduler, timeout=60.0):
+    """Block until the scheduler has no refit in flight."""
+    deadline = time.monotonic() + timeout
+    while scheduler.stats()["refits_in_flight"]:
+        assert time.monotonic() < deadline, "a refit never finished"
+        time.sleep(0.01)
 
 
 class _ExplodingPipeline:

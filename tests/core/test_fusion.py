@@ -18,7 +18,7 @@ from repro.core.plan import FusedStep
 from repro.core.sintel import Sintel
 from repro.exceptions import PipelineError
 
-EXECUTORS = ["serial", "threaded", "process", "caching"]
+EXECUTORS = ["serial", "threaded", "process"]
 
 #: Two fusable runs around a non-fusable middle step: ``differencing``
 #: declares no ``fuse_category``, so the chain must split around it.
@@ -117,26 +117,6 @@ class TestChainSplitting:
         assert len(plan.nodes) == len(split_pipeline.steps)
         assert plan.fusion_groups == []
 
-    def test_chain_fingerprint_covers_every_member(self):
-        # Two pipelines whose chains differ only mid-chain must not share
-        # a fused fingerprint — the memoized values are chain-tail
-        # outputs, and a tail-only key would serve stale results.
-        mean = Pipeline(SPLIT_SPEC)
-        median_spec = {
-            "name": "split-median",
-            "steps": [dict(step) for step in SPLIT_SPEC["steps"]],
-        }
-        median_spec["steps"][1] = {
-            "primitive": "SimpleImputer",
-            "hyperparameters": {"strategy": "median"},
-        }
-        median = Pipeline(median_spec)
-        mean.fit(_data())
-        median.fit(_data())
-        mean_node = mean.compiled_plan("batch", exact=True).nodes[0]
-        median_node = median.compiled_plan("batch", exact=True).nodes[0]
-        assert mean_node.fingerprint != median_node.fingerprint
-
 
 class TestFusedParity:
     @pytest.mark.parametrize("executor", EXECUTORS)
@@ -152,17 +132,6 @@ class TestFusedParity:
         context, _ = get_executor(executor).run_plan(
             fused_plan, _batch_context(signals), fit=False)
         _assert_context_equal(context, reference)
-
-    def test_caching_executor_serves_repeat_batches(self, split_pipeline):
-        signals = _signals()
-        plan = split_pipeline.compiled_plan("batch", exact=True)
-        executor = get_executor("caching")
-        first, _ = executor.run_plan(plan, _batch_context(signals),
-                                     fit=False)
-        second, _ = executor.run_plan(plan, _batch_context(signals),
-                                      fit=False)
-        _assert_context_equal(second, first)
-        assert executor.stats()["hits"] > 0
 
     def test_fused_step_rejects_fit(self, split_pipeline):
         node = split_pipeline.compiled_plan("batch", exact=True).nodes[0]

@@ -99,9 +99,9 @@ class TestInlineMode:
 class TestRunPlanFallback:
     def test_run_plan_matches_serial(self):
         nodes = [
-            StepNode(name="produce", engine="t", reads=(), writes=("x",),
+            StepNode(name="produce", engine="t",
                      execute=lambda context, fit: {"x": 2}),
-            StepNode(name="consume", engine="t", reads=("x",), writes=("y",),
+            StepNode(name="consume", engine="t",
                      execute=lambda context, fit: {"y": context["x"] * 10}),
         ]
         plan = ExecutionPlan(nodes)

@@ -15,7 +15,7 @@ from repro.core.sintel import Sintel
 from repro.data.signal import LABELS_KEY
 from repro.data.synthetic import WorkloadGenerator
 
-EXECUTORS = ["serial", "threaded", "process", "caching"]
+EXECUTORS = ["serial", "threaded", "process"]
 
 MV_PIPELINE = ("mv_dense_autoencoder", {"window_size": 30, "epochs": 6})
 

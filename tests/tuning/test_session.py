@@ -43,21 +43,6 @@ class TestConstruction:
 
 
 class TestRuns:
-    def test_caching_executor_skips_unchanged_prefix(self, small_signal):
-        from repro.core.executor import CachingExecutor
-
-        executor = CachingExecutor()
-        session = TuningSession(
-            "arima", small_signal.to_array(), ground_truth=small_signal.anomalies,
-            engines=["postprocessing"], tuner="uniform", pipeline_options=OPTIONS,
-            executor=executor,
-        )
-        result = session.run(iterations=3)
-        assert len(result.history) == 3
-        # Candidates only vary postprocessing hyperparameters, so the
-        # shared cache serves the unchanged preprocessing prefix.
-        assert executor.hits > 0
-
     def test_supervised_run_returns_history(self, small_signal):
         session = TuningSession(
             "arima", small_signal.to_array(), ground_truth=small_signal.anomalies,

@@ -13,8 +13,11 @@ has adopted:
 3. every ``bench-*`` job uploads its artifacts with
    ``if-no-files-found: error`` — a benchmark leg that produced no
    artifact must fail, not upload nothing;
-4. every committed benchmark baseline referenced by a workflow
-   (``benchmarks/output/BENCH_*.json``) actually exists in the tree.
+4. every ``.py`` / ``.json`` path under ``tests/``, ``benchmarks/``,
+   ``examples/`` or ``tools/`` that a workflow names — test files a leg
+   runs, scripts, committed benchmark baselines — exists in the tree, so
+   a deleted file left in a leg fails lint instead of failing at run
+   time.
 
 The rules also apply to composite actions under ``.github/actions/``.
 """
@@ -34,7 +37,11 @@ ACTIONS_DIR = os.path.join(REPO_ROOT, ".github", "actions")
 
 #: Exact release tag (v1.2.3) or a full commit SHA.
 EXACT_REF = re.compile(r"@(v\d+\.\d+\.\d+|[0-9a-f]{40})$")
-BASELINE_REF = re.compile(r"benchmarks/output/BENCH_[A-Za-z0-9_]+\.json")
+#: A repository path a workflow may name: a ``.py`` or ``.json`` file under
+#: one of the tracked top-level directories (not preceded by another path
+#: segment, so ``/tmp/benchmarks/x.json`` is not taken for one).
+REPO_PATH_REF = re.compile(
+    r"(?<![\w./-])(?:tests|benchmarks|examples|tools)/[\w./-]*\.(?:py|json)\b")
 
 
 def _yaml_files(directory: str) -> List[str]:
@@ -82,13 +89,12 @@ def check_workflow(path: str) -> List[str]:
                         f"{where}: artifact upload must set "
                         f"if-no-files-found: error (got {policy!r})")
 
-    # Committed baselines referenced by the workflow must exist.
+    # Repository paths named by the workflow must exist.
     with open(path) as handle:
         text = handle.read()
-    for baseline in sorted(set(BASELINE_REF.findall(text))):
-        if not os.path.exists(os.path.join(REPO_ROOT, baseline)):
-            errors.append(f"{rel}: referenced baseline {baseline} "
-                          f"is not committed")
+    for named in sorted(set(REPO_PATH_REF.findall(text))):
+        if not os.path.exists(os.path.join(REPO_ROOT, named)):
+            errors.append(f"{rel}: names {named}, which is not in the tree")
     return errors
 
 
