@@ -1,5 +1,5 @@
 """E11 — Synthetic ground-truth quality: per-class recall, precision,
-channel attribution, and executor parity on the labeled workload fleet.
+channel attribution, and process fan-out parity on the labeled fleet.
 
 Unlike the dataset benchmarks (Table 3), the synthetic leg knows exactly
 what it planted: every anomaly carries its class (point / contextual /
@@ -12,8 +12,9 @@ Two built-in proofs keep the gate honest:
 
 * the **negative control** re-runs with detection disabled — the gate
   must FAIL on that run, or the check is not load-bearing;
-* **executor parity** re-runs the first pipeline under the process
-  executor and requires exactly the serial events.
+* **executor parity** fans the first pipeline's per-signal fit+detect
+  jobs out through ``ProcessExecutor.map`` (fitting in pool workers) and
+  requires exactly the serial events.
 """
 
 import json

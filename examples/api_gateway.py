@@ -5,7 +5,7 @@ middleware chain: provision two tenants, watch the versioned ``/v1``
 surface and the deprecation shim, exhaust one tenant's token bucket
 while the other sails through, run a detection, and finish with a
 Prometheus ``/metrics`` scrape showing the stack's internals — request
-counters by tenant and status, latency percentiles, executor step
+counters by tenant and status, latency percentiles, plan step
 timings, cache and coalescer stats.
 
 Run with:  python examples/api_gateway.py
@@ -52,7 +52,7 @@ def main():
     print(f"ops still   -> "
           f"{gateway.get('/v1/pipelines', headers={'X-API-Key': ops_key}).status}")
 
-    # 6. Real work feeds the executor timing sink behind /metrics.
+    # 6. Real work feeds the plan timing sink behind /metrics.
     signal = generate_signal("gw-demo", length=300, n_anomalies=2,
                              random_state=7)
     detection = gateway.post("/v1/detect", {

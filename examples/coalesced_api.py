@@ -4,7 +4,7 @@ A serving fleet's clients ask about one signal at a time — ``POST
 /detect`` with a single row array each. Handling every request with its
 own pipeline pass wastes the batch data plane, so the API coalesces:
 concurrent requests with a compatible configuration (same pipeline,
-hyperparameters, executor and training rows) accumulate in a small
+hyperparameters, exact flag and training rows) accumulate in a small
 time/size-bounded window and execute as **one** ``detect_batch`` pass.
 Each client still receives only its own signal's anomalies; the server
 just did N requests' work in one pipeline execution.

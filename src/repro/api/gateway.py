@@ -29,7 +29,7 @@ the log record and stamps a ``Deprecation`` response header.
 the gateway's :class:`~repro.api.metrics.MetricsRegistry` in Prometheus
 text format: request counters and latency summaries by route, rate-limit
 and shed counters by tenant, plus collectors over the stats the stack
-already keeps — executor step timings, coalescer requests-vs-executions,
+already keeps — plan step timings, coalescer requests-vs-executions,
 stream session state, and work-queue depth/dead-letters. ``GET /health``
 is a public liveness probe.
 """
@@ -55,7 +55,7 @@ from repro.api.metrics import (
 )
 from repro.api.rest import Response, SintelAPI, error_envelope
 from repro.api.tenants import TenantRegistry
-from repro.core.executor import set_timing_sink
+from repro.core.plan import set_timing_sink
 from repro.exceptions import AuthenticationError
 
 __all__ = ["Gateway", "AdmissionController", "normalize_route"]

@@ -9,8 +9,8 @@ Beyond the gateway's own request counters and latency summaries, the
 registry accepts *collectors*: callables invoked at render time that pull
 the rich stats the stack already keeps — ``RequestCoalescer.stats()``
 requests-vs-executions, stream session state, work-queue depth and
-dead-letters, and the per-step executor timings observed through
-:func:`repro.core.executor.set_timing_sink` — and restate them as gauges
+dead-letters, and the per-step plan timings observed through
+:func:`repro.core.plan.set_timing_sink` — and restate them as gauges
 and counters, so a single scrape covers every layer.
 
 :func:`parse_prometheus` is the inverse used by the test suite and the CI
@@ -315,10 +315,10 @@ def parse_prometheus(text: str) -> Dict[Tuple[str, Tuple], float]:
 # collectors over the existing stats surfaces
 # --------------------------------------------------------------------- #
 class ExecutorTimingCollector:
-    """Aggregate per-step executor timings into counters.
+    """Aggregate per-step plan timings into counters.
 
-    Install with :func:`repro.core.executor.set_timing_sink`; every
-    ``Pipeline`` run then feeds its ``step_timings`` here, and the
+    Install with :func:`repro.core.plan.set_timing_sink`; every plan run
+    (pipeline or fleet round) then feeds its step timings here, and the
     collector exports ``sintel_executor_step_seconds_total`` /
     ``sintel_executor_step_runs_total`` per step name.
     """

@@ -133,7 +133,7 @@ class SintelAPI:
     ``POST /detect`` serves clients that ask about *one* signal at a time
     — but the server still batches them: concurrent requests with a
     compatible configuration (same pipeline, hyperparameters, options,
-    executor and training rows) accumulate in a small time/size-bounded
+    exact flag and training rows) accumulate in a small time/size-bounded
     window (``coalesce_window`` seconds, at most ``coalesce_max_batch``
     requests) and execute as **one** ``detect_batch`` pass, with each
     response carrying only its own signal's anomalies. ``self.coalescer``
@@ -453,7 +453,6 @@ class SintelAPI:
         sintel = Sintel(
             body["pipeline"],
             hyperparameters=body.get("hyperparameters"),
-            executor=body.get("executor"),
             **body.get("pipeline_options", {}),
         )
         # Train on the supplied rows, or on the first signal of the batch.
@@ -477,9 +476,9 @@ class SintelAPI:
         """Coalescing compatibility key of one ``POST /detect`` request.
 
         Requests may only share a batch when the *whole* pipeline
-        configuration — name, hyperparameters, options, executor, exact
-        flag — and the training rows are identical; the (potentially
-        large) training rows enter the key as a digest.
+        configuration — name, hyperparameters, options, exact flag — and
+        the training rows are identical; the (potentially large) training
+        rows enter the key as a digest.
         """
         train = body.get("train", body["data"])
         digest = hashlib.sha256(
@@ -488,7 +487,6 @@ class SintelAPI:
             "pipeline": body["pipeline"],
             "hyperparameters": body.get("hyperparameters"),
             "pipeline_options": body.get("pipeline_options", {}),
-            "executor": body.get("executor"),
             "exact": bool(body.get("exact", True)),
             "train": digest,
         }, sort_keys=True, default=str)
@@ -502,7 +500,6 @@ class SintelAPI:
         sintel = Sintel(
             first["pipeline"],
             hyperparameters=first.get("hyperparameters"),
-            executor=first.get("executor"),
             **first.get("pipeline_options", {}),
         )
         sintel.fit(first.get("train", first["data"]))
@@ -556,14 +553,13 @@ class SintelAPI:
         data = body["data"]
         hyperparameters = body.get("hyperparameters")
         options = body.get("pipeline_options", {})
-        executor = body.get("executor")
 
         def run() -> dict:
             # Imported lazily to keep the API importable without the core.
             from repro.core.sintel import Sintel
 
             sintel = Sintel(pipeline, hyperparameters=hyperparameters,
-                            executor=executor, **options)
+                            **options)
             anomalies = sintel.fit_detect(data)
             return {
                 "pipeline": pipeline,
@@ -578,9 +574,8 @@ class SintelAPI:
             key: body[key]
             for key in ("pipelines", "datasets", "method", "scale",
                         "max_signals", "pipeline_options", "workers",
-                        "executor", "pipeline_executor", "shard_index",
-                        "shard_count", "checkpoint_dir", "resume",
-                        "queue_path")
+                        "executor", "shard_index", "shard_count",
+                        "checkpoint_dir", "resume", "queue_path")
             if key in body
         }
         options.setdefault("profile_memory", False)
@@ -615,7 +610,6 @@ class SintelAPI:
             body["data"],
             hyperparameters=body.get("hyperparameters"),
             pipeline_options=body.get("pipeline_options"),
-            executor=body.get("executor"),
             signal_id=body.get("signal_id"),
             drift=body.get("drift"),
             fleet_group=body.get("fleet_group"),

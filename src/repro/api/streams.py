@@ -196,7 +196,7 @@ class StreamManager:
     # lifecycle
     # ------------------------------------------------------------------ #
     def open(self, pipeline, train_data, hyperparameters: Optional[dict] = None,
-             pipeline_options: Optional[dict] = None, executor=None,
+             pipeline_options: Optional[dict] = None,
              signal_id: Optional[str] = None, drift=None,
              fleet_group: Optional[str] = None,
              **stream_options) -> StreamSession:
@@ -240,7 +240,7 @@ class StreamManager:
                     )
         if sintel is None:
             sintel = Sintel(pipeline, hyperparameters=hyperparameters,
-                            executor=executor, **(pipeline_options or {}))
+                            **(pipeline_options or {}))
             sintel.fit(train_data)
             if fleet_group is not None:
                 with self._lock:

@@ -208,7 +208,7 @@ def _best_of(action, repeats: int) -> float:
 def run_batch_on_pipeline(pipeline_name: str, signals: Sequence[Signal],
                           repeats: int = 3,
                           pipeline_options: Optional[dict] = None,
-                          executor=None, exact: bool = True) -> dict:
+                          exact: bool = True) -> dict:
     """Measure one pipeline's loop vs batch detection over ``signals``."""
     record = {
         "pipeline": pipeline_name,
@@ -219,8 +219,7 @@ def run_batch_on_pipeline(pipeline_name: str, signals: Sequence[Signal],
     try:
         arrays = [signal.to_array() if isinstance(signal, Signal)
                   else np.asarray(signal, dtype=float) for signal in signals]
-        sintel = Sintel(pipeline_name, executor=executor,
-                        **(pipeline_options or {}))
+        sintel = Sintel(pipeline_name, **(pipeline_options or {}))
         started = time.perf_counter()
         sintel.fit(arrays[0])
         record["fit_time"] = time.perf_counter() - started
@@ -263,7 +262,7 @@ def benchmark_batch(pipelines: Optional[Sequence[str]] = None,
                     batch_size: int = 8,
                     repeats: int = 3,
                     pipeline_options: Optional[Dict[str, dict]] = None,
-                    executor=None, exact: bool = True,
+                    exact: bool = True,
                     verbose: bool = False) -> dict:
     """Run the batch-vs-loop throughput sweep over the Fig. 7a pipelines.
 
@@ -275,7 +274,6 @@ def benchmark_batch(pipelines: Optional[Sequence[str]] = None,
         batch_size: number of generated signals when ``signals`` is None.
         repeats: timing repetitions; both paths report their best run.
         pipeline_options: per-pipeline spec-factory overrides.
-        executor: executor for each pipeline's internal step scheduling.
         exact: measure the bitwise-exact batch plane (``True``, default)
             or the fused single-precision plane (``False``) whose parity
             is tolerance-based.
@@ -307,7 +305,7 @@ def benchmark_batch(pipelines: Optional[Sequence[str]] = None,
         record = run_batch_on_pipeline(
             pipeline_name, signals, repeats=repeats,
             pipeline_options=pipeline_options.get(pipeline_name),
-            executor=executor, exact=exact,
+            exact=exact,
         )
         records.append(record)
         if verbose:  # pragma: no cover - console output

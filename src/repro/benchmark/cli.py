@@ -73,8 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="distributed executor only: durable work-queue "
                           "file shared by the worker fleet (default: a "
                           "temporary queue discarded after the run)")
-    run.add_argument("--pipeline-executor", default=None,
-                     help="executor name for each pipeline's internal steps")
     run.add_argument("--no-memory", action="store_true",
                      help="skip tracemalloc memory profiling (faster)")
     run.add_argument("--verbose", action="store_true",
@@ -144,7 +142,6 @@ def _command_run(args: argparse.Namespace) -> int:
         verbose=args.verbose,
         workers=args.workers,
         executor=args.executor,
-        pipeline_executor=args.pipeline_executor,
         shard_index=args.shard_index,
         shard_count=args.shard_count,
         checkpoint_dir=args.checkpoint_dir,

@@ -32,8 +32,8 @@ from repro.core.executor import (
     SerialExecutor,
     ThreadedExecutor,
     get_executor,
-    trace_memory,
 )
+from repro.core.plan import trace_memory
 from repro.core.sintel import Sintel
 from repro.data.datasets import load_benchmark_datasets
 from repro.data.signal import Dataset, Signal
@@ -73,8 +73,7 @@ DEFAULT_PIPELINE_OPTIONS: Dict[str, dict] = {
 def run_pipeline_on_signal(pipeline_name: str, signal: Signal,
                            pipeline_options: Optional[dict] = None,
                            method: str = "overlapping",
-                           profile_memory: bool = True,
-                           executor=None) -> dict:
+                           profile_memory: bool = True) -> dict:
     """Fit and detect one pipeline on one signal and score the result.
 
     Returns a benchmark record dictionary (see
@@ -96,7 +95,7 @@ def run_pipeline_on_signal(pipeline_name: str, signal: Signal,
     data = signal.to_array()
 
     try:
-        sintel = Sintel(pipeline_name, executor=executor, **options)
+        sintel = Sintel(pipeline_name, **options)
 
         with trace_memory(profile_memory) as probe:
             started = time.perf_counter()
@@ -153,7 +152,6 @@ def _execute_benchmark_job(job: dict) -> dict:
         pipeline_options=job["pipeline_options"],
         method=job["method"],
         profile_memory=job["profile_memory"],
-        executor=job["pipeline_executor"],
     )
     record["dataset"] = job["dataset"]
 
@@ -268,7 +266,6 @@ def benchmark(pipelines: Optional[Sequence[str]] = None,
               verbose: bool = False,
               workers: int = 1,
               executor=None,
-              pipeline_executor=None,
               shard_index: Optional[int] = None,
               shard_count: Optional[int] = None,
               checkpoint_dir: Optional[str] = None,
@@ -305,11 +302,8 @@ def benchmark(pipelines: Optional[Sequence[str]] = None,
             processes (``python -m repro.worker``) against it — slower to
             start than ``"process"`` but crash-survivable: a killed
             worker costs one lease timeout, and a re-run against the same
-            ``queue_path`` resumes from the finished jobs.
-        pipeline_executor: optional executor forwarded to each pipeline.
-            Every executor runs the pipeline's steps in order in the job's
-            thread. With ``executor="process"`` this must be a registry
-            *name* (it crosses the process boundary).
+            ``queue_path`` resumes from the finished jobs. Each job runs
+            its pipeline's steps in order in the job's own thread.
         shard_index / shard_count: run only a deterministic round-robin
             slice of the job list. Both must be given together; distinct
             indices partition the run, so N invocations with
@@ -383,7 +377,6 @@ def benchmark(pipelines: Optional[Sequence[str]] = None,
                     "pipeline_options": pipeline_options.get(pipeline_name),
                     "method": method,
                     "profile_memory": profile_memory,
-                    "pipeline_executor": pipeline_executor,
                     "verbose": verbose,
                 })
 

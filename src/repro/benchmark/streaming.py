@@ -82,7 +82,6 @@ def run_stream_on_signal(pipeline_name: str, signal: Signal,
                          warmup: int = 64,
                          tolerance: Optional[float] = None,
                          pipeline_options: Optional[dict] = None,
-                         executor=None,
                          explorer=None) -> dict:
     """Stream one signal through one pipeline and compare against batch.
 
@@ -104,8 +103,7 @@ def run_stream_on_signal(pipeline_name: str, signal: Signal,
         "status": "ok",
     }
     try:
-        sintel = Sintel(pipeline_name, executor=executor,
-                        **(pipeline_options or {}))
+        sintel = Sintel(pipeline_name, **(pipeline_options or {}))
         started = time.perf_counter()
         sintel.fit(data)
         record["fit_time"] = time.perf_counter() - started
@@ -363,7 +361,6 @@ def benchmark_streaming(pipelines: Optional[Sequence[str]] = None,
                         warmup: int = 64,
                         tolerance: Optional[float] = None,
                         pipeline_options: Optional[Dict[str, dict]] = None,
-                        executor=None,
                         explorer=None,
                         verbose: bool = False) -> dict:
     """Run the streaming vs. batch benchmark sweep.
@@ -381,7 +378,6 @@ def benchmark_streaming(pipelines: Optional[Sequence[str]] = None,
         tolerance: parity edge tolerance in timestamp units (default:
             ``batch_size``).
         pipeline_options: per-pipeline spec-factory overrides.
-        executor: executor for each pipeline's internal step scheduling.
         explorer: optional :class:`~repro.db.explorer.SintelExplorer`;
             sessions and emitted anomalies are persisted through it.
         verbose: print one line per (pipeline, signal).
@@ -403,7 +399,7 @@ def benchmark_streaming(pipelines: Optional[Sequence[str]] = None,
                 pipeline_name, signal, batch_size=batch_size,
                 window_size=window_size, warmup=warmup, tolerance=tolerance,
                 pipeline_options=pipeline_options.get(pipeline_name),
-                executor=executor, explorer=explorer,
+                explorer=explorer,
             )
             records.append(record)
             if verbose:  # pragma: no cover - console output

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.executor import get_executor
 from repro.core.sintel import Sintel
 from repro.data.signal import LABELS_KEY, Signal
 from repro.data.synthetic import WorkloadGenerator
@@ -91,20 +92,25 @@ def default_mv_fleet(seed: int = MV_FLEET_SEED,
     return [generator.signal(index) for index in range(n_signals)]
 
 
+def _fit_detect(job: tuple) -> list:
+    """Fit+detect one pipeline on one signal: a picklable ``map`` job."""
+    name, options, data, disable_detection = job
+    sintel = Sintel(name, **options)
+    sintel.fit(data)
+    detected = sintel.detect(data)
+    return [] if disable_detection else detected
+
+
 def _run_pipeline(name: str, options: dict, signals: List[Signal],
                   executor=None,
                   disable_detection: bool = False) -> List[list]:
-    """Fit+detect one pipeline on every signal, returning events per signal."""
-    detections = []
-    for signal in signals:
-        data = signal.to_array()
-        sintel = Sintel(name, executor=executor, **options)
-        sintel.fit(data)
-        detected = sintel.detect(data)
-        if disable_detection:
-            detected = []
-        detections.append(detected)
-    return detections
+    """Fit+detect one pipeline on every signal, returning events per signal.
+
+    The per-signal jobs fan out through ``executor`` (serial by default).
+    """
+    jobs = [(name, options, signal.to_array(), disable_detection)
+            for signal in signals]
+    return get_executor(executor).map(_fit_detect, jobs)
 
 
 def _quality_view(detections: List[list]) -> List[List[Tuple[float, float]]]:
@@ -124,8 +130,10 @@ def benchmark_synthetic(pipelines: Optional[Dict[str, dict]] = None,
             :data:`SYNTHETIC_PIPELINES`.
         disable_detection: the negative control — discard every detection
             before scoring, so the gate must fail.
-        parity_executor: executor name to re-run the first pipeline under
-            and compare against the serial events exactly (``None`` skips).
+        parity_executor: executor name whose ``map`` re-runs the first
+            pipeline's per-signal fit+detect jobs — ``"process"`` fits
+            them in pool workers — for an exact comparison with the serial
+            events (``None`` skips).
         mv: also run the multivariate attribution leg.
 
     Returns a JSON-serializable result dictionary.
@@ -158,8 +166,8 @@ def benchmark_synthetic(pipelines: Optional[Dict[str, dict]] = None,
         merged["options"] = options
         result["pipelines"][name] = merged
 
-    # Executor parity: the first pipeline re-run under another executor
-    # must produce exactly the same events as the serial run.
+    # Executor parity: the first pipeline's jobs fanned out through
+    # another executor must produce exactly the serial run's events.
     if parity_executor is not None and pipelines:
         first_name, first_options = next(iter(pipelines.items()))
         parity_detections = _run_pipeline(

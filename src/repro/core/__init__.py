@@ -2,11 +2,9 @@
 
 from repro.core.analysis import AnalysisReport, analyze
 from repro.core.executor import (
-    ExecutionPlan,
     ProcessExecutor,
     Executor,
     SerialExecutor,
-    StepNode,
     ThreadedExecutor,
     get_executor,
     list_executors,
@@ -22,10 +20,12 @@ from repro.core.pipeline import Pipeline, Template
 from repro.core.plan import (
     PLAN_MODES,
     CompiledStep,
+    ExecutionPlan,
     FusedStep,
     LaneRegistry,
     LaneStep,
     PlanCompiler,
+    StepNode,
 )
 from repro.core.primitive import (
     Primitive,

@@ -24,10 +24,10 @@ execution across signals — but only offline. This module joins them:
   with per-tier budget floors, so a drift storm on hot streams can never
   starve the cold tier's periodic backfill; a :class:`StandbyCache`
   lands refits on warm standby pipelines whose fit-mode plans are
-  already compiled, and the displaced serving pipeline becomes the next
-  standby. The scheduler is the only owner of refits: a single stream
-  refits through a one-lane scheduler, and every API stream session is a
-  lane on the API's one scheduler.
+  already compiled, and a displaced serving pipeline becomes the next
+  standby once no lane serves it. The scheduler is the only owner of
+  refits: a single stream refits through a one-lane scheduler, and every
+  API stream session is a lane on the API's one scheduler.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.core.executor import observe_step_timings
 from repro.core.pipeline import Pipeline
 from repro.core.plan import LaneRegistry
 from repro.core.stream import StreamEvent, StreamRunner
@@ -149,10 +148,7 @@ class FleetGroup:
             "data": [lane.runner.window for lane in lanes],
             "events": [None] * len(lanes),
         }
-        context, timings = self.base.executor.run_plan(
-            plan, context, fit=False)
-        self.base.step_timings = timings
-        observe_step_timings(timings)
+        context, self.base.step_timings = plan.run(context)
         anomalies = context.get("anomalies")
         if anomalies is None:
             anomalies = [None] * len(lanes)
@@ -384,22 +380,26 @@ class FleetStreamRunner:
 
         A refitted lane leaves its shared group — its new fitted state is
         its own — and lands in the group keyed by the new pipeline
-        (usually a fresh singleton). Empty groups are dropped. Returns
-        the displaced pipeline, or ``None`` when the lane closed while
-        its refit ran (nothing is swapped, so no group is re-created).
+        (usually a fresh singleton). Empty groups are dropped.
+
+        Returns the pipeline that no lane serves after the call, ready to
+        recycle: ``fitted`` itself when the lane closed while its refit
+        ran (nothing is swapped), the displaced pipeline once its group
+        emptied, and ``None`` while other lanes still serve it.
         """
         with self._lock:
             if lane.closed:
-                return None
+                return fitted
             previous = lane.runner.adopt_pipeline(fitted)
             old = lane.group
             if lane in old.lanes:
                 old.lanes.remove(lane)
-            if not old.lanes:
-                self._groups.pop(id(old.base), None)
             group = self._group_for(fitted)
             group.lanes.append(lane)
             lane.rebind(group)
+            if old.lanes:
+                return None
+            self._groups.pop(id(old.base), None)
             return previous
 
     # ------------------------------------------------------------------ #
@@ -560,9 +560,11 @@ class StandbyCache:
     A refit acquires a standby (a previously displaced serving pipeline
     when one is cached — its fit-mode plan is already compiled, so the
     refit only swaps fresh primitives into existing cells — or a cold
-    clone otherwise), and after the swap the displaced pipeline is
-    released back as the next warm standby for any lane running the same
-    template/λ. A single lane therefore ping-pongs between two pipelines.
+    clone otherwise). After the swap the displaced pipeline is released
+    back as the next warm standby for any lane running the same
+    template/λ — but only once no lane serves it, because the next refit
+    fits a standby in place. A single lane therefore ping-pongs between
+    two pipelines, while a lane leaving a shared group takes a cold clone.
     Capacity-bounded; eviction just drops the pipeline.
     """
 
@@ -752,17 +754,19 @@ class StreamScheduler:
                snapshot: np.ndarray) -> None:
         """Fit ``standby`` on ``snapshot`` and swap it into ``lane``.
 
-        Never raises: a failure anywhere from the fit to the release of
-        the displaced pipeline is recorded on the lane, which keeps
-        serving its current pipeline and stays eligible for later refits.
+        Releases to the standby cache exactly the pipeline the swap left
+        unserved (see :meth:`FleetStreamRunner.adopt`). Never raises: a
+        failure anywhere from the fit to that release is recorded on the
+        lane, which keeps serving its current pipeline and stays eligible
+        for later refits.
         """
         try:
             standby.fit(snapshot)
-            previous = self.fleet.adopt(lane, standby)
-            if previous is None:  # the lane closed while its refit ran
-                self.standby.release(standby)
+            unused = self.fleet.adopt(lane, standby)
+            if unused is not None:
+                self.standby.release(unused)
+            if unused is standby:  # the lane closed while its refit ran
                 return
-            self.standby.release(previous)
             lane.last_refit = self._clock()
             with self._lock:  # async refits finish on several threads
                 self.refits_by_tier[tier] = self.refits_by_tier.get(tier, 0) + 1

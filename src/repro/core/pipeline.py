@@ -12,10 +12,10 @@ mode-tagged :class:`~repro.core.plan.CompiledStep` representation per mode
 (``fit`` / ``detect`` / ``stream`` / ``batch``), and every public entry
 point — :meth:`Pipeline.fit`, :meth:`Pipeline.detect`,
 :meth:`Pipeline.partial_detect`, :meth:`Pipeline.detect_batch` — runs the
-corresponding compiled plan through the pipeline's executor. Plans are
-compiled once and kept across refits: a refit swaps fresh primitives into
-the ``[step, primitive]`` cells that every compiled node reads at call
-time.
+corresponding compiled plan in the caller with one
+:meth:`~repro.core.plan.ExecutionPlan.run` call. Plans are compiled once
+and kept across refits: a refit swaps fresh primitives into the
+``[step, primitive]`` cells that every compiled node reads at call time.
 """
 
 from __future__ import annotations
@@ -26,13 +26,7 @@ from typing import Dict, List, Optional
 import networkx as nx
 import numpy as np
 
-from repro.core.executor import (
-    ExecutionPlan,
-    Executor,
-    get_executor,
-    observe_step_timings,
-)
-from repro.core.plan import PlanCompiler
+from repro.core.plan import ExecutionPlan, PlanCompiler
 from repro.core.primitive import get_primitive, get_primitive_class
 from repro.exceptions import NotFittedError, PipelineError
 
@@ -143,10 +137,9 @@ class Pipeline:
 
     The pipeline runs its steps over a shared *context* — a dictionary of
     named variables. ``fit`` calls every step's ``fit`` and ``produce``;
-    ``detect`` only calls ``produce``. Step scheduling, per-step timing and
-    memory profiling are delegated to a pluggable
-    :class:`~repro.core.executor.Executor` (serial by default), and the
-    resulting ``step_timings`` feed the computational benchmark (Figure 7).
+    ``detect`` only calls ``produce``. Steps run in order in the caller,
+    and the plan's per-step timings (and, when profiling, memory) land in
+    ``step_timings`` for the computational benchmark (Figure 7).
 
     All execution goes through the unified plan IR: the first run of each
     mode lowers the template once via :class:`~repro.core.plan.PlanCompiler`
@@ -157,12 +150,9 @@ class Pipeline:
     Args:
         spec: template specification dictionary.
         hyperparameters: optional hyperparameter overrides.
-        executor: executor name, class or instance that schedules the steps
-            (``None`` selects the serial executor).
     """
 
-    def __init__(self, spec: dict, hyperparameters: Optional[dict] = None,
-                 executor=None):
+    def __init__(self, spec: dict, hyperparameters: Optional[dict] = None):
         self.template = Template(spec)
         self.spec = self.template.spec
         self.name = self.template.name
@@ -172,7 +162,6 @@ class Pipeline:
             self.set_hyperparameters(hyperparameters)
         self._primitives = None
         self._compiler: Optional[PlanCompiler] = None
-        self._executor = get_executor(executor)
         self.fitted = False
         self.step_timings: Dict[str, dict] = {}
 
@@ -183,18 +172,6 @@ class Pipeline:
         state = self.__dict__.copy()
         state["_compiler"] = None
         return state
-
-    # ------------------------------------------------------------------ #
-    # executor selection
-    # ------------------------------------------------------------------ #
-    @property
-    def executor(self) -> Executor:
-        """The executor that schedules this pipeline's steps."""
-        return self._executor
-
-    def set_executor(self, executor) -> None:
-        """Select the executor (name, class or instance) used by ``_run``."""
-        self._executor = get_executor(executor)
 
     # ------------------------------------------------------------------ #
     # hyperparameters
@@ -292,12 +269,9 @@ class Pipeline:
         if fit:
             self._rebuild_primitives()
         mode = "fit" if fit else ("stream" if stream else "detect")
-        plan = self.compiled_plan(mode)
         self.step_timings = {}
-        context, self.step_timings = self._executor.run_plan(
-            plan, context, fit=fit, profile=profile
-        )
-        observe_step_timings(self.step_timings)
+        context, self.step_timings = self.compiled_plan(mode).run(
+            context, fit=fit, profile=profile)
         return context
 
     def fit(self, data, profile: bool = False, **context_variables) -> "Pipeline":
@@ -398,10 +372,7 @@ class Pipeline:
             context[name] = values
         plan = self.compiled_plan("batch", exact=exact, precision=precision)
         self.step_timings = {}
-        context, self.step_timings = self._executor.run_plan(
-            plan, context, fit=False, profile=profile
-        )
-        observe_step_timings(self.step_timings)
+        context, self.step_timings = plan.run(context, profile=profile)
         anomalies = context.get("anomalies")
         if anomalies is None:
             anomalies = [None] * size
@@ -412,8 +383,8 @@ class Pipeline:
 
         ``data`` is the stream's current window — typically the trailing
         ``window_size`` rows maintained by
-        :class:`~repro.core.stream.StreamRunner`. Steps run through the same
-        executor as :meth:`detect`, but through the *stream-mode* plan:
+        :class:`~repro.core.stream.StreamRunner`. Steps run in the caller
+        like :meth:`detect`, but through the *stream-mode* plan:
         primitives that declare ``supports_stream`` consume the window
         through :meth:`~repro.core.primitive.Primitive.update` (folding the
         new samples into running state) while every other step
@@ -435,15 +406,13 @@ class Pipeline:
         return self.detect(data, **context_variables)
 
     def clone(self) -> "Pipeline":
-        """Return an unfitted copy with the same spec, λ and executor.
+        """Return an unfitted copy with the same spec and λ.
 
         Used by the stream scheduler's standby cache to refit a
         replacement pipeline while the current instance keeps serving
         micro-batches; the replacement is then swapped in atomically.
         """
-        fresh = Pipeline(self.spec, hyperparameters=self.get_hyperparameters())
-        fresh.set_executor(self._executor)
-        return fresh
+        return Pipeline(self.spec, hyperparameters=self.get_hyperparameters())
 
     @staticmethod
     def _format_anomalies(anomalies) -> List[tuple]:

@@ -20,22 +20,27 @@ execution surface consumes the same IR:
   based instead of bitwise (BLAS summation order changes with the GEMM
   shape), compiled as a plan of its own.
 
-Every node's ``execute`` closure builds its ``CompiledStep`` over the
-primitive the ``[step, primitive]`` cell holds at call time and runs it in
-the caller, so there is exactly one implementation of argument collection,
-output mapping, and mode dispatch for every mode and every executor.
+A compiled plan is an :class:`ExecutionPlan`: an ordered list of named,
+timed :class:`StepNode` entries. It runs itself —
+:meth:`ExecutionPlan.run` executes the nodes one by one, in plan order, on
+the calling thread, and feeds the per-step timings to the installed
+timing sink (:func:`set_timing_sink`). Hub pipelines are chains — every
+pair of steps is ordered by the data they share — so no plan ever has two
+steps ready at once. Every node's ``execute`` closure builds its
+``CompiledStep`` over the primitive the ``[step, primitive]`` cell holds at
+call time, so there is exactly one implementation of argument collection,
+output mapping, and mode dispatch for every mode.
 
 Batch plans additionally run a **step-fusion pass**: contiguous runs of
 steps whose primitives declare a ``fuse_category`` (elementwise / window /
 forward) lower into a single :class:`FusedStep` work unit — one node that
 executes the whole chain in one pass, threading intermediate ndarrays
 straight from member to member and leasing NN scratch space from the
-plan's :class:`~repro.core.arena.ArenaPool` instead of re-entering the
-executor (and its allocation machinery) per step. Fusion is transparent
-to every executor: a ``FusedStep`` node runs like any other node. Setting
-the ``REPRO_NO_FUSION`` environment variable disables the pass (each step
-lowers to its own node, the pre-fusion behaviour) — the benchmark uses
-this to attribute speedups.
+plan's :class:`~repro.core.arena.ArenaPool` instead of returning to the
+plan loop (and its timing machinery) per step. A ``FusedStep`` node runs
+like any other node. Setting the ``REPRO_NO_FUSION`` environment variable
+disables the pass (each step lowers to its own node, the pre-fusion
+behaviour) — the benchmark uses this to attribute speedups.
 
 The compiler also owns the plan cache: plans are compiled lazily per
 ``(mode, exact, precision)`` key and reused — not recompiled — when a
@@ -47,17 +52,176 @@ streaming layer's refit-reuse regression test pins.
 
 from __future__ import annotations
 
+import contextlib
 import os
-from typing import Dict, List, Optional, Tuple
+import time
+import tracemalloc
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.arena import ArenaPool
-from repro.core.executor import ExecutionPlan, StepNode
-from repro.exceptions import PipelineError
+from repro.exceptions import ExecutorError, PipelineError
 
-__all__ = ["PLAN_MODES", "CompiledStep", "FusedStep", "LaneRegistry",
-           "LaneStep", "PlanCompiler", "collect_args"]
+__all__ = ["PLAN_MODES", "CompiledStep", "ExecutionPlan", "FusedStep",
+           "LaneRegistry", "LaneStep", "PlanCompiler", "StepNode",
+           "collect_args", "observe_step_timings", "set_timing_sink",
+           "trace_memory"]
+
+
+# --------------------------------------------------------------------------- #
+# step-timing observability
+# --------------------------------------------------------------------------- #
+#: Optional process-wide sink receiving every run's ``step_timings`` dict
+#: (``{step_name: {"elapsed": ..., ...}}``). The API gateway installs an
+#: aggregator here so ``GET /metrics`` can export step timings; when no
+#: sink is installed the hook is a no-op on the hot path.
+_TIMING_SINK: Optional[Callable[[Dict[str, dict]], None]] = None
+
+
+def set_timing_sink(sink: Optional[Callable[[Dict[str, dict]], None]]
+                    ) -> Optional[Callable]:
+    """Install (or clear, with ``None``) the step-timing sink.
+
+    Returns the previously installed sink so callers can restore it.
+    """
+    global _TIMING_SINK
+    previous = _TIMING_SINK
+    _TIMING_SINK = sink
+    return previous
+
+
+def observe_step_timings(timings: Dict[str, dict]) -> None:
+    """Feed one run's per-step timings to the installed sink, if any.
+
+    Sink errors are swallowed: observability must never fail a detection.
+    """
+    sink = _TIMING_SINK
+    if sink is None or not timings:
+        return
+    try:
+        sink(timings)
+    except Exception:  # noqa: BLE001 - observability is best-effort
+        pass
+
+
+# --------------------------------------------------------------------------- #
+# profiling helpers
+# --------------------------------------------------------------------------- #
+class _MemoryProbe:
+    """Result holder for :func:`trace_memory`."""
+
+    def __init__(self):
+        self.memory = 0
+
+
+@contextlib.contextmanager
+def trace_memory(enabled: bool = True):
+    """Measure peak traced memory of the ``with`` body, nested-safe.
+
+    Yields a probe whose ``memory`` attribute holds the peak delta in bytes
+    once the block exits. When an outer ``tracemalloc`` trace is already
+    active (e.g. the benchmark runner profiling a whole pipeline run) the
+    body is measured against a fresh peak (``tracemalloc.reset_peak``) so
+    earlier high-water marks do not bleed into this block, and the outer
+    trace is left running; otherwise the trace is owned and stopped here.
+    An enclosing probe consequently reports the peak since its *last* inner
+    probe, not its true lifetime peak — hold an outer probe only as a trace
+    anchor, not for its number.
+
+    Concurrent measurements must share one outer trace: whoever runs
+    measured work on several threads should hold ``trace_memory`` open
+    around the fan-out so no single task stops the trace while siblings
+    are still measuring (their deltas then become rough estimates, since
+    the peak reset and reads race across threads).
+    """
+    probe = _MemoryProbe()
+    owns_trace = False
+    baseline = 0
+    if enabled:
+        if tracemalloc.is_tracing():
+            baseline = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+        else:
+            tracemalloc.start()
+            owns_trace = True
+    try:
+        yield probe
+    finally:
+        if enabled:
+            if tracemalloc.is_tracing():
+                peak = tracemalloc.get_traced_memory()[1]
+                probe.memory = max(peak - baseline, 0)
+            if owns_trace:
+                tracemalloc.stop()
+
+
+# --------------------------------------------------------------------------- #
+# execution plans
+# --------------------------------------------------------------------------- #
+@dataclass
+class StepNode:
+    """One named, timed unit of work inside an :class:`ExecutionPlan`.
+
+    Args:
+        name: unique step name within the plan.
+        engine: engine category of the underlying primitive, reported in
+            the step's timing.
+        execute: ``execute(context, fit)`` callable returning a dictionary of
+            context updates. It must not mutate ``context`` itself — the
+            plan applies the updates.
+        members: fused batch nodes only — indices of the compiler cells this
+            node covers (a contiguous chain lowered into one ``FusedStep``).
+            ``None`` for ordinary single-step nodes.
+    """
+
+    name: str
+    engine: str
+    execute: Callable[[dict, bool], dict]
+    members: Optional[Tuple[int, ...]] = None
+
+
+class ExecutionPlan:
+    """An ordered list of step nodes that runs itself.
+
+    :meth:`run` executes the nodes one by one in list order — the
+    template's declaration order — so the order is the plan's semantics.
+    """
+
+    def __init__(self, nodes: Sequence[StepNode]):
+        self.nodes = list(nodes)
+        names = [node.name for node in self.nodes]
+        if len(set(names)) != len(names):
+            raise ExecutorError(f"Duplicate step names in plan: {names}")
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def __iter__(self):
+        return iter(self.nodes)
+
+    def run(self, context: dict, fit: bool = False, profile: bool = False
+            ) -> Tuple[dict, Dict[str, dict]]:
+        """Execute every node over ``context``, in plan order, in the caller.
+
+        Returns the final context and a ``{step: timing}`` mapping with keys
+        ``elapsed``, ``engine`` and ``memory`` (``tracemalloc`` peak bytes
+        when ``profile`` is set, else 0). The timings of a run that
+        completes are also fed to the installed timing sink.
+        """
+        timings: Dict[str, dict] = {}
+        for node in self.nodes:
+            started = time.perf_counter()
+            with trace_memory(profile) as probe:
+                updates = node.execute(context, fit)
+            timings[node.name] = {"elapsed": time.perf_counter() - started,
+                                  "engine": node.engine,
+                                  "memory": probe.memory}
+            context.update(updates)
+        observe_step_timings(timings)
+        return context, timings
+
 
 #: The execution modes a template lowers into. ``stream_batch`` is the
 #: fleet plane's mode: one plan run serves N concurrent streams at once —
@@ -170,7 +334,7 @@ class FusedStep:
     The fusion pass lowers runs of fusable :class:`CompiledStep`s into one
     ``FusedStep``: :meth:`run` pushes the batch through every member in a
     single pass, threading intermediate variables through a chain-local
-    context instead of returning to the executor between steps. The
+    context instead of returning to the plan loop between steps. The
     returned updates are the union of every member's mapped outputs, so
     the post-run context is identical to the unfused plan's — fusion
     changes scheduling, never results (bitwise on the exact plane).

@@ -34,19 +34,14 @@ class Sintel:
             :class:`Template` or an already-built :class:`Pipeline`.
         hyperparameters: optional hyperparameter overrides, keyed by step
             name (or ``(step, name)`` tuples).
-        executor: optional executor (name, class or instance — see
-            :mod:`repro.core.executor`) that schedules the pipeline steps.
         pipeline_options: keyword options forwarded to the spec factory when
             ``pipeline`` is a registered name (e.g. ``window_size`` or
             ``epochs``).
     """
 
     def __init__(self, pipeline: Union[str, dict, Template, Pipeline],
-                 hyperparameters: Optional[dict] = None, executor=None,
-                 **pipeline_options):
+                 hyperparameters: Optional[dict] = None, **pipeline_options):
         self._pipeline = self._resolve(pipeline, hyperparameters, pipeline_options)
-        if executor is not None:
-            self._pipeline.set_executor(executor)
         self.fitted = False
 
     @staticmethod
@@ -97,10 +92,6 @@ class Sintel:
     def pipeline_name(self) -> str:
         """Name of the underlying pipeline."""
         return self._pipeline.name
-
-    def set_executor(self, executor) -> None:
-        """Select the executor used to schedule the pipeline steps."""
-        self._pipeline.set_executor(executor)
 
     def fit(self, data, **context_variables) -> "Sintel":
         """Train the pipeline on ``data``."""

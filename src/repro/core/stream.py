@@ -6,10 +6,9 @@ provides the per-stream half of that execution path:
 
 * :class:`StreamRunner` wraps a *fitted* :class:`~repro.core.pipeline.Pipeline`
   and consumes a signal as a sequence of micro-batches. It maintains a
-  sliding window of raw rows, compiles each micro-batch into a stream-mode
-  :class:`~repro.core.executor.ExecutionPlan`
-  (via :meth:`Pipeline.partial_detect`) and runs it through whichever
-  executor the pipeline uses;
+  sliding window of raw rows and runs the pipeline's stream-mode
+  :class:`~repro.core.plan.ExecutionPlan` over it in the caller (via
+  :meth:`Pipeline.partial_detect`);
 * detections from overlapping windows are reconciled into
   :class:`StreamEvent` records with **stable ids** — an anomaly spanning
   many micro-batches keeps one id while its boundaries refine, and the

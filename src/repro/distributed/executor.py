@@ -60,8 +60,6 @@ INJECT_CRASH_ENV = "REPRO_DIST_INJECT_CRASH"
 class DistributedExecutor(Executor):
     """Fan ``map`` out over stateless workers via a durable work queue.
 
-    Plans run like on every executor: in order, in the caller.
-
     Args:
         max_workers: worker processes to spawn (default 2); ``0`` drains
             the queue inline in the parent process.

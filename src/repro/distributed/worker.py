@@ -1,8 +1,8 @@
 """The stateless queue worker: ``python -m repro.worker``.
 
 A worker owns no state beyond its process: it opens the queue file it
-was pointed at, claims one work unit at a time, executes it through the
-existing executor stack, acknowledges the result, and exits cleanly when
+was pointed at, claims one work unit at a time, executes it in its own
+process, acknowledges the result, and exits cleanly when
 the queue drains (or on SIGTERM). Everything that must survive the
 worker — the unit, its delivery count, its result — lives in the queue,
 so a fleet scales by simply starting more workers against the same path
@@ -19,8 +19,7 @@ Work-unit dictionaries are dispatched on their ``task`` field:
 * ``mapped`` — ``unit["function"](unit["item"])``, the generic
   :meth:`Executor.map` payload (module-level picklable functions);
 * ``benchmark_job`` — one benchmark (pipeline, signal) job dictionary,
-  run through :func:`repro.benchmark.runner._execute_benchmark_job`
-  (which honours the job's own ``pipeline_executor``);
+  run through :func:`repro.benchmark.runner._execute_benchmark_job`;
 * ``detect_batch`` — a ``POST /detect/batch`` body, run through the API
   layer's batched detection.
 

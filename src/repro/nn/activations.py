@@ -90,8 +90,8 @@ class Sigmoid(Activation):
     name = "sigmoid"
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        # dtype-preserving: float32 inputs (the fused/reduced-precision
-        # training planes) stay float32 instead of promoting to float64.
+        # dtype-preserving: float32 inputs (the fused inference plane)
+        # stay float32 instead of promoting to float64.
         out = np.empty_like(x)
         positive = x >= 0
         out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))

@@ -218,10 +218,7 @@ class Dropout(Layer):
             self._mask = None
             return x
         keep = 1.0 - self.rate
-        # astype keeps reduced-precision training in the input's dtype
-        # (float64 masks are returned unchanged).
-        self._mask = ((self._rng.random(x.shape) < keep) / keep).astype(
-            x.dtype, copy=False)
+        self._mask = (self._rng.random(x.shape) < keep) / keep
         return x * self._mask
 
     def fused_forward(self, x):
@@ -416,12 +413,10 @@ class LSTM(Layer):
         units = self.units
         weights, recurrent, bias = self.params["W"], self.params["U"], self.params["b"]
 
-        # State dtype follows the input so reduced-precision training
-        # (float32 params + inputs) does not silently promote to float64.
-        h_prev = np.zeros((batch, units), dtype=x.dtype)
-        c_prev = np.zeros((batch, units), dtype=x.dtype)
+        h_prev = np.zeros((batch, units))
+        c_prev = np.zeros((batch, units))
         cache = []
-        outputs = np.zeros((batch, timesteps, units), dtype=x.dtype)
+        outputs = np.zeros((batch, timesteps, units))
 
         for t in range(timesteps):
             x_t = x[:, t, :]

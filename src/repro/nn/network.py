@@ -116,8 +116,8 @@ class Sequential:
         Returns:
             A :class:`History` callback with per-epoch metrics.
         """
-        x = _as_training_array(x)
-        y = _as_training_array(y)
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
         if len(x) != len(y):
             raise ValueError("x and y must contain the same number of samples")
         if not self.layers:
@@ -249,32 +249,6 @@ class Sequential:
             out = layer.fused_forward_tm(out, take)
         return np.asarray(np.moveaxis(out, -1, 0), dtype=np.float64)
 
-    def fit_fused(self, x: np.ndarray, y: np.ndarray, **fit_kwargs):
-        """Reduced-precision training: the standard fit loop in float32.
-
-        Parameters are cast to float32 for the duration of training — so
-        every batched forward, backward and optimizer update (moments
-        included, via ``zeros_like``) runs in single precision — and cast
-        back to float64 afterwards for the exact inference planes.
-        Accepts the same keyword arguments as :meth:`fit` and returns its
-        :class:`~repro.nn.callbacks.History`.
-        """
-        x = np.asarray(x, dtype=np.float32)
-        y = np.asarray(y, dtype=np.float32)
-        if not self.built:
-            self.build(x.shape[1:])
-        self._cast_params(np.float32)
-        try:
-            return self.fit(x, y, **fit_kwargs)
-        finally:
-            self._cast_params(np.float64)
-
-    def _cast_params(self, dtype) -> None:
-        for layer in self.layers:
-            for key in layer.params:
-                layer.params[key] = layer.params[key].astype(dtype)
-            layer.zero_grads()
-
     def get_weights(self):
         """Return a list with each layer's parameter dictionary."""
         return [layer.get_weights() for layer in self.layers]
@@ -298,19 +272,6 @@ class Sequential:
         lines.append("-" * len(lines[0]))
         lines.append(f"Total params: {self.parameter_count}")
         return "\n".join(lines)
-
-
-def _as_training_array(a):
-    """float64 by default; float32 passes through untouched.
-
-    :meth:`Sequential.fit_fused` feeds float32 arrays — promoting them
-    back to float64 here would silently undo the reduced-precision mode.
-    Every other dtype keeps the historical float64 cast.
-    """
-    a = np.asarray(a)
-    if a.dtype == np.float32:
-        return a
-    return np.asarray(a, dtype=float)
 
 
 def _split_validation(x, y, validation_split):

@@ -63,9 +63,7 @@ class _WindowAutoencoder(Primitive):
         self._model = self._build(X.shape[1:])
         callbacks = [EarlyStopping(monitor="val_loss", patience=int(self.patience))]
         target = X if self._reconstruct_3d else X.reshape(len(X), -1)
-        trainer = self._model.fit_fused if bool(self.fused_training) \
-            else self._model.fit
-        trainer(
+        self._model.fit(
             X, target,
             epochs=int(self.epochs),
             batch_size=int(self.batch_size),
@@ -127,7 +125,6 @@ class LSTMAutoencoder(_WindowAutoencoder):
         "verbose": False,
         "random_state": 0,
         "patience": 5,
-        "fused_training": False,
     }
     tunable_hyperparameters = {
         "lstm_units": {"type": "int", "default": 24, "range": [8, 128]},
@@ -165,7 +162,6 @@ class DenseAutoencoder(_WindowAutoencoder):
         "verbose": False,
         "random_state": 0,
         "patience": 5,
-        "fused_training": False,
     }
     tunable_hyperparameters = {
         "hidden_units": {"type": "int", "default": 64, "range": [16, 256]},

@@ -31,7 +31,6 @@ class LSTMTimeSeriesClassifier(Primitive):
         "verbose": False,
         "random_state": 0,
         "patience": 5,
-        "fused_training": False,
     }
     tunable_hyperparameters = {
         "lstm_units": {"type": "int", "default": 24, "range": [8, 128]},
@@ -60,8 +59,7 @@ class LSTMTimeSeriesClassifier(Primitive):
         model.build(X.shape[1:])
 
         callbacks = [EarlyStopping(monitor="val_loss", patience=int(self.patience))]
-        trainer = model.fit_fused if bool(self.fused_training) else model.fit
-        trainer(
+        model.fit(
             X, y,
             epochs=int(self.epochs),
             batch_size=int(self.batch_size),

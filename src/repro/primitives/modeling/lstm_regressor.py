@@ -32,7 +32,6 @@ class LSTMTimeSeriesRegressor(Primitive):
         "verbose": False,
         "random_state": 0,
         "patience": 5,
-        "fused_training": False,
     }
     tunable_hyperparameters = {
         "lstm_units": {"type": "int", "default": 32, "range": [8, 128]},
@@ -71,9 +70,7 @@ class LSTMTimeSeriesRegressor(Primitive):
             y = y.reshape(len(y), -1)
         self._model = self._build(X.shape[1:], y.shape[1])
         callbacks = [EarlyStopping(monitor="val_loss", patience=int(self.patience))]
-        trainer = self._model.fit_fused if bool(self.fused_training) \
-            else self._model.fit
-        trainer(
+        self._model.fit(
             X, y,
             epochs=int(self.epochs),
             batch_size=int(self.batch_size),

@@ -17,7 +17,6 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.core.executor import get_executor
 from repro.core.pipeline import Pipeline
 from repro.evaluation import REGRESSION_METRICS, contextual_f1_score
 from repro.exceptions import TuningError
@@ -56,10 +55,9 @@ class TuningSession:
         tuner: tuner name (``"gp"``, ``"gpei"``, ``"uniform"``).
         engines: restrict tuning to hyperparameters of these engines
             (e.g. ``["postprocessing"]``); ``None`` tunes everything.
-        executor: optional executor (name, class or instance) used by every
-            candidate pipeline. Every executor runs a candidate's steps in
-            order in the calling thread, so any registered name scores
-            exactly the pipeline a serial run would produce.
+
+    Every candidate pipeline runs its steps in order in the calling
+    thread.
     """
 
     def __init__(self, pipeline, data, ground_truth=None,
@@ -67,8 +65,7 @@ class TuningSession:
                  tuner: str = "gp", engines: Optional[list] = None,
                  random_state: int = 0,
                  scorer: Optional[Callable[[Pipeline], float]] = None,
-                 pipeline_options: Optional[dict] = None,
-                 executor=None):
+                 pipeline_options: Optional[dict] = None):
         if setting not in ("supervised", "unsupervised"):
             raise TuningError(f"Unknown tuning setting {setting!r}")
         if setting == "supervised" and ground_truth is None and scorer is None:
@@ -80,9 +77,6 @@ class TuningSession:
 
         self._pipeline_source = pipeline
         self._pipeline_options = pipeline_options or {}
-        # Resolve once so every candidate pipeline shares the same executor
-        # instance.
-        self._executor = get_executor(executor) if executor is not None else None
         self.data = np.asarray(data, dtype=float)
         self.ground_truth = ground_truth
         self.setting = setting
@@ -103,12 +97,8 @@ class TuningSession:
     # ------------------------------------------------------------------ #
     def _make_pipeline(self) -> Pipeline:
         if isinstance(self._pipeline_source, Pipeline):
-            pipeline = Pipeline(copy.deepcopy(self._pipeline_source.spec))
-        else:
-            pipeline = load_pipeline(self._pipeline_source, **self._pipeline_options)
-        if self._executor is not None:
-            pipeline.set_executor(self._executor)
-        return pipeline
+            return Pipeline(copy.deepcopy(self._pipeline_source.spec))
+        return load_pipeline(self._pipeline_source, **self._pipeline_options)
 
     def _restrict_space(self, pipeline: Pipeline) -> dict:
         space = pipeline.get_tunable_hyperparameters()

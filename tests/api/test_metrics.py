@@ -195,7 +195,7 @@ class TestCollectors:
                         (("step", "model"),))] == 1
 
     def test_timing_sink_feeds_collector_from_pipeline_runs(self):
-        from repro.core.executor import set_timing_sink
+        from repro.core.plan import set_timing_sink
         from repro.core.sintel import Sintel
         from repro.data import generate_signal
 

@@ -155,7 +155,9 @@ class TestJobs:
                 "data": signal.to_array().tolist()}
 
     def test_detect_job_lifecycle(self, api):
-        accepted = api.post("/jobs", self._detect_body())
+        # Pipelines carry no executor: the legacy key is ignored.
+        accepted = api.post("/jobs", dict(self._detect_body(),
+                                          executor="process"))
         assert accepted.status == 202
         job_id = accepted.body["id"]
         assert accepted.body["status"] in ("pending", "running")
@@ -172,7 +174,8 @@ class TestJobs:
         accepted = api.post("/jobs", {
             "task": "benchmark", "pipelines": ["azure"], "datasets": ["NAB"],
             "max_signals": 1, "scale": 0.02, "workers": 2,
-            "executor": "threaded",
+            "executor": "threaded",  # the job fan-out
+            "pipeline_executor": "process",  # a legacy key, ignored
         })
         assert accepted.status == 202
         job = api.jobs.wait(accepted.body["id"], timeout=120)
@@ -317,6 +320,7 @@ class TestDetectBatch:
             "pipeline": "azure",
             "data": signals[0].tolist(),
             "signals": [signal.tolist() for signal in signals],
+            "executor": "process",  # a legacy key, ignored
         })
         assert response.status == 200
         body = response.body
@@ -462,6 +466,35 @@ class TestCoalescedDetect:
         stats = api.coalescer.stats()
         assert stats["executions"] == 2
         assert all(r.body["batch_size"] == 1 for r in responses)
+        api.close()
+
+    def test_requests_differing_only_in_executor_coalesce(self):
+        import threading
+
+        signals = self._signals(2)
+        responses = [None] * 2
+        # max_batch == request count: the batch flushes on size, so the
+        # two requests share a pass only if they share a group key.
+        api = SintelAPI(SintelExplorer(), coalesce_window=10.0,
+                        coalesce_max_batch=2)
+
+        def post(index, executor):
+            responses[index] = api.post("/detect", {
+                "pipeline": "azure",
+                "data": signals[index].tolist(),
+                "train": signals[0].tolist(),
+                "executor": executor,
+            })
+
+        threads = [threading.Thread(target=post, args=(0, "serial")),
+                   threading.Thread(target=post, args=(1, "process"))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert all(r.status == 200 for r in responses)
+        assert api.coalescer.stats()["executions"] == 1
+        assert all(r.body["batch_size"] == 2 for r in responses)
         api.close()
 
     def test_single_request_still_served(self, api):

@@ -286,10 +286,10 @@ class TestStreamOrderingAndPersistence:
 class TestFleetSessions:
     def test_fleet_sessions_via_api(self, api):
         data = _signal_data()
-        # Every session is a fleet lane; the legacy "fleet" key is
-        # accepted and ignored.
+        # Every session is a fleet lane; the legacy "fleet" and
+        # "executor" keys are accepted and ignored.
         created = _open_stream(
-            api, data, fleet=True,
+            api, data, fleet=True, executor="process",
             stream_options={"window_size": 400, "warmup": 64})
         assert created.status == 201
         stream_id = created.body["id"]

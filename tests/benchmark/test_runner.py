@@ -62,15 +62,6 @@ class TestRunPipelineOnSignal:
         finally:
             tracemalloc.stop()
 
-    def test_pipeline_executor_forwarded(self, small_signal):
-        from repro.core.executor import ThreadedExecutor
-
-        record = run_pipeline_on_signal(
-            "arima", small_signal, pipeline_options={"window_size": 30},
-            executor=ThreadedExecutor(max_workers=2), profile_memory=False,
-        )
-        assert record["status"] == "ok"
-
 
 class TestBenchmark:
     def test_benchmark_on_provided_datasets(self, tiny_datasets):

@@ -2,8 +2,8 @@
 
 The central contract under test: for any fitted pipeline and any batch of
 signals, ``detect_batch(signals)`` is *exactly* ``[detect(s) for s in
-signals]`` — same anomalies, same floats — regardless of which executor
-schedules the plan and whether the batch mixes signal lengths.
+signals]`` — same anomalies, same floats — whether or not the batch mixes
+signal lengths.
 """
 
 import pytest
@@ -13,8 +13,6 @@ from repro.core.sintel import Sintel
 from repro.data import generate_signal
 from repro.exceptions import NotFittedError, PipelineError
 from repro.pipelines import get_pipeline_spec
-
-EXECUTORS = ["serial", "threaded", "process"]
 
 PIPELINES = [("azure", {}), ("arima", {"window_size": 30})]
 
@@ -44,11 +42,10 @@ def loop_reference(batch_signals):
 
 
 class TestDetectBatchParity:
-    @pytest.mark.parametrize("executor", EXECUTORS)
     @pytest.mark.parametrize("pipeline,options", PIPELINES)
-    def test_bitwise_identical_to_loop(self, executor, pipeline, options,
+    def test_bitwise_identical_to_loop(self, pipeline, options,
                                        batch_signals, loop_reference):
-        sintel = Sintel(pipeline, executor=executor, **options)
+        sintel = Sintel(pipeline, **options)
         sintel.fit(batch_signals[0])
         assert sintel.detect_many(batch_signals) == loop_reference[pipeline]
 
@@ -139,8 +136,7 @@ class TestFusedBatchParity:
 
     The contract: exact batches stay bitwise-identical to the loop even on
     pipelines whose primitives *could* fuse, while fused batches stay
-    within the documented tolerance (``PARITY_RTOL`` / ``PARITY_ATOL``) on
-    every executor.
+    within the documented tolerance (``PARITY_RTOL`` / ``PARITY_ATOL``).
     """
 
     @pytest.fixture(scope="class")
@@ -149,13 +145,11 @@ class TestFusedBatchParity:
         sintel.fit(batch_signals[0])
         return [sintel.detect(signal) for signal in batch_signals]
 
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_fused_within_tolerance_on_every_executor(
-            self, executor, batch_signals, fused_loop_reference):
+    def test_fused_within_tolerance(self, batch_signals,
+                                    fused_loop_reference):
         from repro.benchmark.batch import anomalies_within_tolerance
 
-        sintel = Sintel("dense_autoencoder", executor=executor,
-                        window_size=40, epochs=3)
+        sintel = Sintel("dense_autoencoder", window_size=40, epochs=3)
         sintel.fit(batch_signals[0])
         fused = sintel.detect_many(batch_signals, exact=False)
         assert anomalies_within_tolerance(fused, fused_loop_reference)

@@ -1,4 +1,9 @@
-"""Tests for the pluggable execution engine."""
+"""Tests for the execution engine.
+
+Two halves: a compiled plan runs itself, in plan order, in the caller
+(:meth:`~repro.core.plan.ExecutionPlan.run`, with its timing and memory
+helpers), and executors only fan job lists out (:meth:`Executor.map`).
+"""
 
 import threading
 import time
@@ -7,15 +12,14 @@ import numpy as np
 import pytest
 
 from repro.core.executor import (
-    ExecutionPlan,
     Executor,
     SerialExecutor,
-    StepNode,
     ThreadedExecutor,
     get_executor,
     list_executors,
 )
 from repro.core.pipeline import Pipeline
+from repro.core.plan import ExecutionPlan, StepNode
 from repro.core.primitive import Primitive, register_primitive
 from repro.exceptions import ExecutorError
 from repro.pipelines import get_pipeline_spec
@@ -152,21 +156,23 @@ class TestExecutionPlan:
         with pytest.raises(ExecutorError, match="Duplicate"):
             ExecutionPlan([_node("a"), _node("a")])
 
+    def test_hand_built_plan_runs_in_order(self):
+        # Closure plans run like compiled ones: node by node, each one
+        # seeing the updates of the nodes before it.
+        nodes = [
+            StepNode(name="produce", engine="t",
+                     execute=lambda context, fit: {"x": 2}),
+            StepNode(name="consume", engine="t",
+                     execute=lambda context, fit: {"y": context["x"] * 10}),
+        ]
+        context, timings = ExecutionPlan(nodes).run({})
+        assert context == {"x": 2, "y": 20}
+        assert list(timings) == ["produce", "consume"]
+        assert all(timing["elapsed"] >= 0.0 for timing in timings.values())
 
-# --------------------------------------------------------------------------- #
-# scheduling correctness
-# --------------------------------------------------------------------------- #
-class TestSchedulingEquivalence:
-    def test_threaded_matches_serial_on_diamond(self):
-        serial = Pipeline(_diamond_spec(), executor="serial")
-        threaded = Pipeline(_diamond_spec(), executor="threaded")
-        expected = serial.fit_detect(_data())
-        actual = threaded.fit_detect(_data())
-        np.testing.assert_allclose(np.asarray(actual), np.asarray(expected))
-
-    def test_threaded_respects_dependency_order(self):
+    def test_steps_respect_dependency_order(self):
         _TRACE.clear()
-        pipeline = Pipeline(_diamond_spec(), executor=ThreadedExecutor(max_workers=4))
+        pipeline = Pipeline(_diamond_spec())
         pipeline.fit_detect(_data())
         events = {(name, phase): when for name, phase, when in _TRACE}
         split = events[("test_executor_split", "run")]
@@ -175,32 +181,24 @@ class TestSchedulingEquivalence:
             assert events[(branch, "start")] >= split
             assert events[(branch, "end")] <= join
 
-    def test_threaded_matches_serial_on_seed_pipeline(self, small_signal):
-        # Acceptance criterion: identical anomaly lists on the seed pipelines.
-        data = small_signal.to_array()
-        spec = get_pipeline_spec("arima", window_size=30)
-        serial = Pipeline(spec, executor="serial").fit_detect(data)
-        threaded = Pipeline(
-            get_pipeline_spec("arima", window_size=30),
-            executor=ThreadedExecutor(max_workers=4),
-        ).fit_detect(data)
-        assert len(serial) == len(threaded)
-        np.testing.assert_allclose(np.asarray(threaded), np.asarray(serial))
-
-    def test_threaded_step_timings_in_plan_order(self):
-        pipeline = Pipeline(_diamond_spec(), executor="threaded")
+    def test_step_timings_in_plan_order(self):
+        pipeline = Pipeline(_diamond_spec())
         pipeline.fit(_data())
         assert list(pipeline.step_timings) == [step["name"]
                                                for step in pipeline.steps]
 
-    def test_threaded_propagates_step_errors(self):
+    def test_step_errors_propagate(self):
         from repro.exceptions import PipelineError
 
-        pipeline = Pipeline(get_pipeline_spec("arima", window_size=30),
-                            executor="threaded")
+        pipeline = Pipeline(get_pipeline_spec("arima", window_size=30))
         with pytest.raises((PipelineError, Exception)):
             pipeline.fit(np.zeros((3, 0)))
 
+
+# --------------------------------------------------------------------------- #
+# job fan-out
+# --------------------------------------------------------------------------- #
+class TestSchedulingEquivalence:
     def test_map_preserves_item_order(self):
         executor = ThreadedExecutor(max_workers=4)
 
@@ -220,23 +218,27 @@ class TestSchedulingEquivalence:
 # integration with Sintel
 # --------------------------------------------------------------------------- #
 class TestSintelIntegration:
-    def test_sintel_executor_option(self, small_signal):
+    def test_pipelines_take_no_executor(self):
         from repro.core.sintel import Sintel
 
-        sintel = Sintel("arima", executor="threaded", window_size=30)
-        assert isinstance(sintel.pipeline.executor, ThreadedExecutor)
-        anomalies = sintel.fit_detect(small_signal)
-        assert isinstance(anomalies, list)
+        with pytest.raises(TypeError, match="executor"):
+            Sintel("arima", executor="threaded", window_size=30)
+        with pytest.raises(TypeError, match="executor"):
+            Pipeline(_diamond_spec(), executor="threaded")
 
-    def test_sintel_save_load_with_executor(self, small_signal, tmp_path):
+    def test_model_saved_with_an_executor_loads(self, small_signal,
+                                                tmp_path):
+        # A model saved while pipelines held an executor still loads and
+        # detects identically: nothing reads the stale attribute.
         from repro.core.sintel import Sintel
 
-        sintel = Sintel("azure", executor=ThreadedExecutor(max_workers=2))
+        sintel = Sintel("azure")
         sintel.fit_detect(small_signal)
+        sintel.pipeline.__dict__["_executor"] = ThreadedExecutor(
+            max_workers=2)
         path = tmp_path / "sintel.pkl"
         sintel.save(path)
         restored = Sintel.load(path)
-        assert isinstance(restored.pipeline.executor, ThreadedExecutor)
         assert restored.detect(small_signal) == sintel.detect(small_signal)
 
     def test_base_executor_is_abstract(self):
@@ -249,7 +251,7 @@ class TestTraceMemory:
     def test_owns_trace_when_none_active(self):
         import tracemalloc
 
-        from repro.core.executor import trace_memory
+        from repro.core.plan import trace_memory
 
         assert not tracemalloc.is_tracing()
         with trace_memory() as probe:
@@ -261,7 +263,7 @@ class TestTraceMemory:
     def test_nested_measures_delta_and_keeps_outer_trace(self):
         import tracemalloc
 
-        from repro.core.executor import trace_memory
+        from repro.core.plan import trace_memory
 
         with trace_memory() as outer:
             with trace_memory() as inner:
@@ -273,7 +275,7 @@ class TestTraceMemory:
         del blob
 
     def test_disabled_probe_reports_zero(self):
-        from repro.core.executor import trace_memory
+        from repro.core.plan import trace_memory
 
         with trace_memory(enabled=False) as probe:
             np.zeros(10_000)

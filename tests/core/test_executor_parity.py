@@ -1,8 +1,8 @@
-"""Executor parity and picklability guarantees.
+"""Plan-in-caller, fan-out and picklability guarantees.
 
-Every executor strategy must produce the same anomalies as the serial
-reference for the same plan, run a plan's steps in order in the caller,
-and stop a failed ``map`` fan-out early. Everything ``map`` jobs and saved
+A pipeline runs its plans' steps in order in the caller and reproduces
+its anomalies exactly; every fan-out executor returns ``map`` results in
+order and stops a failed fan-out early. Everything ``map`` jobs and saved
 models carry across a process boundary — primitives, pipelines — must
 survive a pickle round-trip.
 """
@@ -20,7 +20,6 @@ from repro.core.executor import (
     ProcessExecutor,
     _mp_context,
     get_executor,
-    list_executors,
 )
 from repro.core.pipeline import Pipeline
 from repro.core.primitive import (
@@ -32,8 +31,6 @@ from repro.core.primitive import (
 from repro.core.sintel import Sintel
 from repro.exceptions import ExecutorError
 from repro.pipelines import get_pipeline_spec
-
-EXECUTORS = ["serial", "threaded", "process"]
 
 #: Fast, deterministic pipelines exercised by the parity suite.
 PIPELINES = [("azure", {}), ("arima", {"window_size": 30})]
@@ -79,7 +76,7 @@ class _WhereProbe(Primitive):
 
 @pytest.fixture(scope="module")
 def reference(small_signal):
-    """Serial-executor anomalies per pipeline: the parity ground truth."""
+    """Anomalies of a first fit per pipeline: the parity ground truth."""
     data = small_signal.to_array()
     outputs = {}
     for name, options in PIPELINES:
@@ -90,54 +87,39 @@ def reference(small_signal):
 
 
 class TestExecutorParity:
-    @pytest.mark.parametrize("executor", EXECUTORS)
     @pytest.mark.parametrize("pipeline,options", PIPELINES)
-    def test_identical_anomalies(self, executor, pipeline, options,
-                                 small_signal, reference):
+    def test_identical_anomalies(self, pipeline, options, small_signal,
+                                 reference):
         data = small_signal.to_array()
-        sintel = Sintel(pipeline, executor=executor, **options)
+        sintel = Sintel(pipeline, **options)
         sintel.fit(data)
         assert sintel.detect(data) == reference[pipeline]
 
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_step_timings_cover_every_step(self, executor, small_signal):
+    def test_step_timings_cover_every_step(self, small_signal):
         data = small_signal.to_array()
-        pipeline = Pipeline(get_pipeline_spec("azure"), executor=executor)
+        pipeline = Pipeline(get_pipeline_spec("azure"))
         pipeline.fit(data)
         names = {step["name"] for step in pipeline.steps}
         assert set(pipeline.step_timings) == names
         for timing in pipeline.step_timings.values():
             assert timing["elapsed"] >= 0.0
 
-    def test_process_fit_state_absorbed(self, small_signal):
-        # A stateful pipeline fitted entirely in worker processes must be
-        # detectable afterwards with a *serial* executor: the fitted
-        # primitives were grafted back into the parent's pipeline.
-        data = small_signal.to_array()
-        sintel = Sintel("arima", executor="process", window_size=30)
-        sintel.fit(data)
-        sintel.set_executor("serial")
-        assert sintel.detect(data) == Sintel(
-            "arima", window_size=30).fit(data).detect(data)
-
 
 class TestPlanRunsInCaller:
-    @pytest.mark.parametrize("executor", list_executors())
-    def test_steps_run_in_plan_order_in_the_caller(self, executor):
-        # Every executor runs a plan node by node, in plan order, on the
-        # calling thread; executors differ only in how ``map`` fans out.
+    def test_steps_run_in_plan_order_in_the_caller(self):
+        # A plan runs node by node, in plan order, on the calling thread;
+        # executors only fan job lists out.
         steps = ["first", "second", "third"]
         pipeline = Pipeline({
             "name": "where",
             "steps": [{"primitive": _WhereProbe.name,
                        "hyperparameters": {"step": step}}
                       for step in steps],
-        }, executor=executor)
+        })
         pipeline.fit(np.zeros((8, 2)))
         caller = (os.getpid(), threading.get_ident())
         for mode in ("fit", "detect"):
-            context, _ = pipeline.executor.run_plan(
-                pipeline.compiled_plan(mode),
+            context, _ = pipeline.compiled_plan(mode).run(
                 {"data": np.zeros((8, 2)), "events": None},
                 fit=mode == "fit")
             assert [where[0] for where in context["events"]] == steps
@@ -242,19 +224,6 @@ class TestProcessExecutor:
         with pytest.warns(RuntimeWarning, match="unpicklable"):
             results = executor.map(lambda item: item + offset, [1, 2])
         assert results == [11, 12]
-
-    def test_closure_plan_falls_back_to_serial(self, small_signal):
-        # Hand-built closure plans run like compiled ones: in order, in
-        # the caller.
-        from repro.core.executor import ExecutionPlan, StepNode
-
-        node = StepNode(name="double", engine="preprocessing",
-                        execute=lambda context, fit: {
-                            "data": context["data"] * 2})
-        context, timings = ProcessExecutor().run_plan(
-            ExecutionPlan([node]), {"data": np.ones(4)})
-        np.testing.assert_array_equal(context["data"], np.full(4, 2.0))
-        assert "double" in timings
 
     def test_pickle_drops_nothing_needed(self):
         executor = ProcessExecutor(max_workers=3)

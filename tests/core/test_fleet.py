@@ -4,15 +4,14 @@ The load-bearing guarantee is bitwise parity: on the exact plane a fleet
 serving N streams through coalesced stream-batch plans must emit events
 identical — tuple for tuple — to N independent
 :class:`~repro.core.stream.StreamRunner` replays of the same per-stream
-workloads, under every executor strategy (each runs the stream-batch
-plan in order in the caller, so the choice must never change an event).
-On top of that sit the
-scheduling semantics: mixed-template grouping, straggler draining,
-coalescing bookkeeping, and the tier policy's starvation-free budget
-floors, all pinned with a synthetic clock and synchronous refits.
+workloads. On top of that sit the scheduling semantics: mixed-template
+grouping, straggler draining, coalescing bookkeeping, the tier policy's
+starvation-free budget floors, and refits that never touch a model other
+lanes still serve, all pinned with a synthetic clock.
 """
 
 import copy
+import pickle
 import time
 
 import numpy as np
@@ -28,8 +27,6 @@ from repro.core.sintel import Sintel
 from repro.core.stream import StreamRunner
 from repro.data.synthetic import WorkloadGenerator
 from repro.exceptions import PipelineError, StreamError
-
-EXECUTORS = ["serial", "threaded", "process"]
 
 WINDOW = 150
 WARMUP = 60
@@ -76,15 +73,10 @@ def _replay_independent(pipeline, replays):
 
 
 class TestFleetParity:
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_bitwise_parity_vs_independent_runners(self, executor, workload):
-        """Exact-plane fleet events == independent events, per executor.
-
-        Every executor runs the stream-batch plan in the caller; the CI
-        spawn leg re-runs this case under ``REPRO_MP_START=spawn``.
-        """
+    def test_bitwise_parity_vs_independent_runners(self, workload):
+        """Exact-plane fleet events == independent events."""
         train, replays = workload
-        sintel = Sintel("azure", executor=executor)
+        sintel = Sintel("azure")
         sintel.fit(train)
 
         fleet = FleetStreamRunner(exact=True)
@@ -532,6 +524,59 @@ class TestStreamScheduler:
         assert not lane.refit_in_flight
         assert lane.runner.retrains == 1
         assert lane.runner.pipeline is not serving
+        scheduler.close()
+
+
+class TestSharedBaseRefit:
+    """A refit never mutates a fitted pipeline that other lanes serve."""
+
+    @staticmethod
+    def _state(pipeline, probe):
+        """Pickled primitives after detecting ``probe``.
+
+        The detection leaves every NN layer's forward cache on the same
+        input, so two pipelines pickle alike exactly when their fitted
+        state is alike.
+        """
+        pipeline.detect(probe)
+        return pickle.dumps([cell[1] for cell in pipeline._primitives])
+
+    @pytest.mark.parametrize("refit_sync", [True, False])
+    def test_lanes_that_never_refit_keep_their_model(self, workload,
+                                                     refit_sync):
+        train, replays = workload
+        sintel = Sintel("dense_autoencoder", window_size=40, epochs=2)
+        sintel.fit(train)
+        base = sintel.pipeline
+        pristine = copy.deepcopy(base)
+        clock = {"now": 0.0}
+        scheduler = StreamScheduler(
+            policy=TierPolicy(sla_deadline=10.0), refit_budget=1,
+            refit_sync=refit_sync, clock=lambda: clock["now"])
+        # Three lanes share one fitted pipeline; only lane 0 may refit.
+        lanes = [scheduler.add_stream(base, window_size=WINDOW,
+                                      warmup=WARMUP, drift_detector=None,
+                                      retrain=index == 0)
+                 for index in range(3)]
+        schedule = [_batches(replay) for replay in replays[:3]]
+        for round_index in range(len(schedule[0])):
+            for lane, batches in zip(lanes, schedule):
+                scheduler.ingest(lane.lane_id, batches[round_index])
+            clock["now"] += 20.0  # lane 0 blows its SLA every round
+            scheduler.run_round()
+            _await_refits(scheduler)
+
+        assert lanes[0].runner.retrains >= 2
+        assert scheduler.stats()["refit_errors"] == 0
+        reference = _replay_independent(pristine, replays[1:3])
+        for lane, runner in zip(lanes[1:], reference):
+            assert lane.runner.retrains == 0
+            assert lane.runner.pipeline is base
+            assert ([event.to_tuple() for event in lane.runner.events]
+                    == [event.to_tuple() for event in runner.events])
+        assert self._state(base, train) == self._state(pristine, train)
+        # The refitted lane never rejoins the shared group.
+        assert lanes[0].group is not lanes[1].group
         scheduler.close()
 
 

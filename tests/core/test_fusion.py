@@ -3,22 +3,18 @@
 The fusion pass lowers contiguous runs of fusable batch steps into single
 :class:`~repro.core.plan.FusedStep` nodes. These tests pin its contract: a
 non-fusable step mid-chain splits the run into two fused nodes around a
-plain passthrough; results stay bitwise-identical to the unfused plan on
-every executor; the plan's arena genuinely reuses buffers across repeat
-batches; and the reduced-precision plane is opt-in, validated and
-tolerance-correct.
+plain passthrough; results stay bitwise-identical to the unfused plan; the
+plan's arena genuinely reuses buffers across repeat batches; and the
+reduced-precision plane is opt-in, validated and tolerance-correct.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.executor import get_executor
 from repro.core.pipeline import Pipeline
 from repro.core.plan import FusedStep
 from repro.core.sintel import Sintel
 from repro.exceptions import PipelineError
-
-EXECUTORS = ["serial", "threaded", "process"]
 
 #: Two fusable runs around a non-fusable middle step: ``differencing``
 #: declares no ``fuse_category``, so the chain must split around it.
@@ -119,18 +115,15 @@ class TestChainSplitting:
 
 
 class TestFusedParity:
-    @pytest.mark.parametrize("executor", EXECUTORS)
     def test_bitwise_identical_to_unfused_plan(self, split_pipeline,
-                                               executor, monkeypatch):
+                                               monkeypatch):
         signals = _signals()
         fused_plan = split_pipeline.compiled_plan("batch", exact=True)
         monkeypatch.setenv("REPRO_NO_FUSION", "1")
         unfused_plan = split_pipeline.compiler.compile("batch", exact=True)
         monkeypatch.delenv("REPRO_NO_FUSION")
-        reference, _ = get_executor("serial").run_plan(
-            unfused_plan, _batch_context(signals), fit=False)
-        context, _ = get_executor(executor).run_plan(
-            fused_plan, _batch_context(signals), fit=False)
+        reference, _ = unfused_plan.run(_batch_context(signals))
+        context, _ = fused_plan.run(_batch_context(signals))
         _assert_context_equal(context, reference)
 
     def test_fused_step_rejects_fit(self, split_pipeline):

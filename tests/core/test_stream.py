@@ -48,7 +48,6 @@ class TestPartialDetect:
         clone = sintel.pipeline.clone()
         assert not clone.fitted
         assert clone.get_hyperparameters() == sintel.pipeline.get_hyperparameters()
-        assert clone.executor is sintel.pipeline.executor
 
 
 class TestStreamRunnerValidation:
@@ -254,9 +253,9 @@ class TestRefitPlanReuse:
         timestamps = np.arange(start, start + count, dtype=float)
         return np.column_stack([timestamps, np.sin(timestamps / 9.0)])
 
-    def _refitting_lane(self, executor="serial"):
+    def _refitting_lane(self):
         """A lane that blows its SLA every cycle; ``cycle()`` refits it."""
-        sintel = Sintel("azure", executor=executor)
+        sintel = Sintel("azure")
         sintel.fit(self._rows(0, 300))
         clock = {"now": 0.0}
         scheduler, lane = _one_lane(
@@ -274,8 +273,8 @@ class TestRefitPlanReuse:
 
         return scheduler, lane, cycle
 
-    def _assert_compilations_constant(self, executor):
-        scheduler, lane, cycle = self._refitting_lane(executor)
+    def test_compilation_count_constant_across_refits(self):
+        scheduler, lane, cycle = self._refitting_lane()
         # Two warm-up cycles: the standby is cloned and both pipelines
         # compile their fit and stream-batch plans once.
         cycle()
@@ -293,14 +292,6 @@ class TestRefitPlanReuse:
         # ...and neither ever compiled another plan.
         assert (serving.plan_compilations,
                 standby.plan_compilations) == compiled
-
-    def test_compilation_count_constant_across_refits(self):
-        self._assert_compilations_constant("serial")
-
-    def test_plan_reuse_holds_under_process_executor(self):
-        # The scheduler fits the standby in its own process, so the
-        # process backend's compiled plans survive every refit too.
-        self._assert_compilations_constant("process")
 
     def test_swap_ping_pongs_serving_and_standby(self):
         scheduler, lane, cycle = self._refitting_lane()

@@ -1,18 +1,10 @@
 """Tests for the queue-backed DistributedExecutor."""
 
 import json
-import time
 
 import pytest
 
-from repro.core.executor import (
-    EXECUTORS,
-    ExecutionPlan,
-    SerialExecutor,
-    StepNode,
-    get_executor,
-    list_executors,
-)
+from repro.core.executor import EXECUTORS, get_executor, list_executors
 from repro.distributed.executor import INJECT_CRASH_ENV, DistributedExecutor
 from repro.distributed.queue import WorkQueue
 from repro.exceptions import ExecutorError
@@ -94,22 +86,6 @@ class TestInlineMode:
         with pytest.raises(ExecutorError):
             executor.map(_always_fails, [1])
         assert WorkQueue(queue_path).attempts("map-000000") == 3
-
-
-class TestRunPlanFallback:
-    def test_run_plan_matches_serial(self):
-        nodes = [
-            StepNode(name="produce", engine="t",
-                     execute=lambda context, fit: {"x": 2}),
-            StepNode(name="consume", engine="t",
-                     execute=lambda context, fit: {"y": context["x"] * 10}),
-        ]
-        plan = ExecutionPlan(nodes)
-        context, timings = DistributedExecutor(max_workers=0).run_plan(
-            plan, {})
-        expected, _ = SerialExecutor().run_plan(ExecutionPlan(nodes), {})
-        assert context == expected == {"x": 2, "y": 20}
-        assert set(timings) == {"produce", "consume"}
 
 
 class TestFleetMode:

@@ -3,19 +3,15 @@
 The multivariate pipelines must thread (n, m) values through windowing,
 modeling, per-channel error scoring and attribution in every plan mode
 (fit / detect / batch / stream), emit ``(start, end, severity, channel)``
-events, and — critically — leave the univariate path bitwise-unchanged
-on every executor.
+events, and — critically — leave the univariate path bitwise-unchanged.
 """
 
-import numpy as np
 import pytest
 
-from repro.core.executor import get_executor
+import reference
 from repro.core.sintel import Sintel
 from repro.data.signal import LABELS_KEY
 from repro.data.synthetic import WorkloadGenerator
-
-EXECUTORS = ["serial", "threaded", "process"]
 
 MV_PIPELINE = ("mv_dense_autoencoder", {"window_size": 30, "epochs": 6})
 
@@ -58,14 +54,13 @@ class TestMultivariateDetect:
         for event in sintel.detect(mv_signal.to_array()):
             assert len(event) == 4
 
-    def test_executor_parity(self, mv_signal, mv_events):
-        _, reference = mv_events
+    def test_refit_reproduces_events(self, mv_signal, mv_events):
+        _, expected = mv_events
         name, options = MV_PIPELINE
-        for executor in EXECUTORS:
-            sintel = Sintel(name, executor=get_executor(executor), **options)
-            sintel.fit(mv_signal.to_array())
-            events = sintel.detect(mv_signal.to_array())
-            assert events == reference, executor
+        sintel = Sintel(name, **options)
+        sintel.fit(mv_signal.to_array())
+        events = sintel.detect(mv_signal.to_array())
+        assert events == expected
 
     def test_stream_events_carry_channel(self, mv_signal):
         name, options = MV_PIPELINE
@@ -102,17 +97,16 @@ class TestUnivariateUnchanged:
         for event in sintel.detect(data):
             assert len(event) == 3
 
-    def test_univariate_bitwise_identical_across_executors(self, small_signal):
+    def test_univariate_bitwise_identical_to_reference(self, small_signal):
+        # The reference interpreter runs azure's primitives one by one on
+        # a plain dict: the engine's univariate context must match it.
         data = small_signal.to_array()
-        reference = None
-        for executor in EXECUTORS:
-            sintel = Sintel("azure", executor=get_executor(executor))
-            sintel.fit(data)
-            events = sintel.detect(data)
-            if reference is None:
-                reference = events
-            else:
-                assert events == reference, executor
+        sintel = Sintel("azure")
+        sintel.fit(data)
+        _, context = sintel.detect(data, visualization=True)
+        spec = sintel.pipeline.spec
+        reference.assert_same(
+            context, reference.detect(spec, reference.fit(spec, data), data))
 
     def test_univariate_signal_through_mv_pipeline(self):
         """A 1-channel signal runs the mv pipeline and attributes channel 0."""

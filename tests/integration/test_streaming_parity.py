@@ -3,7 +3,7 @@
 These are the acceptance tests for the streaming subsystem: streaming
 detection over micro-batches must produce the same anomaly intervals as
 batch ``detect`` over the full signal (within one micro-batch of edge
-tolerance), under both the serial and the threaded executor; and an
+tolerance); and an
 injected mean shift must flow through DriftMonitor → scheduler refit →
 atomic pipeline swap without dropping or reordering queued batches.
 """
@@ -19,12 +19,11 @@ from repro.streaming import PageHinkley
 BATCH = 50
 
 
-@pytest.mark.parametrize("executor", ["serial", "threaded"])
 @pytest.mark.parametrize("signal", default_streaming_signals(),
                          ids=lambda signal: signal.name)
-def test_stream_matches_batch_detection(signal, executor):
+def test_stream_matches_batch_detection(signal):
     data = signal.to_array()
-    sintel = Sintel("azure", executor=executor, k=4.0)
+    sintel = Sintel("azure", k=4.0)
     sintel.fit(data)
     batch_anomalies = sintel.detect(data)
 
