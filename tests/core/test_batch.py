@@ -2,19 +2,30 @@
 
 The central contract under test: for any fitted pipeline and any batch of
 signals, ``detect_batch(signals)`` is *exactly* ``[detect(s) for s in
-signals]`` — same anomalies, same floats — whether or not the batch mixes
-signal lengths.
+signals]`` — same anomalies, same floats — regardless of which executor
+fans the job out and whether the batch mixes signal lengths.
 """
 
 import pytest
 
 from repro.core.pipeline import Pipeline
+from repro.core.executor import get_executor
 from repro.core.sintel import Sintel
 from repro.data import generate_signal
 from repro.exceptions import NotFittedError, PipelineError
 from repro.pipelines import get_pipeline_spec
 
+EXECUTORS = ["serial", "threaded", "process"]
+
 PIPELINES = [("azure", {}), ("arima", {"window_size": 30})]
+
+
+def _fit_detect_many(job):
+    """Fit on the first signal, then detect the batch: one fan-out job."""
+    name, options, signals, exact = job
+    sintel = Sintel(name, **options)
+    sintel.fit(signals[0])
+    return sintel.detect_many(signals, exact=exact)
 
 
 @pytest.fixture(scope="module")
@@ -42,12 +53,13 @@ def loop_reference(batch_signals):
 
 
 class TestDetectBatchParity:
+    @pytest.mark.parametrize("executor", EXECUTORS)
     @pytest.mark.parametrize("pipeline,options", PIPELINES)
-    def test_bitwise_identical_to_loop(self, pipeline, options,
+    def test_bitwise_identical_to_loop(self, executor, pipeline, options,
                                        batch_signals, loop_reference):
-        sintel = Sintel(pipeline, **options)
-        sintel.fit(batch_signals[0])
-        assert sintel.detect_many(batch_signals) == loop_reference[pipeline]
+        [anomalies] = get_executor(executor).map(
+            _fit_detect_many, [(pipeline, options, batch_signals, True)])
+        assert anomalies == loop_reference[pipeline]
 
     def test_single_signal_batch(self, batch_signals):
         sintel = Sintel("azure")
@@ -136,7 +148,8 @@ class TestFusedBatchParity:
 
     The contract: exact batches stay bitwise-identical to the loop even on
     pipelines whose primitives *could* fuse, while fused batches stay
-    within the documented tolerance (``PARITY_RTOL`` / ``PARITY_ATOL``).
+    within the documented tolerance (``PARITY_RTOL`` / ``PARITY_ATOL``) on
+    every executor.
     """
 
     @pytest.fixture(scope="class")
@@ -145,13 +158,15 @@ class TestFusedBatchParity:
         sintel.fit(batch_signals[0])
         return [sintel.detect(signal) for signal in batch_signals]
 
-    def test_fused_within_tolerance(self, batch_signals,
-                                    fused_loop_reference):
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_fused_within_tolerance_on_every_executor(
+            self, executor, batch_signals, fused_loop_reference):
         from repro.benchmark.batch import anomalies_within_tolerance
 
-        sintel = Sintel("dense_autoencoder", window_size=40, epochs=3)
-        sintel.fit(batch_signals[0])
-        fused = sintel.detect_many(batch_signals, exact=False)
+        options = {"window_size": 40, "epochs": 3}
+        [fused] = get_executor(executor).map(
+            _fit_detect_many,
+            [("dense_autoencoder", options, batch_signals, False)])
         assert anomalies_within_tolerance(fused, fused_loop_reference)
 
     def test_exact_stays_bitwise_on_fused_capable_pipeline(

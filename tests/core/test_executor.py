@@ -170,10 +170,34 @@ class TestExecutionPlan:
         assert list(timings) == ["produce", "consume"]
         assert all(timing["elapsed"] >= 0.0 for timing in timings.values())
 
-    def test_steps_respect_dependency_order(self):
+
+# --------------------------------------------------------------------------- #
+# job fan-out
+# --------------------------------------------------------------------------- #
+def _fitted(spec):
+    """A pipeline fitted on ``_data()``: one fan-out job."""
+    return Pipeline(spec).fit(_data())
+
+
+def _fit_detect(job):
+    """Fit a spec on data and detect on the same data: one fan-out job."""
+    spec, data = job
+    return Pipeline(spec).fit_detect(data)
+
+
+class TestSchedulingEquivalence:
+    """Pipeline jobs on a thread pool run as they do in the caller."""
+
+    def test_threaded_matches_serial_on_diamond(self):
+        jobs = [(_diamond_spec(), _data()) for _ in range(4)]
+        expected = SerialExecutor().map(_fit_detect, jobs)
+        actual = ThreadedExecutor(max_workers=4).map(_fit_detect, jobs)
+        np.testing.assert_allclose(np.asarray(actual), np.asarray(expected))
+
+    def test_threaded_respects_dependency_order(self):
         _TRACE.clear()
-        pipeline = Pipeline(_diamond_spec())
-        pipeline.fit_detect(_data())
+        ThreadedExecutor(max_workers=4).map(
+            _fit_detect, [(_diamond_spec(), _data())])
         events = {(name, phase): when for name, phase, when in _TRACE}
         split = events[("test_executor_split", "run")]
         join = events[("test_executor_join", "run")]
@@ -181,24 +205,31 @@ class TestExecutionPlan:
             assert events[(branch, "start")] >= split
             assert events[(branch, "end")] <= join
 
-    def test_step_timings_in_plan_order(self):
-        pipeline = Pipeline(_diamond_spec())
-        pipeline.fit(_data())
+    def test_threaded_matches_serial_on_seed_pipeline(self, small_signal):
+        # Acceptance criterion: identical anomaly lists on the seed pipelines.
+        data = small_signal.to_array()
+        jobs = [(get_pipeline_spec("arima", window_size=30), data)
+                for _ in range(2)]
+        [serial] = SerialExecutor().map(_fit_detect, jobs[:1])
+        for threaded in ThreadedExecutor(max_workers=2).map(_fit_detect,
+                                                            jobs):
+            assert len(serial) == len(threaded)
+            np.testing.assert_allclose(np.asarray(threaded),
+                                       np.asarray(serial))
+
+    def test_threaded_step_timings_in_plan_order(self):
+        [pipeline] = ThreadedExecutor(max_workers=4).map(
+            _fitted, [_diamond_spec()])
         assert list(pipeline.step_timings) == [step["name"]
                                                for step in pipeline.steps]
 
-    def test_step_errors_propagate(self):
+    def test_threaded_propagates_step_errors(self):
         from repro.exceptions import PipelineError
 
-        pipeline = Pipeline(get_pipeline_spec("arima", window_size=30))
+        job = (get_pipeline_spec("arima", window_size=30), np.zeros((3, 0)))
         with pytest.raises((PipelineError, Exception)):
-            pipeline.fit(np.zeros((3, 0)))
+            ThreadedExecutor(max_workers=2).map(_fit_detect, [job])
 
-
-# --------------------------------------------------------------------------- #
-# job fan-out
-# --------------------------------------------------------------------------- #
-class TestSchedulingEquivalence:
     def test_map_preserves_item_order(self):
         executor = ThreadedExecutor(max_workers=4)
 
@@ -226,8 +257,7 @@ class TestSintelIntegration:
         with pytest.raises(TypeError, match="executor"):
             Pipeline(_diamond_spec(), executor="threaded")
 
-    def test_model_saved_with_an_executor_loads(self, small_signal,
-                                                tmp_path):
+    def test_sintel_save_load_with_executor(self, small_signal, tmp_path):
         # A model saved while pipelines held an executor still loads and
         # detects identically: nothing reads the stale attribute.
         from repro.core.sintel import Sintel

@@ -1,10 +1,11 @@
-"""Plan-in-caller, fan-out and picklability guarantees.
+"""Executor parity and picklability guarantees.
 
-A pipeline runs its plans' steps in order in the caller and reproduces
-its anomalies exactly; every fan-out executor returns ``map`` results in
-order and stops a failed fan-out early. Everything ``map`` jobs and saved
-models carry across a process boundary — primitives, pipelines — must
-survive a pickle round-trip.
+A pipeline job reproduces its anomalies exactly on every fan-out
+executor, and its plans run their steps in order on the thread that runs
+the job; every executor returns ``map`` results in order and stops a
+failed fan-out early. Everything ``map`` jobs and saved models carry
+across a process boundary — primitives, pipelines — must survive a
+pickle round-trip.
 """
 
 import os
@@ -20,6 +21,7 @@ from repro.core.executor import (
     ProcessExecutor,
     _mp_context,
     get_executor,
+    list_executors,
 )
 from repro.core.pipeline import Pipeline
 from repro.core.primitive import (
@@ -31,6 +33,8 @@ from repro.core.primitive import (
 from repro.core.sintel import Sintel
 from repro.exceptions import ExecutorError
 from repro.pipelines import get_pipeline_spec
+
+EXECUTORS = ["serial", "threaded", "process"]
 
 #: Fast, deterministic pipelines exercised by the parity suite.
 PIPELINES = [("azure", {}), ("arima", {"window_size": 30})]
@@ -47,6 +51,46 @@ def _return_large_array(n):
 
 def _worker_boom(n):
     raise RuntimeError(f"injected worker failure {n}")
+
+
+def _fit(job):
+    """Fit a hub pipeline: one fan-out job returning the fitted model."""
+    name, options, data = job
+    return Sintel(name, **options).fit(data)
+
+
+def _fit_detect(job):
+    """Fit a hub pipeline and detect on the same data: one fan-out job."""
+    name, options, data = job
+    return _fit(job).detect(data)
+
+
+def _fit_step_timings(data):
+    """Fit azure; return its step names and the fit's step timings."""
+    pipeline = Pipeline(get_pipeline_spec("azure"))
+    pipeline.fit(data)
+    return [step["name"] for step in pipeline.steps], pipeline.step_timings
+
+
+def _run_where_plans(steps):
+    """Run a probe pipeline's fit and detect plans inside a job.
+
+    Returns each plan's trace of ``(step, pid, thread id)`` and the
+    ``(pid, thread id)`` of the job itself.
+    """
+    pipeline = Pipeline({
+        "name": "where",
+        "steps": [{"primitive": _WhereProbe.name,
+                   "hyperparameters": {"step": step}}
+                  for step in steps],
+    })
+    pipeline.fit(np.zeros((8, 2)))
+    traces = []
+    for mode in ("fit", "detect"):
+        context, _ = pipeline.compiled_plan(mode).run(
+            {"data": np.zeros((8, 2)), "events": None}, fit=mode == "fit")
+        traces.append(context["events"])
+    return traces, (os.getpid(), threading.get_ident())
 
 
 def _mark_then_fail_first(job):
@@ -87,43 +131,47 @@ def reference(small_signal):
 
 
 class TestExecutorParity:
+    @pytest.mark.parametrize("executor", EXECUTORS)
     @pytest.mark.parametrize("pipeline,options", PIPELINES)
-    def test_identical_anomalies(self, pipeline, options, small_signal,
-                                 reference):
+    def test_identical_anomalies(self, executor, pipeline, options,
+                                 small_signal, reference):
+        # A fit+detect job returns the same anomalies on every fan-out.
         data = small_signal.to_array()
-        sintel = Sintel(pipeline, **options)
-        sintel.fit(data)
-        assert sintel.detect(data) == reference[pipeline]
+        [anomalies] = get_executor(executor).map(
+            _fit_detect, [(pipeline, options, data)])
+        assert anomalies == reference[pipeline]
 
-    def test_step_timings_cover_every_step(self, small_signal):
-        data = small_signal.to_array()
-        pipeline = Pipeline(get_pipeline_spec("azure"))
-        pipeline.fit(data)
-        names = {step["name"] for step in pipeline.steps}
-        assert set(pipeline.step_timings) == names
-        for timing in pipeline.step_timings.values():
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_step_timings_cover_every_step(self, executor, small_signal):
+        [(names, timings)] = get_executor(executor).map(
+            _fit_step_timings, [small_signal.to_array()])
+        assert set(timings) == set(names)
+        for timing in timings.values():
             assert timing["elapsed"] >= 0.0
+
+    def test_process_fit_state_absorbed(self, small_signal):
+        # A stateful pipeline fitted entirely in a worker process must be
+        # detectable afterwards in the parent: the fitted primitives come
+        # back with the job's result.
+        data = small_signal.to_array()
+        [sintel] = ProcessExecutor(max_workers=1).map(
+            _fit, [("arima", {"window_size": 30}, data)])
+        assert sintel.detect(data) == Sintel(
+            "arima", window_size=30).fit(data).detect(data)
 
 
 class TestPlanRunsInCaller:
-    def test_steps_run_in_plan_order_in_the_caller(self):
-        # A plan runs node by node, in plan order, on the calling thread;
-        # executors only fan job lists out.
+    @pytest.mark.parametrize("executor", list_executors())
+    def test_steps_run_in_plan_order_in_the_caller(self, executor):
+        # Whichever executor fans a job out, the job's plans run node by
+        # node, in plan order, on the thread that runs the job.
         steps = ["first", "second", "third"]
-        pipeline = Pipeline({
-            "name": "where",
-            "steps": [{"primitive": _WhereProbe.name,
-                       "hyperparameters": {"step": step}}
-                      for step in steps],
-        })
-        pipeline.fit(np.zeros((8, 2)))
-        caller = (os.getpid(), threading.get_ident())
-        for mode in ("fit", "detect"):
-            context, _ = pipeline.compiled_plan(mode).run(
-                {"data": np.zeros((8, 2)), "events": None},
-                fit=mode == "fit")
-            assert [where[0] for where in context["events"]] == steps
-            assert {where[1:] for where in context["events"]} == {caller}
+        options = {"max_workers": 0} if executor == "distributed" else {}
+        [(traces, caller)] = get_executor(executor, **options).map(
+            _run_where_plans, [steps])
+        for events in traces:
+            assert [where[0] for where in events] == steps
+            assert {where[1:] for where in events} == {caller}
 
 
 class TestPrimitivePickling:
@@ -224,6 +272,21 @@ class TestProcessExecutor:
         with pytest.warns(RuntimeWarning, match="unpicklable"):
             results = executor.map(lambda item: item + offset, [1, 2])
         assert results == [11, 12]
+
+    def test_closure_plan_falls_back_to_serial(self):
+        # A hand-built closure plan cannot cross the process boundary, so
+        # a job that runs it maps serially, in the caller.
+        from repro.core.plan import ExecutionPlan, StepNode
+
+        node = StepNode(name="double", engine="preprocessing",
+                        execute=lambda context, fit: {
+                            "data": context["data"] * 2})
+        plan = ExecutionPlan([node])
+        with pytest.warns(RuntimeWarning, match="unpicklable"):
+            [(context, timings)] = ProcessExecutor().map(
+                plan.run, [{"data": np.ones(4)}])
+        np.testing.assert_array_equal(context["data"], np.full(4, 2.0))
+        assert "double" in timings
 
     def test_pickle_drops_nothing_needed(self):
         executor = ProcessExecutor(max_workers=3)

@@ -4,7 +4,8 @@ The load-bearing guarantee is bitwise parity: on the exact plane a fleet
 serving N streams through coalesced stream-batch plans must emit events
 identical — tuple for tuple — to N independent
 :class:`~repro.core.stream.StreamRunner` replays of the same per-stream
-workloads. On top of that sit the scheduling semantics: mixed-template
+workloads, whichever executor fans the fleet job out. On top of that sit
+the scheduling semantics: mixed-template
 grouping, straggler draining, coalescing bookkeeping, the tier policy's
 starvation-free budget floors, and refits that never touch a model other
 lanes still serve, all pinned with a synthetic clock.
@@ -17,6 +18,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.executor import get_executor
 from repro.core.fleet import (
     FleetStreamRunner,
     StandbyCache,
@@ -27,6 +29,8 @@ from repro.core.sintel import Sintel
 from repro.core.stream import StreamRunner
 from repro.data.synthetic import WorkloadGenerator
 from repro.exceptions import PipelineError, StreamError
+
+EXECUTORS = ["serial", "threaded", "process"]
 
 WINDOW = 150
 WARMUP = 60
@@ -72,24 +76,42 @@ def _replay_independent(pipeline, replays):
     return runners
 
 
+def _serve_exact_fleet(job):
+    """Serve every replay on one exact-plane fleet: one fan-out job.
+
+    Returns each lane's anomalies and event tuples.
+    """
+    pipeline, replays = job
+    fleet = FleetStreamRunner(exact=True)
+    lanes = [fleet.add_stream(pipeline, window_size=WINDOW, warmup=WARMUP,
+                              drift_detector=None)
+             for _ in replays]
+    _replay_fleet(fleet, lanes, replays)
+    return [(lane.runner.anomalies(),
+             [event.to_tuple() for event in lane.runner.events])
+            for lane in lanes]
+
+
 class TestFleetParity:
-    def test_bitwise_parity_vs_independent_runners(self, workload):
-        """Exact-plane fleet events == independent events."""
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_bitwise_parity_vs_independent_runners(self, executor, workload):
+        """Exact-plane fleet events == independent events, per executor.
+
+        The executor fans the fleet job out; the CI spawn leg re-runs the
+        process case under ``REPRO_MP_START=spawn``.
+        """
         train, replays = workload
         sintel = Sintel("azure")
         sintel.fit(train)
 
-        fleet = FleetStreamRunner(exact=True)
-        lanes = [fleet.add_stream(sintel.pipeline, window_size=WINDOW,
-                                  warmup=WARMUP, drift_detector=None)
-                 for _ in replays]
-        _replay_fleet(fleet, lanes, replays)
+        [lanes] = get_executor(executor).map(
+            _serve_exact_fleet, [(sintel.pipeline, replays)])
 
         reference = _replay_independent(sintel.pipeline, replays)
-        for lane, runner in zip(lanes, reference):
-            assert lane.runner.anomalies() == runner.anomalies()
-            assert ([event.to_tuple() for event in lane.runner.events]
-                    == [event.to_tuple() for event in runner.events])
+        assert len(lanes) == len(reference)
+        for (anomalies, events), runner in zip(lanes, reference):
+            assert anomalies == runner.anomalies()
+            assert events == [event.to_tuple() for event in runner.events]
 
     def test_fused_plane_parity_within_tolerance(self, workload):
         from repro.benchmark.batch import anomalies_within_tolerance

@@ -3,18 +3,22 @@
 The fusion pass lowers contiguous runs of fusable batch steps into single
 :class:`~repro.core.plan.FusedStep` nodes. These tests pin its contract: a
 non-fusable step mid-chain splits the run into two fused nodes around a
-plain passthrough; results stay bitwise-identical to the unfused plan; the
-plan's arena genuinely reuses buffers across repeat batches; and the
-reduced-precision plane is opt-in, validated and tolerance-correct.
+plain passthrough; results stay bitwise-identical to the unfused plan on
+every executor; the plan's arena genuinely reuses buffers across repeat
+batches; and the reduced-precision plane is opt-in, validated and
+tolerance-correct.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.executor import get_executor
 from repro.core.pipeline import Pipeline
 from repro.core.plan import FusedStep
 from repro.core.sintel import Sintel
 from repro.exceptions import PipelineError
+
+EXECUTORS = ["serial", "threaded", "process"]
 
 #: Two fusable runs around a non-fusable middle step: ``differencing``
 #: declares no ``fuse_category``, so the chain must split around it.
@@ -59,6 +63,14 @@ def split_pipeline():
 def _batch_context(signals):
     return {"data": [np.asarray(s, dtype=float) for s in signals],
             "events": [None] * len(signals)}
+
+
+def _run_batch_plan(job):
+    """Run a fitted pipeline's exact batch plan: one fan-out job."""
+    pipeline, signals = job
+    context, _ = pipeline.compiled_plan("batch", exact=True).run(
+        _batch_context(signals))
+    return context
 
 
 def _assert_context_equal(actual: dict, expected: dict) -> None:
@@ -115,15 +127,17 @@ class TestChainSplitting:
 
 
 class TestFusedParity:
+    @pytest.mark.parametrize("executor", EXECUTORS)
     def test_bitwise_identical_to_unfused_plan(self, split_pipeline,
-                                               monkeypatch):
+                                               executor, monkeypatch):
         signals = _signals()
-        fused_plan = split_pipeline.compiled_plan("batch", exact=True)
         monkeypatch.setenv("REPRO_NO_FUSION", "1")
         unfused_plan = split_pipeline.compiler.compile("batch", exact=True)
         monkeypatch.delenv("REPRO_NO_FUSION")
         reference, _ = unfused_plan.run(_batch_context(signals))
-        context, _ = fused_plan.run(_batch_context(signals))
+        # The job compiles the fused plan wherever the executor runs it.
+        [context] = get_executor(executor).map(
+            _run_batch_plan, [(split_pipeline, signals)])
         _assert_context_equal(context, reference)
 
     def test_fused_step_rejects_fit(self, split_pipeline):

@@ -4,7 +4,13 @@ import json
 
 import pytest
 
-from repro.core.executor import EXECUTORS, get_executor, list_executors
+from repro.core.executor import (
+    EXECUTORS,
+    SerialExecutor,
+    get_executor,
+    list_executors,
+)
+from repro.core.plan import ExecutionPlan, StepNode
 from repro.distributed.executor import INJECT_CRASH_ENV, DistributedExecutor
 from repro.distributed.queue import WorkQueue
 from repro.exceptions import ExecutorError
@@ -86,6 +92,33 @@ class TestInlineMode:
         with pytest.raises(ExecutorError):
             executor.map(_always_fails, [1])
         assert WorkQueue(queue_path).attempts("map-000000") == 3
+
+
+def _produce(context, fit):
+    return {"x": 2}
+
+
+def _consume(context, fit):
+    return {"y": context["x"] * 10}
+
+
+def _run_plan(plan):
+    return plan.run({})
+
+
+class TestRunPlanFallback:
+    def test_run_plan_matches_serial(self):
+        # A plan of module-level steps crosses the queue as a work item
+        # and runs in the draining worker exactly as in the caller.
+        plan = ExecutionPlan([
+            StepNode(name="produce", engine="t", execute=_produce),
+            StepNode(name="consume", engine="t", execute=_consume),
+        ])
+        [(context, timings)] = DistributedExecutor(max_workers=0).map(
+            _run_plan, [plan])
+        [(expected, _)] = SerialExecutor().map(_run_plan, [plan])
+        assert context == expected == {"x": 2, "y": 20}
+        assert set(timings) == {"produce", "consume"}
 
 
 class TestFleetMode:

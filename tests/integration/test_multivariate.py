@@ -3,17 +3,29 @@
 The multivariate pipelines must thread (n, m) values through windowing,
 modeling, per-channel error scoring and attribution in every plan mode
 (fit / detect / batch / stream), emit ``(start, end, severity, channel)``
-events, and — critically — leave the univariate path bitwise-unchanged.
+events, and — critically — leave the univariate path bitwise-unchanged
+on every executor.
 """
 
 import pytest
 
 import reference
+from repro.core.executor import get_executor
 from repro.core.sintel import Sintel
 from repro.data.signal import LABELS_KEY
 from repro.data.synthetic import WorkloadGenerator
 
+EXECUTORS = ["serial", "threaded", "process"]
+
 MV_PIPELINE = ("mv_dense_autoencoder", {"window_size": 30, "epochs": 6})
+
+
+def _fit_detect(job):
+    """Fit a hub pipeline and detect on the same data: one fan-out job."""
+    name, options, data = job
+    sintel = Sintel(name, **options)
+    sintel.fit(data)
+    return sintel.detect(data)
 
 
 @pytest.fixture(scope="module")
@@ -54,13 +66,13 @@ class TestMultivariateDetect:
         for event in sintel.detect(mv_signal.to_array()):
             assert len(event) == 4
 
-    def test_refit_reproduces_events(self, mv_signal, mv_events):
+    def test_executor_parity(self, mv_signal, mv_events):
         _, expected = mv_events
         name, options = MV_PIPELINE
-        sintel = Sintel(name, **options)
-        sintel.fit(mv_signal.to_array())
-        events = sintel.detect(mv_signal.to_array())
-        assert events == expected
+        job = (name, options, mv_signal.to_array())
+        for executor in EXECUTORS:
+            [events] = get_executor(executor).map(_fit_detect, [job])
+            assert events == expected, executor
 
     def test_stream_events_carry_channel(self, mv_signal):
         name, options = MV_PIPELINE
@@ -96,6 +108,14 @@ class TestUnivariateUnchanged:
         sintel.fit(data)
         for event in sintel.detect(data):
             assert len(event) == 3
+
+    def test_univariate_bitwise_identical_across_executors(self,
+                                                           small_signal):
+        job = ("azure", {}, small_signal.to_array())
+        [expected] = get_executor(EXECUTORS[0]).map(_fit_detect, [job])
+        for executor in EXECUTORS[1:]:
+            [events] = get_executor(executor).map(_fit_detect, [job])
+            assert events == expected, executor
 
     def test_univariate_bitwise_identical_to_reference(self, small_signal):
         # The reference interpreter runs azure's primitives one by one on

@@ -3,8 +3,8 @@
 These are the acceptance tests for the streaming subsystem: streaming
 detection over micro-batches must produce the same anomaly intervals as
 batch ``detect`` over the full signal (within one micro-batch of edge
-tolerance); and an
-injected mean shift must flow through DriftMonitor → scheduler refit →
+tolerance), whether the serial or the threaded executor runs the job; and
+an injected mean shift must flow through DriftMonitor → scheduler refit →
 atomic pipeline swap without dropping or reordering queued batches.
 """
 
@@ -13,16 +13,15 @@ import pytest
 
 from repro import Sintel
 from repro.benchmark import default_streaming_signals, intervals_match
+from repro.core.executor import get_executor
 from repro.core.fleet import StreamScheduler
 from repro.streaming import PageHinkley
 
 BATCH = 50
 
 
-@pytest.mark.parametrize("signal", default_streaming_signals(),
-                         ids=lambda signal: signal.name)
-def test_stream_matches_batch_detection(signal):
-    data = signal.to_array()
+def _batch_and_stream(data):
+    """Detect ``data`` whole, then stream it in micro-batches: one job."""
     sintel = Sintel("azure", k=4.0)
     sintel.fit(data)
     batch_anomalies = sintel.detect(data)
@@ -32,7 +31,15 @@ def test_stream_matches_batch_detection(signal):
     for start in range(0, len(data), BATCH):
         runner.send(data[start:start + BATCH])
     runner.close()
-    stream_anomalies = runner.anomalies()
+    return batch_anomalies, runner.anomalies()
+
+
+@pytest.mark.parametrize("executor", ["serial", "threaded"])
+@pytest.mark.parametrize("signal", default_streaming_signals(),
+                         ids=lambda signal: signal.name)
+def test_stream_matches_batch_detection(signal, executor):
+    [(batch_anomalies, stream_anomalies)] = get_executor(executor).map(
+        _batch_and_stream, [signal.to_array()])
 
     assert batch_anomalies, "batch detection found nothing to compare"
     assert intervals_match(batch_anomalies, stream_anomalies, tolerance=BATCH)
