@@ -138,21 +138,17 @@ class FleetGroup:
     def detect(self, lanes: List[FleetLane]) -> List[List[tuple]]:
         """Run one stream-batch plan over the participating lanes' windows.
 
-        Returns one ``partial_detect``-shaped detection list per lane, in
-        lane order, ready to demux into each lane's event reconciliation.
+        The same plan :meth:`Pipeline.partial_detect` runs with one lane,
+        here with one row of primitives per participating lane. Returns
+        one ``partial_detect``-shaped detection list per lane, in lane
+        order, ready to demux into each lane's event reconciliation; the
+        run's per-step timings land on the base pipeline.
         """
         plan = self.base.compiler.plan(
             "stream_batch", exact=self.exact, precision=self.precision)
         plan.lane_registry.set_rows([lane.primitives for lane in lanes])
-        context = {
-            "data": [lane.runner.window for lane in lanes],
-            "events": [None] * len(lanes),
-        }
-        context, self.base.step_timings = plan.run(context)
-        anomalies = context.get("anomalies")
-        if anomalies is None:
-            anomalies = [None] * len(lanes)
-        return [Pipeline._format_anomalies(entry) for entry in anomalies]
+        return self.base._run_signals(
+            plan, [lane.runner.window for lane in lanes])[0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"FleetGroup(pipeline={self.base.name!r}, "
@@ -607,6 +603,15 @@ class StandbyCache:
             self._size += 1
             return True
 
+    def discard(self, pipeline: Pipeline) -> None:
+        """Drop ``pipeline`` from the warm pool: a lane serves it again."""
+        key = self._key(pipeline)
+        with self._lock:
+            bucket = self._cache.get(key, ())
+            if pipeline in bucket:  # pipelines compare by identity
+                bucket.remove(pipeline)
+                self._size -= 1
+
     @property
     def size(self) -> int:
         return self._size
@@ -661,7 +666,15 @@ class StreamScheduler:
     # passthrough surface
     # ------------------------------------------------------------------ #
     def add_stream(self, pipeline, **options) -> FleetLane:
+        """Register a lane; its pipeline leaves the standby cache.
+
+        A pipeline released to the cache once its group emptied can come
+        back as a stream base (an API ``fleet_group`` keeps its fitted
+        base); the next refit would otherwise fit it in place while the
+        new lane serves it.
+        """
         lane = self.fleet.add_stream(pipeline, **options)
+        self.standby.discard(lane.runner.pipeline)
         lane.last_refit = self._clock()
         return lane
 

@@ -9,13 +9,15 @@ hyperparameter assignment ``λ ∈ Λ``.
 Execution lowers through the unified plan IR (:mod:`repro.core.plan`): a
 :class:`~repro.core.plan.PlanCompiler` turns the template's steps into one
 mode-tagged :class:`~repro.core.plan.CompiledStep` representation per mode
-(``fit`` / ``detect`` / ``stream`` / ``batch``), and every public entry
-point — :meth:`Pipeline.fit`, :meth:`Pipeline.detect`,
-:meth:`Pipeline.partial_detect`, :meth:`Pipeline.detect_batch` — runs the
-corresponding compiled plan in the caller with one
-:meth:`~repro.core.plan.ExecutionPlan.run` call. Plans are compiled once
-and kept across refits: a refit swaps fresh primitives into the
-``[step, primitive]`` cells that every compiled node reads at call time.
+(``fit`` / ``batch`` / ``stream_batch``), and every public entry point
+runs one compiled plan in the caller with one
+:meth:`~repro.core.plan.ExecutionPlan.run` call: :meth:`Pipeline.fit` the
+fit plan, :meth:`Pipeline.detect_batch` the batch plan over N signals and
+:meth:`Pipeline.detect` the exact batch plan over one, and
+:meth:`Pipeline.partial_detect` the exact stream-batch plan with one lane.
+Plans are compiled once and kept across refits: a refit swaps fresh
+primitives into the ``[step, primitive]`` cells that every compiled node
+reads at call time.
 """
 
 from __future__ import annotations
@@ -137,9 +139,11 @@ class Pipeline:
 
     The pipeline runs its steps over a shared *context* — a dictionary of
     named variables. ``fit`` calls every step's ``fit`` and ``produce``;
-    ``detect`` only calls ``produce``. Steps run in order in the caller,
-    and the plan's per-step timings (and, when profiling, memory) land in
-    ``step_timings`` for the computational benchmark (Figure 7).
+    ``detect`` only produces, through the batch plan over a list of one
+    signal. Steps run in order in the caller, and the plan's per-step
+    timings (and, when profiling, memory) land in ``step_timings`` — one
+    entry per template step, fused chain members included — for the
+    computational benchmark (Figure 7).
 
     All execution goes through the unified plan IR: the first run of each
     mode lowers the template once via :class:`~repro.core.plan.PlanCompiler`
@@ -264,39 +268,59 @@ class Pipeline:
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
-    def _run(self, context: dict, fit: bool, profile: bool = False,
-             stream: bool = False) -> dict:
-        if fit:
-            self._rebuild_primitives()
-        mode = "fit" if fit else ("stream" if stream else "detect")
-        self.step_timings = {}
-        context, self.step_timings = self.compiled_plan(mode).run(
-            context, fit=fit, profile=profile)
-        return context
-
     def fit(self, data, profile: bool = False, **context_variables) -> "Pipeline":
         """Fit every step on ``data`` (a ``(timestamp, values...)`` array)."""
         context = {"data": np.asarray(data, dtype=float), "events": None}
         context.update(context_variables)
-        self._run(context, fit=True, profile=profile)
+        self._rebuild_primitives()
+        self.step_timings = {}
+        _, self.step_timings = self.compiled_plan("fit").run(
+            context, profile=profile)
         self.fitted = True
         return self
 
+    def _run_signals(self, plan: ExecutionPlan, arrays: list,
+                     variables: Optional[dict] = None,
+                     profile: bool = False):
+        """Run a batch or stream-batch ``plan`` over one entry per signal.
+
+        Builds the list-shaped context (``data``, ``events`` and every
+        extra variable in ``variables``, each a list with one entry per
+        signal), runs the plan, and stores its per-step timings in
+        ``step_timings``. Returns the formatted anomalies of every signal
+        and the final context.
+        """
+        size = len(arrays)
+        context = {"data": arrays, "events": [None] * size}
+        for name, values in (variables or {}).items():
+            values = list(values)
+            if len(values) != size:
+                raise PipelineError(
+                    f"Batch context variable {name!r} has {len(values)} "
+                    f"entries for {size} signals"
+                )
+            context[name] = values
+        self.step_timings = {}
+        context, self.step_timings = plan.run(context, profile=profile)
+        anomalies = context.get("anomalies", [None] * size)
+        return [self._format_anomalies(entry) for entry in anomalies], context
+
     def detect(self, data, visualization: bool = False, profile: bool = False,
                **context_variables):
-        """Detect anomalies in ``data``.
+        """Detect anomalies in ``data``: the exact batch plan over ``[data]``.
 
         Returns a list of ``(start, end, severity)`` tuples, or a tuple of
         ``(anomalies, context)`` when ``visualization`` is requested.
         """
         if not self.fitted:
             raise NotFittedError(f"Pipeline {self.name!r} must be fit before detect")
-        context = {"data": np.asarray(data, dtype=float), "events": None}
-        context.update(context_variables)
-        context = self._run(context, fit=False, profile=profile)
-        anomalies = self._format_anomalies(context.get("anomalies"))
+        [anomalies], context = self._run_signals(
+            self.compiled_plan("batch"), [np.asarray(data, dtype=float)],
+            {name: [value] for name, value in context_variables.items()},
+            profile)
         if visualization:
-            return anomalies, context
+            return anomalies, {name: values[0]
+                               for name, values in context.items()}
         return anomalies
 
     def detect_batch(self, signals, exact: bool = True, profile: bool = False,
@@ -360,45 +384,37 @@ class Pipeline:
         arrays = [np.asarray(data, dtype=float) for data in signals]
         if not arrays:
             return []
-        size = len(arrays)
-        context = {"data": arrays, "events": [None] * size}
-        for name, values in context_variables.items():
-            values = list(values)
-            if len(values) != size:
-                raise PipelineError(
-                    f"Batch context variable {name!r} has {len(values)} "
-                    f"entries for {size} signals"
-                )
-            context[name] = values
         plan = self.compiled_plan("batch", exact=exact, precision=precision)
-        self.step_timings = {}
-        context, self.step_timings = plan.run(context, profile=profile)
-        anomalies = context.get("anomalies")
-        if anomalies is None:
-            anomalies = [None] * size
-        return [self._format_anomalies(entry) for entry in anomalies]
+        return self._run_signals(plan, arrays, context_variables,
+                                 profile)[0]
 
     def partial_detect(self, data, **context_variables) -> List[tuple]:
         """Detect anomalies over one sliding-window micro-batch (streaming).
 
         ``data`` is the stream's current window — typically the trailing
         ``window_size`` rows maintained by
-        :class:`~repro.core.stream.StreamRunner`. Steps run in the caller
-        like :meth:`detect`, but through the *stream-mode* plan:
-        primitives that declare ``supports_stream`` consume the window
-        through :meth:`~repro.core.primitive.Primitive.update` (folding the
-        new samples into running state) while every other step
-        re-``produce``s over the window. The pipeline must already be
-        fitted.
+        :class:`~repro.core.stream.StreamRunner`. It runs the exact
+        stream-batch plan with one lane whose row is this pipeline's own
+        primitives: ``supports_stream`` primitives fold the window into
+        their running state through
+        :meth:`~repro.core.primitive.Primitive.update`, and every other
+        step re-``produce``s over it, exactly as one lane of a fleet does.
+        The pipeline must already be fitted.
+
+        The plan's :class:`~repro.core.plan.LaneRegistry` is shared with
+        any fleet group serving this pipeline on the exact plane, so calls
+        on one pipeline must not overlap each other or a fleet round.
         """
         if not self.fitted:
             raise NotFittedError(
                 f"Pipeline {self.name!r} must be fit before partial_detect"
             )
-        context = {"data": np.asarray(data, dtype=float), "events": None}
-        context.update(context_variables)
-        context = self._run(context, fit=False, stream=True)
-        return self._format_anomalies(context.get("anomalies"))
+        plan = self.compiled_plan("stream_batch")
+        plan.lane_registry.set_rows([[cell[1] for cell in self._primitives]])
+        [anomalies], _ = self._run_signals(
+            plan, [np.asarray(data, dtype=float)],
+            {name: [value] for name, value in context_variables.items()})
+        return anomalies
 
     def fit_detect(self, data, **context_variables):
         """Fit on ``data`` and immediately detect anomalies in it."""

@@ -5,20 +5,26 @@ unchanged from offline benchmarking to live serving (§3.1, §5). On the
 execution side that promise is kept here: a :class:`PlanCompiler` lowers a
 template's steps — paired with their live primitive instances — into one
 mode-tagged :class:`CompiledStep` intermediate representation, and every
-execution surface consumes the same IR:
+execution surface consumes the same IR. There is one mode per semantics:
 
-* ``fit``    — each step fits (when the runtime ``fit`` flag is set) and
-  produces; the only mode allowed to mutate primitives through ``fit``;
-* ``detect`` — produce-only, one signal per context variable;
-* ``stream`` — produce-only over a sliding window; primitives that declare
-  ``supports_stream`` consume it incrementally through ``update``;
-* ``batch``  — produce-only, every context variable holds a *list* with
-  one entry per signal and each step runs ``produce_batch`` once over the
-  whole batch. With ``exact=False`` the compiler lowers to
-  ``produce_batch_fused`` for primitives that declare
-  ``supports_fused_batch`` — fused NN forwards whose parity is tolerance-
-  based instead of bitwise (BLAS summation order changes with the GEMM
-  shape), compiled as a plan of its own.
+* ``fit``          — each step fits (when its primitive declares
+  ``fit_args``) and then produces; the only mode that mutates primitives
+  through ``fit``. Fitting is a property of the mode, never a runtime
+  flag: no other mode can fit;
+* ``batch``        — every context variable holds a *list* with one entry
+  per signal and each step runs ``produce_batch`` once over the whole
+  batch. :meth:`~repro.core.pipeline.Pipeline.detect` is a batch of one.
+  With ``exact=False`` the compiler lowers to ``produce_batch_fused`` for
+  primitives that declare ``supports_fused_batch`` — fused NN forwards
+  whose parity is tolerance-based instead of bitwise (BLAS summation
+  order changes with the GEMM shape), compiled as a plan of its own;
+* ``stream_batch`` — the streaming mode: one sliding window per *lane*.
+  Stateless steps run once over the stacked windows through the batch
+  machinery, while ``supports_stream`` steps lower to :class:`LaneStep`
+  nodes that fold each lane's window into that lane's own primitive
+  through ``update``. The fleet plane runs one such plan per group of
+  streams, and :meth:`~repro.core.pipeline.Pipeline.partial_detect` is a
+  one-lane stream batch whose row is the pipeline's own cells.
 
 A compiled plan is an :class:`ExecutionPlan`: an ordered list of named,
 timed :class:`StepNode` entries. It runs itself —
@@ -31,16 +37,18 @@ steps ready at once. Every node's ``execute`` closure builds its
 call time, so there is exactly one implementation of argument collection,
 output mapping, and mode dispatch for every mode.
 
-Batch plans additionally run a **step-fusion pass**: contiguous runs of
-steps whose primitives declare a ``fuse_category`` (elementwise / window /
-forward) lower into a single :class:`FusedStep` work unit — one node that
-executes the whole chain in one pass, threading intermediate ndarrays
-straight from member to member and leasing NN scratch space from the
-plan's :class:`~repro.core.arena.ArenaPool` instead of returning to the
-plan loop (and its timing machinery) per step. A ``FusedStep`` node runs
-like any other node. Setting the ``REPRO_NO_FUSION`` environment variable
-disables the pass (each step lowers to its own node, the pre-fusion
-behaviour) — the benchmark uses this to attribute speedups.
+Batch and stream-batch plans additionally run a **step-fusion pass**:
+contiguous runs of steps whose primitives declare a ``fuse_category``
+(elementwise / window / forward) lower into a single :class:`FusedStep`
+work unit — one node that executes the whole chain in one pass, threading
+intermediate ndarrays straight from member to member and leasing NN
+scratch space from the plan's :class:`~repro.core.arena.ArenaPool`
+instead of returning to the plan loop per step. A ``FusedStep`` times
+each member with the same probe the plan loop uses, so a run's timings
+hold one entry per template step on every plane. Setting the
+``REPRO_NO_FUSION`` environment variable disables the pass (each step
+lowers to its own node, the pre-fusion behaviour) — the benchmark uses
+this to attribute speedups.
 
 The compiler also owns the plan cache: plans are compiled lazily per
 ``(mode, exact, precision)`` key and reused — not recompiled — when a
@@ -157,6 +165,20 @@ def trace_memory(enabled: bool = True):
                 tracemalloc.stop()
 
 
+@contextlib.contextmanager
+def _timed(timings: Dict[str, dict], name: str, engine: str, profile: bool):
+    """Record the ``with`` body as ``timings[name]`` once it completes.
+
+    The entry holds ``elapsed`` seconds, the step's ``engine`` and its
+    ``memory`` (``tracemalloc`` peak bytes when ``profile`` is set, else 0).
+    """
+    started = time.perf_counter()
+    with trace_memory(profile) as probe:
+        yield
+    timings[name] = {"elapsed": time.perf_counter() - started,
+                     "engine": engine, "memory": probe.memory}
+
+
 # --------------------------------------------------------------------------- #
 # execution plans
 # --------------------------------------------------------------------------- #
@@ -168,17 +190,19 @@ class StepNode:
         name: unique step name within the plan.
         engine: engine category of the underlying primitive, reported in
             the step's timing.
-        execute: ``execute(context, fit)`` callable returning a dictionary of
+        execute: ``execute(context)`` callable returning a dictionary of
             context updates. It must not mutate ``context`` itself — the
-            plan applies the updates.
-        members: fused batch nodes only — indices of the compiler cells this
+            plan applies the updates. A fused node's ``execute`` is
+            called as ``execute(context, timings, profile)`` instead and
+            records one ``timings`` entry per member step itself.
+        members: fused nodes only — indices of the compiler cells this
             node covers (a contiguous chain lowered into one ``FusedStep``).
             ``None`` for ordinary single-step nodes.
     """
 
     name: str
     engine: str
-    execute: Callable[[dict, bool], dict]
+    execute: Callable[..., dict]
     members: Optional[Tuple[int, ...]] = None
 
 
@@ -201,35 +225,34 @@ class ExecutionPlan:
     def __iter__(self):
         return iter(self.nodes)
 
-    def run(self, context: dict, fit: bool = False, profile: bool = False
+    def run(self, context: dict, profile: bool = False
             ) -> Tuple[dict, Dict[str, dict]]:
         """Execute every node over ``context``, in plan order, in the caller.
 
         Returns the final context and a ``{step: timing}`` mapping with keys
         ``elapsed``, ``engine`` and ``memory`` (``tracemalloc`` peak bytes
-        when ``profile`` is set, else 0). The timings of a run that
-        completes are also fed to the installed timing sink.
+        when ``profile`` is set, else 0) — one entry per template step,
+        fused chain members included. The timings of a run that completes
+        are also fed to the installed timing sink.
         """
         timings: Dict[str, dict] = {}
         for node in self.nodes:
-            started = time.perf_counter()
-            with trace_memory(profile) as probe:
-                updates = node.execute(context, fit)
-            timings[node.name] = {"elapsed": time.perf_counter() - started,
-                                  "engine": node.engine,
-                                  "memory": probe.memory}
+            if node.members is None:
+                with _timed(timings, node.name, node.engine, profile):
+                    updates = node.execute(context)
+            else:  # a fused node times each of its members itself
+                updates = node.execute(context, timings, profile)
             context.update(updates)
         observe_step_timings(timings)
         return context, timings
 
 
-#: The execution modes a template lowers into. ``stream_batch`` is the
-#: fleet plane's mode: one plan run serves N concurrent streams at once —
-#: stateless steps run once over the stacked ``(n_streams, window)`` batch
-#: (through the batch/fused machinery) while incremental steps keep
-#: per-stream state in a :class:`LaneRegistry` and lower to
-#: :class:`LaneStep` nodes.
-PLAN_MODES = ("fit", "detect", "stream", "batch", "stream_batch")
+#: The execution modes a template lowers into: fitting, N signals at once
+#: (``detect`` is a batch of one), and N sliding-window lanes at once —
+#: stateless steps run once over the stacked windows while incremental
+#: steps keep per-lane state in a :class:`LaneRegistry` and lower to
+#: :class:`LaneStep` nodes (``partial_detect`` is a stream batch of one).
+PLAN_MODES = ("fit", "batch", "stream_batch")
 
 #: ``fuse_category`` values the fusion pass accepts into chains.
 FUSABLE_CATEGORIES = ("elementwise", "window", "forward")
@@ -249,19 +272,31 @@ def collect_args(context: dict, args, inputs: dict, step: dict) -> dict:
     return kwargs
 
 
+def _map_outputs(step: dict, primitive, produced) -> dict:
+    """Rename a primitive's outputs to the step's context variables."""
+    if not isinstance(produced, dict):
+        raise PipelineError(
+            f"Primitive {primitive.name!r} must return a dict of outputs"
+        )
+    outputs = step.get("outputs", {})
+    return {outputs.get(out, out): value for out, value in produced.items()}
+
+
 class CompiledStep:
     """One step of the lowered plan: a mode-tagged step body.
 
     The node's ``execute`` closure builds it over the *current* primitive
     of its cell and calls :meth:`run`, which returns the step's context
-    updates. A fit or an incremental streaming update mutates that
-    primitive in place, so the pipeline owning the cell sees it directly.
+    updates. A fit mutates that primitive in place, so the pipeline owning
+    the cell sees it directly.
 
     Args:
-        mode: one of :data:`PLAN_MODES`.
+        mode: one of :data:`PLAN_MODES`. A ``fit`` step fits and then
+            produces one signal; a ``batch`` or ``stream_batch`` step
+            runs ``produce_batch`` over one list entry per signal or lane.
         step: the template step dictionary (name, inputs, outputs).
         primitive: the live primitive instance executing the step.
-        exact: batch mode only — ``False`` lowers to the fused
+        exact: batch modes only — ``False`` lowers to the fused
             (tolerance-parity) ``produce_batch_fused`` for primitives that
             support it.
     """
@@ -277,40 +312,24 @@ class CompiledStep:
         self.primitive = primitive
         self.exact = exact
 
-    def _map_outputs(self, produced) -> dict:
-        if not isinstance(produced, dict):
-            raise PipelineError(
-                f"Primitive {self.primitive.name!r} must return a dict of "
-                "outputs"
-            )
-        outputs = self.step.get("outputs", {})
-        return {outputs.get(out, out): value for out, value in produced.items()}
-
-    def run(self, context: dict, fit: bool):
-        if fit and self.mode != "fit":
-            raise PipelineError(
-                f"{self.mode}-mode plans are produce-only; compile a "
-                "fit-mode plan to fit"
-            )
+    def run(self, context: dict) -> dict:
         primitive = self.primitive
         step = self.step
-        if self.mode in ("batch", "stream_batch"):
-            kwargs = collect_args(context, primitive.produce_args,
-                                  step.get("inputs", {}), step)
+        inputs = step.get("inputs", {})
+        if self.mode == "fit":
+            if primitive.fit_args:
+                primitive.fit(**collect_args(context, primitive.fit_args,
+                                             inputs, step))
+            produced = primitive.produce(**collect_args(
+                context, primitive.produce_args, inputs, step))
+        else:
+            kwargs = collect_args(context, primitive.produce_args, inputs,
+                                  step)
             if not self.exact and primitive.supports_fused_batch:
                 produced = primitive.produce_batch_fused(**kwargs)
             else:
                 produced = primitive.produce_batch(**kwargs)
-            return self._map_outputs(produced)
-        inputs = step.get("inputs", {})
-        incremental = self.mode == "stream" and primitive.supports_stream
-        if fit and primitive.fit_args:
-            primitive.fit(**collect_args(context, primitive.fit_args,
-                                         inputs, step))
-        kwargs = collect_args(context, primitive.produce_args, inputs, step)
-        produced = primitive.update(**kwargs) if incremental \
-            else primitive.produce(**kwargs)
-        return self._map_outputs(produced)
+        return _map_outputs(step, primitive, produced)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"CompiledStep(mode={self.mode!r}, "
@@ -337,7 +356,9 @@ class FusedStep:
     context instead of returning to the plan loop between steps. The
     returned updates are the union of every member's mapped outputs, so
     the post-run context is identical to the unfused plan's — fusion
-    changes scheduling, never results (bitwise on the exact plane).
+    changes scheduling, never results (bitwise on the exact plane). Each
+    member is timed like an unfused node, into the run's ``timings``
+    under its own step name, so per-step attribution survives fusion.
 
     Args:
         mode: ``"batch"`` or ``"stream_batch"`` — the modes the fusion
@@ -362,32 +383,30 @@ class FusedStep:
         self.precision = precision
         self.arena = arena
 
-    def run(self, context: dict, fit: bool):
-        if fit:
-            raise PipelineError(
-                f"{self.mode}-mode plans are produce-only; compile a "
-                "fit-mode plan to fit"
-            )
+    def run(self, context: dict, timings: Dict[str, dict],
+            profile: bool = False) -> dict:
+        """Run the chain; record one ``timings`` entry per member step."""
         arena = self.arena if self.arena is not None else ArenaPool()
         local = dict(context)
         updates = {}
         for compiled in self.steps:
             primitive = compiled.primitive
             step = compiled.step
-            kwargs = collect_args(local, primitive.produce_args,
-                                  step.get("inputs", {}), step)
-            if self.precision == "float32":
-                kwargs = {key: _downcast_batch(value)
-                          for key, value in kwargs.items()}
-            if not compiled.exact and primitive.supports_fused_batch:
-                if primitive.fused_accepts_arena:
-                    produced = primitive.produce_batch_fused(
-                        arena=arena, **kwargs)
+            with _timed(timings, step["name"], primitive.engine, profile):
+                kwargs = collect_args(local, primitive.produce_args,
+                                      step.get("inputs", {}), step)
+                if self.precision == "float32":
+                    kwargs = {key: _downcast_batch(value)
+                              for key, value in kwargs.items()}
+                if not compiled.exact and primitive.supports_fused_batch:
+                    if primitive.fused_accepts_arena:
+                        produced = primitive.produce_batch_fused(
+                            arena=arena, **kwargs)
+                    else:
+                        produced = primitive.produce_batch_fused(**kwargs)
                 else:
-                    produced = primitive.produce_batch_fused(**kwargs)
-            else:
-                produced = primitive.produce_batch(**kwargs)
-            mapped = compiled._map_outputs(produced)
+                    produced = primitive.produce_batch(**kwargs)
+                mapped = _map_outputs(step, primitive, produced)
             local.update(mapped)
             updates.update(mapped)
         return updates
@@ -400,18 +419,21 @@ class FusedStep:
 
 
 class LaneRegistry:
-    """Per-round table of lane-local primitive rows for stream-batch plans.
+    """Per-run table of lane-local primitive rows for stream-batch plans.
 
     The fleet plane (:mod:`repro.core.fleet`) keeps one incremental
     primitive *copy per stream* for every ``supports_stream`` step — a
     scaler's running statistics belong to one stream, never to the fleet.
-    Each scheduling round the fleet binds the participating streams' rows
-    here (:meth:`set_rows`), and the compiled :class:`LaneStep` nodes read
-    their column at dispatch time — the same late-binding idiom the
-    single-signal plans use for ``[step, primitive]`` cells, extended to a
-    second axis. ``rows[j][i]`` is stream *j*'s primitive for cell *i*,
-    and every incremental update mutates that primitive in place, so the
-    state stays with the stream that owns it.
+    Before each plan run its caller binds the participating streams' rows
+    here (:meth:`set_rows`) — a fleet group its lanes' copies,
+    :meth:`~repro.core.pipeline.Pipeline.partial_detect` the pipeline's
+    own primitives as a single row — and the compiled :class:`LaneStep`
+    nodes read their column at dispatch time: the same late-binding idiom
+    the plans use for ``[step, primitive]`` cells, extended to a second
+    axis. ``rows[j][i]`` is lane *j*'s primitive for cell *i*, and every
+    incremental update mutates that primitive in place, so the state stays
+    with the stream that owns it. One registry serves every run of its
+    plan, so runs of one plan must not overlap.
     """
 
     def __init__(self):
@@ -430,15 +452,15 @@ class LaneRegistry:
 
 
 class LaneStep:
-    """One stream-batch step executed per lane over lane-local state.
+    """One incremental stream-batch step, run per lane over lane-local state.
 
-    The stream-batch analogue of a stream-mode incremental step: stateless
-    steps in a stream-batch plan run once over the whole ``(n_streams,
-    window)`` stack, but a ``supports_stream`` primitive mutates running
-    state that belongs to exactly one stream, so this work unit loops the
-    participating lanes, feeding each lane's slice of the batched context
-    through *that lane's* primitive copy via ``update``. :meth:`run`
-    returns the per-lane outputs collected into one list per variable.
+    Stateless steps in a stream-batch plan run once over the whole
+    ``(n_lanes, window)`` stack, but a ``supports_stream`` primitive
+    mutates running state that belongs to exactly one stream, so this work
+    unit loops the participating lanes, feeding each lane's slice of the
+    batched context through *that lane's* primitive via ``update``. Lanes
+    are built only from ``supports_stream`` cells. :meth:`run` returns the
+    per-lane outputs collected into one list per variable.
     """
 
     __slots__ = ("step", "primitives")
@@ -447,37 +469,17 @@ class LaneStep:
         self.step = step
         self.primitives = list(primitives)
 
-    def run(self, context: dict, fit: bool):
-        if fit:
-            raise PipelineError(
-                "stream_batch-mode plans are produce-only; compile a "
-                "fit-mode plan to fit"
-            )
+    def run(self, context: dict) -> dict:
         step = self.step
         inputs = step.get("inputs", {})
-        outputs = step.get("outputs", {})
         collected: dict = {}
-        for lane_index, primitive in enumerate(self.primitives):
-            kwargs = {}
-            for arg in primitive.produce_args:
-                variable = inputs.get(arg, arg)
-                if variable not in context:
-                    raise PipelineError(
-                        f"Step {step['name']!r} needs variable {variable!r} "
-                        "which is not present in the context"
-                    )
-                kwargs[arg] = context[variable][lane_index]
-            if primitive.supports_stream:
-                produced = primitive.update(**kwargs)
-            else:  # pragma: no cover - lanes are built from stream steps
-                produced = primitive.produce(**kwargs)
-            if not isinstance(produced, dict):
-                raise PipelineError(
-                    f"Primitive {primitive.name!r} must return a dict of "
-                    "outputs"
-                )
-            for out, value in produced.items():
-                collected.setdefault(outputs.get(out, out), []).append(value)
+        for lane, primitive in enumerate(self.primitives):
+            kwargs = collect_args(context, primitive.produce_args, inputs,
+                                  step)
+            produced = primitive.update(**{arg: values[lane]
+                                           for arg, values in kwargs.items()})
+            for name, value in _map_outputs(step, primitive, produced).items():
+                collected.setdefault(name, []).append(value)
         return collected
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
@@ -504,16 +506,15 @@ class PlanCompiler:
     # ------------------------------------------------------------------ #
     @staticmethod
     def _lower_node(entry: list, mode: str, exact: bool) -> StepNode:
-        def execute(context: dict, fit: bool) -> dict:
+        def execute(context: dict) -> dict:
             # The primitive is read through the cell at call time.
-            return CompiledStep(mode, entry[0], entry[1], exact).run(
-                context, fit)
+            return CompiledStep(mode, entry[0], entry[1], exact).run(context)
 
         return StepNode(name=entry[0]["name"], engine=entry[1].engine,
                         execute=execute)
 
     # ------------------------------------------------------------------ #
-    # the step-fusion pass (batch mode only)
+    # the step-fusion pass (batch and stream-batch modes)
     # ------------------------------------------------------------------ #
     def _fusion_chains(self, exclude_stream: bool = False) \
             -> List[Tuple[int, ...]]:
@@ -548,11 +549,12 @@ class PlanCompiler:
                           mode: str = "batch") -> StepNode:
         entries = [self.cells[i] for i in indices]
 
-        def execute(context: dict, fit: bool) -> dict:
+        def execute(context: dict, timings: Dict[str, dict],
+                    profile: bool) -> dict:
             members = [CompiledStep(mode, cell[0], cell[1], exact)
                        for cell in entries]
             return FusedStep(mode, members, precision, arena).run(
-                context, fit)
+                context, timings, profile)
 
         return StepNode(
             name="fused:" + "+".join(entry[0]["name"] for entry in entries),
@@ -570,12 +572,11 @@ class PlanCompiler:
 
         The node reads the participating lanes' primitive copies through
         the shared :class:`LaneRegistry` at dispatch time — the registry
-        is rebound every scheduling round, so one compiled plan serves
-        every round regardless of which streams show up.
+        is rebound before every run, so one compiled plan serves every
+        run regardless of which lanes show up.
         """
-        def execute(context: dict, fit: bool) -> dict:
-            return LaneStep(entry[0], registry.column(index)).run(
-                context, fit)
+        def execute(context: dict) -> dict:
+            return LaneStep(entry[0], registry.column(index)).run(context)
 
         return StepNode(name=entry[0]["name"], engine=entry[1].engine,
                         execute=execute)
@@ -590,6 +591,7 @@ class PlanCompiler:
         fusable chains become single :class:`FusedStep` nodes sharing the
         plan's :class:`~repro.core.arena.ArenaPool`, exposed on the
         returned plan as ``plan.arena`` alongside ``plan.fusion_groups``.
+        Fit-mode plans lower every step to its own node.
 
         Stream-batch plans run the same fusion pass over their stateless
         cells; incremental cells lower to :class:`LaneStep` nodes bound to
@@ -602,7 +604,7 @@ class PlanCompiler:
         if stream_batch and registry is None:
             registry = LaneRegistry()
         self.compilations += 1
-        batched = mode == "batch" or stream_batch
+        batched = mode != "fit"
         fuse = batched and not os.environ.get("REPRO_NO_FUSION")
         chains = self._fusion_chains(exclude_stream=stream_batch) \
             if fuse else []

@@ -6,9 +6,11 @@ provides the per-stream half of that execution path:
 
 * :class:`StreamRunner` wraps a *fitted* :class:`~repro.core.pipeline.Pipeline`
   and consumes a signal as a sequence of micro-batches. It maintains a
-  sliding window of raw rows and runs the pipeline's stream-mode
-  :class:`~repro.core.plan.ExecutionPlan` over it in the caller (via
-  :meth:`Pipeline.partial_detect`);
+  sliding window of raw rows and runs the pipeline's exact stream-batch
+  :class:`~repro.core.plan.ExecutionPlan` over it in the caller, as a
+  single lane whose incremental state is the pipeline's own primitives
+  (via :meth:`Pipeline.partial_detect`) — the plan a fleet runs for many
+  lanes at once;
 * detections from overlapping windows are reconciled into
   :class:`StreamEvent` records with **stable ids** — an anomaly spanning
   many micro-batches keeps one id while its boundaries refine, and the
@@ -209,9 +211,10 @@ class StreamRunner:
         This is the ingestion half of :meth:`send` — buffer maintenance,
         counters and drift monitoring, but no detection. The fleet plane
         (:mod:`repro.core.fleet`) calls it directly and drives detection
-        through a coalesced stream-batch plan instead of
-        :meth:`Pipeline.partial_detect`, feeding the results back through
-        :meth:`apply_detections` so the event registry behaves identically.
+        through one stream-batch plan run over many lanes instead of one
+        :meth:`Pipeline.partial_detect` per runner, feeding the results
+        back through :meth:`apply_detections` so the event registry
+        behaves identically.
         """
         if self._closed:
             raise StreamError("The stream has been closed")

@@ -213,3 +213,27 @@ class TestCollectors:
         step_samples = [key for key in samples
                         if key[0] == "sintel_executor_step_runs_total"]
         assert step_samples, "pipeline runs must feed the timing sink"
+
+    def test_fused_chain_members_keep_their_step_labels(self):
+        # azure's batch plan fuses its four steps into one chain; detect
+        # and detect_many still report each step under its own name.
+        from repro.core.plan import set_timing_sink
+        from repro.core.sintel import Sintel
+        from repro.data.synthetic import WorkloadGenerator
+
+        data = WorkloadGenerator(seed=1, n_channels=1,
+                                 length=200).signal(0).to_array()
+        sintel = Sintel("azure")
+        collector = ExecutorTimingCollector()
+        previous = set_timing_sink(collector)
+        try:
+            sintel.fit_detect(data)
+            sintel.detect_many([data, data])
+        finally:
+            set_timing_sink(previous)
+        registry = MetricsRegistry()
+        registry.add_collector(collector.collect)
+        samples = parse_prometheus(registry.render())
+        runs = {labels[0][1]: value for (name, labels), value in samples.items()
+                if name == "sintel_executor_step_runs_total"}
+        assert runs == {step["name"]: 3 for step in sintel.pipeline.steps}

@@ -125,13 +125,6 @@ class TestDetectBatchEdges:
         with pytest.raises(PipelineError, match="entries for"):
             pipeline.detect_batch(batch_signals[:3], extra=[1, 2])
 
-    def test_batch_payload_rejects_fit(self, batch_signals):
-        pipeline = Pipeline(get_pipeline_spec("azure"))
-        pipeline.fit(batch_signals[0])
-        node = pipeline.compiled_plan("batch").nodes[0]
-        with pytest.raises(PipelineError, match="produce-only"):
-            node.execute({"data": [batch_signals[0]]}, True)
-
     def test_refit_after_batch_detect(self, batch_signals):
         # A refit rebuilds the primitives; the stale batch plan must not
         # keep serving the old fitted state.

@@ -148,7 +148,7 @@ class TestRegistry:
 # --------------------------------------------------------------------------- #
 def _node(name):
     return StepNode(name=name, engine="preprocessing",
-                    execute=lambda context, fit: {})
+                    execute=lambda context: {})
 
 
 class TestExecutionPlan:
@@ -161,9 +161,9 @@ class TestExecutionPlan:
         # seeing the updates of the nodes before it.
         nodes = [
             StepNode(name="produce", engine="t",
-                     execute=lambda context, fit: {"x": 2}),
+                     execute=lambda context: {"x": 2}),
             StepNode(name="consume", engine="t",
-                     execute=lambda context, fit: {"y": context["x"] * 10}),
+                     execute=lambda context: {"y": context["x"] * 10}),
         ]
         context, timings = ExecutionPlan(nodes).run({})
         assert context == {"x": 2, "y": 20}

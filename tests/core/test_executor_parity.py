@@ -73,7 +73,7 @@ def _fit_step_timings(data):
 
 
 def _run_where_plans(steps):
-    """Run a probe pipeline's fit and detect plans inside a job.
+    """Run a probe pipeline's fit and batch plans inside a job.
 
     Returns each plan's trace of ``(step, pid, thread id)`` and the
     ``(pid, thread id)`` of the job itself.
@@ -85,11 +85,11 @@ def _run_where_plans(steps):
                   for step in steps],
     })
     pipeline.fit(np.zeros((8, 2)))
-    traces = []
-    for mode in ("fit", "detect"):
-        context, _ = pipeline.compiled_plan(mode).run(
-            {"data": np.zeros((8, 2)), "events": None}, fit=mode == "fit")
-        traces.append(context["events"])
+    fit, _ = pipeline.compiled_plan("fit").run(
+        {"data": np.zeros((8, 2)), "events": None})
+    batch, _ = pipeline.compiled_plan("batch").run(
+        {"data": [np.zeros((8, 2))], "events": [None]})
+    traces = [fit["events"], batch["events"][0]]
     return traces, (os.getpid(), threading.get_ident())
 
 
@@ -279,7 +279,7 @@ class TestProcessExecutor:
         from repro.core.plan import ExecutionPlan, StepNode
 
         node = StepNode(name="double", engine="preprocessing",
-                        execute=lambda context, fit: {
+                        execute=lambda context: {
                             "data": context["data"] * 2})
         plan = ExecutionPlan([node])
         with pytest.warns(RuntimeWarning, match="unpicklable"):

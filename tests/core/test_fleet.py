@@ -601,6 +601,58 @@ class TestSharedBaseRefit:
         assert lanes[0].group is not lanes[1].group
         scheduler.close()
 
+    @pytest.mark.parametrize("refit_sync", [True, False])
+    def test_base_added_back_leaves_the_standby_cache(self, workload,
+                                                      refit_sync):
+        train, replays = workload
+        sintel = Sintel("dense_autoencoder", window_size=40, epochs=2)
+        sintel.fit(train)
+        base = sintel.pipeline
+        pristine = copy.deepcopy(base)
+        clock = {"now": 0.0}
+        scheduler = StreamScheduler(
+            policy=TierPolicy(sla_deadline=10.0), refit_budget=2,
+            refit_sync=refit_sync, clock=lambda: clock["now"])
+        options = dict(window_size=WINDOW, warmup=WARMUP,
+                       drift_detector=None)
+
+        def serve(feeds):
+            """One round: one micro-batch per ``(lane, batch)`` feed."""
+            for lane, batch in feeds:
+                scheduler.ingest(lane.lane_id, batch)
+            clock["now"] += 20.0  # every refittable lane blows its SLA
+            scheduler.run_round()
+            _await_refits(scheduler)
+
+        # Lanes A and B share the base and both refit: their group
+        # empties and the base goes to the standby cache.
+        pair = [scheduler.add_stream(base, stream_id=name, **options)
+                for name in "AB"]
+        schedule = [_batches(replay) for replay in replays[:2]]
+        for index in range(2):
+            serve([(lane, batches[index])
+                   for lane, batches in zip(pair, schedule)])
+        assert [lane.runner.retrains for lane in pair] == [1, 1]
+        assert scheduler.standby.size == 1
+        # Lane C is added back on the base and never refits, while A and
+        # B keep refitting from the standby cache.
+        lane = scheduler.add_stream(base, stream_id="C", retrain=False,
+                                    **options)
+        served = _batches(replays[2])[:2]
+        for index, batch in enumerate(served):
+            serve([(pair[0], schedule[0][2 + index]),
+                   (pair[1], schedule[1][2 + index]), (lane, batch)])
+
+        assert [lane.runner.retrains for lane in pair] == [3, 3]
+        assert scheduler.stats()["refit_errors"] == 0
+        assert lane.runner.pipeline is base
+        assert all(other.runner.pipeline is not base for other in pair)
+        [runner] = _replay_independent(pristine, [np.vstack(served)])
+        assert ([event.to_tuple() for event in lane.runner.events]
+                == [event.to_tuple() for event in runner.events])
+        assert self._state(base, train) == self._state(pristine, train)
+        scheduler.close()
+
 
 def _await_refits(scheduler, timeout=60.0):
     """Block until the scheduler has no refit in flight."""

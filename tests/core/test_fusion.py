@@ -4,19 +4,22 @@ The fusion pass lowers contiguous runs of fusable batch steps into single
 :class:`~repro.core.plan.FusedStep` nodes. These tests pin its contract: a
 non-fusable step mid-chain splits the run into two fused nodes around a
 plain passthrough; results stay bitwise-identical to the unfused plan on
-every executor; the plan's arena genuinely reuses buffers across repeat
-batches; and the reduced-precision plane is opt-in, validated and
-tolerance-correct.
+every executor; a fused chain still reports one timing per member step;
+the plan's arena genuinely reuses buffers across repeat batches; and the
+reduced-precision plane is opt-in, validated and tolerance-correct.
 """
 
 import numpy as np
 import pytest
 
+from repro.benchmark.profiling import profile_pipeline_steps
 from repro.core.executor import get_executor
 from repro.core.pipeline import Pipeline
 from repro.core.plan import FusedStep
 from repro.core.sintel import Sintel
+from repro.data.synthetic import WorkloadGenerator
 from repro.exceptions import PipelineError
+from repro.pipelines import get_pipeline_spec
 
 EXECUTORS = ["serial", "threaded", "process"]
 
@@ -140,15 +143,36 @@ class TestFusedParity:
             _run_batch_plan, [(split_pipeline, signals)])
         _assert_context_equal(context, reference)
 
-    def test_fused_step_rejects_fit(self, split_pipeline):
-        node = split_pipeline.compiled_plan("batch", exact=True).nodes[0]
-        assert node.members is not None
-        with pytest.raises(PipelineError, match="produce-only"):
-            node.execute(_batch_context(_signals()), True)
-
     def test_fused_step_is_batch_only(self):
         with pytest.raises(PipelineError, match="batch"):
             FusedStep("detect", [])
+
+
+class TestMemberTimings:
+    """A fused chain times each member like a plain node (Fig. 7b)."""
+
+    @pytest.fixture(scope="class")
+    def lstm(self):
+        # The batch plan fuses six of its seven steps into one chain.
+        pipeline = Pipeline(get_pipeline_spec("lstm_dynamic_threshold",
+                                              window_size=30, epochs=1))
+        pipeline.fit(_data())
+        return pipeline
+
+    def test_step_timings_name_every_step(self, lstm):
+        [chain] = lstm.compiled_plan("batch").fusion_groups
+        assert len(chain["steps"]) == 6
+        names = {step["name"] for step in lstm.steps}
+        lstm.detect(_data())
+        assert set(lstm.step_timings) == names
+        lstm.detect_batch(_signals())
+        assert set(lstm.step_timings) == names
+
+    def test_profile_reports_detect_time_for_every_step(self, lstm):
+        signal = WorkloadGenerator(seed=3, n_channels=1, length=240).signal(0)
+        steps = profile_pipeline_steps(lstm, signal)
+        assert set(steps) == {step["name"] for step in lstm.steps}
+        assert all(step["detect_time"] > 0 for step in steps.values())
 
 
 class TestArenaAndPrecision:

@@ -1,25 +1,35 @@
 """The unified plan IR: PlanCompiler lowering and CompiledStep contracts.
 
-Every execution surface (fit / detect / stream / batch) lowers through one
+Every execution surface lowers through one
 :class:`~repro.core.plan.PlanCompiler` into mode-tagged
-:class:`~repro.core.plan.CompiledStep` step bodies. These tests pin the
-IR's guarantees: mode semantics (produce-only modes reject fit), every
-step lowered exactly once, and plan *reuse* — a refit keeps running the
-compiled plans instead of lowering them again.
+:class:`~repro.core.plan.CompiledStep` step bodies, one mode per
+semantics (fit / batch / stream_batch). These tests pin the IR's
+guarantees: fitting belongs to the fit mode (no plan, node or step takes
+a runtime ``fit`` flag), every step lowered exactly once, and plan
+*reuse* — a refit keeps running the compiled plans instead of lowering
+them again.
 """
 
+import inspect
 import pickle
 
 import numpy as np
 import pytest
 
 from repro.core.pipeline import Pipeline
-from repro.core.plan import PLAN_MODES, CompiledStep, PlanCompiler
+from repro.core.plan import (
+    PLAN_MODES,
+    CompiledStep,
+    ExecutionPlan,
+    FusedStep,
+    LaneStep,
+    PlanCompiler,
+)
 from repro.exceptions import PipelineError
 from repro.pipelines import get_pipeline_spec
 
-ALL_MODE_PLANS = [("fit", True), ("detect", True), ("stream", True),
-                  ("batch", True), ("batch", False)]
+ALL_MODE_PLANS = [("fit", True), ("batch", True), ("batch", False),
+                  ("stream_batch", True)]
 
 
 def _data(rows: int = 240):
@@ -40,26 +50,27 @@ class TestCompiledStep:
         with pytest.raises(PipelineError, match="Unknown plan mode"):
             CompiledStep("training", {"name": "x"}, object())
 
-    @pytest.mark.parametrize("mode", ["detect", "stream", "batch"])
-    def test_produce_only_modes_reject_fit(self, fitted_pipeline, mode):
-        node = fitted_pipeline.compiled_plan(mode).nodes[0]
-        with pytest.raises(PipelineError, match="produce-only"):
-            node.execute({"data": _data()}, True)
+    @pytest.mark.parametrize("owner", [ExecutionPlan, CompiledStep,
+                                       FusedStep, LaneStep],
+                             ids=lambda owner: owner.__name__)
+    def test_no_runtime_fit_flag(self, owner):
+        # Fitting is a property of the mode: only a fit-mode plan fits.
+        assert "fit" not in inspect.signature(owner.run).parameters
 
     def test_fit_mode_payload_fits(self):
         pipeline = Pipeline(get_pipeline_spec("arima", window_size=30))
         pipeline.fit(_data())
         plan = pipeline.compiled_plan("fit")
         # Swap unfitted primitives into the cells, then replay the plan
-        # node by node: every fit-mode node must run with fit=True and
-        # leave the stateful primitives of its cell fitted.
+        # node by node: every fit-mode node must leave the stateful
+        # primitives of its cell fitted.
         pipeline._rebuild_primitives()
         stateful = [cell[1] for cell in pipeline._primitives
                     if cell[1].fit_args]
         unfitted = [pickle.dumps(primitive) for primitive in stateful]
         context = {"data": _data(), "events": None}
         for node in plan:
-            context.update(node.execute(context, True))
+            context.update(node.execute(context))
         assert stateful
         for primitive, before in zip(stateful, unfitted):
             assert pickle.dumps(primitive) != before
@@ -71,9 +82,9 @@ class TestCompiledStep:
 class TestModeLowering:
     @pytest.mark.parametrize("mode,exact", ALL_MODE_PLANS)
     def test_every_mode_lowers_every_step(self, fitted_pipeline, mode, exact):
-        # Batch plans run the fusion pass, so a node may cover a whole
-        # chain of steps (named ``fused:<a+b+...>``); every step must
-        # still be covered exactly once, in order.
+        # Batch and stream-batch plans run the fusion pass, so a node may
+        # cover a whole chain of steps (named ``fused:<a+b+...>``); every
+        # step must still be covered exactly once, in order.
         plan = fitted_pipeline.compiled_plan(mode, exact=exact)
         covered = []
         for node in plan:
@@ -84,9 +95,18 @@ class TestModeLowering:
         assert covered == [step["name"] for step in fitted_pipeline.steps]
 
     def test_fused_plan_writes_the_same_variables(self, fitted_pipeline):
-        unfused = fitted_pipeline.compiled_plan("detect")
+        unfused = fitted_pipeline.compiled_plan("fit")
         fused = fitted_pipeline.compiled_plan("batch", exact=True)
         assert len(fused.nodes) < len(unfused.nodes)
+
+    def test_detect_planes_share_the_batch_plans(self, fitted_pipeline):
+        # detect is a batch of one and partial_detect a one-lane stream
+        # batch, so neither lowers a plan of its own.
+        fitted_pipeline.detect(_data())
+        fitted_pipeline.detect_batch([_data(), _data(300)])
+        assert fitted_pipeline.plan_compilations == 2  # fit + batch
+        fitted_pipeline.partial_detect(_data())
+        assert fitted_pipeline.plan_compilations == 3  # + stream_batch
 
     def test_compiler_rejects_unknown_mode(self, fitted_pipeline):
         with pytest.raises(PipelineError, match="Unknown plan mode"):
@@ -95,9 +115,9 @@ class TestModeLowering:
     def test_plan_cache_and_compilation_counter(self, fitted_pipeline):
         compiler = fitted_pipeline.compiler
         before = compiler.compilations
-        plan = compiler.plan("stream")
+        plan = compiler.plan("stream_batch")
         assert compiler.compilations == before + 1
-        assert compiler.plan("stream") is plan
+        assert compiler.plan("stream_batch") is plan
         assert compiler.compilations == before + 1
 
 
@@ -126,9 +146,9 @@ class TestRefitReusesCompiledPlans:
     def test_refit_restamps_stateful_fingerprints(self):
         pipeline = Pipeline(get_pipeline_spec("arima", window_size=30))
         pipeline.fit(_data())
-        plan = pipeline.compiled_plan("detect")
+        plan = pipeline.compiled_plan("batch")
         pipeline.fit(_data(300))
-        assert pipeline.compiled_plan("detect") is plan
+        assert pipeline.compiled_plan("batch") is plan
 
     def test_hyperparameter_change_drops_compiler(self):
         pipeline = Pipeline(get_pipeline_spec("azure"))
@@ -155,8 +175,7 @@ class TestPlanCompilerStandalone:
 
         step = {"name": "only", "primitive": "fixed_threshold"}
         compiler = PlanCompiler([[step, get_primitive("fixed_threshold")]])
-        assert set(PLAN_MODES) == {"fit", "detect", "stream", "batch",
-                                   "stream_batch"}
-        plan = compiler.plan("detect")
+        assert PLAN_MODES == ("fit", "batch", "stream_batch")
+        plan = compiler.plan("batch")
         assert plan.nodes[0].name == "only"
         assert compiler.compilations == 1

@@ -2,11 +2,13 @@
 
 Every hub pipeline (small windows, one epoch) is fitted twice: by the
 engine and by ``tests/reference.py``, which calls each primitive's
-``fit``, ``produce`` or ``update`` in order on a plain dict. Four planes
+``fit``, ``produce`` or ``update`` in order on a plain dict. Five planes
 must reproduce the reference's final context — every variable, not only
 the events: ``detect``; exact ``detect_batch``; exact fleet
 ``stream_batch`` windows, with the reference's lane copies advanced
-through ``update``; and a fit+detect job fanned out through
+through ``update``; the same windows replayed through a standalone
+``StreamRunner`` (``partial_detect``, a one-lane stream batch over the
+pipeline's own primitives); and a fit+detect job fanned out through
 ``ProcessExecutor.map``. Each property must also fail on a negative
 control that moves one value of the engine's context by one ulp.
 """
@@ -20,6 +22,7 @@ from repro.core.executor import ProcessExecutor
 from repro.core.fleet import FleetStreamRunner
 from repro.core.pipeline import Pipeline
 from repro.core.plan import ExecutionPlan
+from repro.core.stream import StreamRunner
 from repro.data.synthetic import WorkloadGenerator
 from repro.pipelines import get_pipeline_spec, list_pipelines
 
@@ -74,6 +77,25 @@ def _record_plan_runs(monkeypatch):
     return contexts
 
 
+def _reference_windows(spec, primitives, signals):
+    """The reference's context of every lane's window, batch by batch.
+
+    Lane *j* replays ``signals[j]`` in ``BATCH``-row micro-batches; from
+    ``WARMUP`` rows on, each batch yields the context of the trailing
+    ``WINDOW`` rows, with the lane's private copies of the incremental
+    primitives advanced through ``update``.
+    """
+    lane_primitives = [[copy.deepcopy(primitive) if primitive.supports_stream
+                        else primitive for primitive in primitives]
+                       for _ in signals]
+    return [[reference.run(spec, copies,
+                           {"data": data[:end][-WINDOW:], "events": None},
+                           update=True)
+             for copies, data in zip(lane_primitives, signals)]
+            for end in range(BATCH, len(signals[0]) + 1, BATCH)
+            if end >= WARMUP]
+
+
 def _lane(context, index):
     """One lane's (or signal's) share of a batched context."""
     return {name: values[index] for name, values in context.items()}
@@ -119,27 +141,33 @@ def test_exact_fleet_stream_batch(fitted, monkeypatch):
     fleet = FleetStreamRunner(exact=True)
     lanes = [fleet.add_stream(pipeline, window_size=WINDOW, warmup=WARMUP,
                               drift_detector=None) for _ in signals]
-    # Each stream owns private copies of the incremental primitives.
-    lane_primitives = [[copy.deepcopy(primitive) if primitive.supports_stream
-                        else primitive for primitive in primitives]
-                       for _ in signals]
     runs = _record_plan_runs(monkeypatch)
-    expected = []
     for end in range(BATCH, len(signals[0]) + 1, BATCH):
         for lane, data in zip(lanes, signals):
             fleet.ingest(lane.lane_id, data[end - BATCH:end])
         fleet.run_round()
-        if end >= WARMUP:
-            expected.append([
-                reference.run(spec, copies,
-                              {"data": data[:end][-WINDOW:], "events": None},
-                              update=True)
-                for copies, data in zip(lane_primitives, signals)])
+    expected = _reference_windows(spec, primitives, signals)
     assert all(lane.error is None for lane in lanes)
     assert len(runs) == len(expected)
     for context, wanted in zip(runs, expected):
         for index, lane_expected in enumerate(wanted):
             _assert_matches(_lane(context, index), lane_expected)
+
+
+def test_stream_runner_partial_detect(fitted, monkeypatch):
+    spec, pipeline, primitives, signals = fitted
+    # The runner advances its pipeline's own incremental primitives, so
+    # it serves a copy and leaves the shared fixture untouched.
+    runner = StreamRunner(copy.deepcopy(pipeline), window_size=WINDOW,
+                          warmup=WARMUP, drift_detector=None)
+    data = signals[0]
+    runs = _record_plan_runs(monkeypatch)
+    for end in range(BATCH, len(data) + 1, BATCH):
+        runner.send(data[end - BATCH:end])
+    expected = _reference_windows(spec, primitives, [data])
+    assert len(runs) == len(expected)
+    for context, [wanted] in zip(runs, expected):
+        _assert_matches(_lane(context, 0), wanted)
 
 
 def test_process_map_fit_detect():

@@ -94,11 +94,11 @@ class TestInlineMode:
         assert WorkQueue(queue_path).attempts("map-000000") == 3
 
 
-def _produce(context, fit):
+def _produce(context):
     return {"x": 2}
 
 
-def _consume(context, fit):
+def _consume(context):
     return {"y": context["x"] * 10}
 
 
