@@ -50,6 +50,10 @@ class Job:
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
         self._done = threading.Event()
+        #: The job as it was accepted, before any worker could run it: the
+        #: body of ``POST /jobs``'s 202, whatever the job's status is by
+        #: the time the response is built.
+        self.accepted = self.to_dict()
 
     def to_dict(self) -> dict:
         """JSON-serializable view of the job."""

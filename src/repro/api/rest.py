@@ -544,8 +544,7 @@ class SintelAPI:
                 f"Unknown job task {task!r}; expected 'detect', "
                 "'detect_batch' or 'benchmark'"
             )
-        job = self.jobs.submit(task, runner)
-        return Response(202, job.to_dict())
+        return Response(202, self.jobs.submit(task, runner).accepted)
 
     @staticmethod
     def _make_detect_job(body) -> Callable:

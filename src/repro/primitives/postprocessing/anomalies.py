@@ -77,6 +77,76 @@ def _select_epsilon(errors: np.ndarray, z_range: Tuple[float, float]) -> float:
     return best_epsilon
 
 
+#: Upper bound on the booleans one candidate-counting block holds.
+_COUNT_BLOCK = 1 << 20
+
+
+def _select_epsilons(windows: np.ndarray,
+                     z_range: Tuple[float, float]) -> np.ndarray:
+    """:func:`_select_epsilon` for every row of ``windows`` at once.
+
+    Bitwise-equal per row to the scalar scan. Row-wise means and standard
+    deviations and every candidate's ``mean + z * std`` come from one pass,
+    and the above-threshold counts of all candidates from one comparison
+    (in blocks of at most :data:`_COUNT_BLOCK` booleans). Only candidates
+    the scan scores (``0 < n_above < width``) get their run count and the
+    moments of their below-threshold values, computed row-wise over the
+    candidates that keep equally many values. The scan keeps a candidate
+    only if its score beats every earlier one, so the first maximum of
+    the non-NaN scores above ``-inf`` wins. A zero mean makes the scan
+    divide a Python float by zero; the same ``ZeroDivisionError`` is
+    raised here.
+    """
+    rows, width = windows.shape
+    mean = np.mean(windows, axis=1)
+    std = np.std(windows, axis=1)
+    epsilons = (mean[:, np.newaxis]
+                + np.arange(z_range[0], z_range[1] + 0.5, 0.5)
+                * std[:, np.newaxis])
+    n_above = np.empty(epsilons.shape, dtype=np.intp)
+    block = max(1, _COUNT_BLOCK // (epsilons.shape[1] * width))
+    for begin in range(0, rows, block):
+        part = slice(begin, begin + block)
+        n_above[part] = np.count_nonzero(
+            windows[part, np.newaxis] > epsilons[part, :, np.newaxis], axis=2)
+    row, column = np.nonzero((n_above > 0) & (n_above < width)
+                             & (std != 0.0)[:, np.newaxis])
+    scores = np.full(epsilons.shape, -np.inf)
+    if len(row):
+        if np.any(mean[row] == 0.0):
+            raise ZeroDivisionError("float division by zero")
+        above = windows[row] > epsilons[row, column][:, np.newaxis]
+        n_sequences = above[:, 0] + np.count_nonzero(
+            above[:, 1:] & ~above[:, :-1], axis=1)
+        count = n_above[row, column]
+        below_mean = np.empty(len(row))
+        below_std = np.empty(len(row))
+        for size in np.unique(width - count):
+            pick = width - count == size
+            below = windows[row[pick]][~above[pick]].reshape(-1, size)
+            below_mean[pick] = np.mean(below, axis=1)
+            below_std[pick] = np.std(below, axis=1)
+        with np.errstate(all="ignore"):
+            score = (((mean[row] - below_mean) / mean[row]
+                      + (std[row] - below_std) / std[row])
+                     / (count + n_sequences ** 2))
+        scores[row, column] = np.where(np.isnan(score), -np.inf, score)
+    best = np.argmax(scores, axis=1)
+    everything = np.arange(rows)
+    fallback = np.where(std == 0.0, mean, mean + float(z_range[1]) * std)
+    return np.where(scores[everything, best] > -np.inf,
+                    epsilons[everything, best], fallback)
+
+
+def _validate(errors, index) -> Tuple[np.ndarray, np.ndarray]:
+    """Flatten ``errors`` to float and check it pairs with ``index``."""
+    errors = np.asarray(errors, dtype=float).ravel()
+    index = np.asarray(index)
+    if len(errors) != len(index):
+        raise PrimitiveError("errors and index must have the same length")
+    return errors, index
+
+
 def _prune_anomalies(errors: np.ndarray, sequences: List[Tuple[int, int]],
                      min_percent: float) -> List[Tuple[int, int]]:
     """Prune candidate anomalies whose peak error is not clearly separated.
@@ -109,7 +179,8 @@ def _prune_anomalies(errors: np.ndarray, sequences: List[Tuple[int, int]],
         else:
             to_remove = []
 
-    kept = [sequences[i] for i in range(len(sequences)) if i not in set(to_remove)]
+    removed = set(to_remove)
+    kept = [sequences[i] for i in range(len(sequences)) if i not in removed]
     return sorted(kept)
 
 
@@ -139,18 +210,40 @@ class FindAnomalies(Primitive):
         "min_percent": {"type": "float", "default": 0.1, "range": [0.01, 0.5]},
         "anomaly_padding": {"type": "int", "default": 5, "range": [0, 50]},
     }
+    supports_batch = True
+
+    def _window_layout(self, length: int) -> Tuple[int, int]:
+        """Window size and step of the threshold scan over ``length`` errors."""
+        return (max(10, int(length * float(self.window_size_portion))),
+                max(1, int(length * float(self.window_step_size_portion))))
+
+    def _extract(self, errors, index, flagged, thresholds) -> np.ndarray:
+        """Prune the flagged runs and emit merged ``(start, end, severity)`` rows."""
+        sequences = find_sequences_mask(flagged)
+        sequences = _prune_anomalies(errors, sequences, float(self.min_percent))
+
+        padding = int(self.anomaly_padding)
+        anomalies = []
+        for start, end in sequences:
+            padded_start = max(0, start - padding)
+            padded_end = min(len(errors) - 1, end + padding)
+            local = errors[start:end + 1]
+            threshold = thresholds[start] if np.isfinite(thresholds[start]) else 0.0
+            severity = float(np.mean(local) - threshold)
+            anomalies.append(
+                (float(index[padded_start]), float(index[padded_end]), severity)
+            )
+
+        anomalies = _merge_overlapping(anomalies)
+        return np.asarray(anomalies).reshape(-1, 3)
 
     def produce(self, errors, index):
-        errors = np.asarray(errors, dtype=float).ravel()
-        index = np.asarray(index)
-        if len(errors) != len(index):
-            raise PrimitiveError("errors and index must have the same length")
+        errors, index = _validate(errors, index)
         if len(errors) == 0:
             return {"anomalies": np.zeros((0, 3))}
 
         length = len(errors)
-        window_size = max(10, int(length * float(self.window_size_portion)))
-        window_step = max(1, int(length * float(self.window_step_size_portion)))
+        window_size, window_step = self._window_layout(length)
 
         flagged = np.zeros(length, dtype=bool)
         thresholds = np.full(length, np.inf)
@@ -174,23 +267,54 @@ class FindAnomalies(Primitive):
                 if end == length:
                     break
 
-        sequences = find_sequences_mask(flagged)
-        sequences = _prune_anomalies(errors, sequences, float(self.min_percent))
+        return {"anomalies": self._extract(errors, index, flagged, thresholds)}
 
-        padding = int(self.anomaly_padding)
-        anomalies = []
-        for start, end in sequences:
-            padded_start = max(0, start - padding)
-            padded_end = min(length - 1, end + padding)
-            local = errors[start:end + 1]
-            threshold = thresholds[start] if np.isfinite(thresholds[start]) else 0.0
-            severity = float(np.mean(local) - threshold)
-            anomalies.append(
-                (float(index[padded_start]), float(index[padded_end]), severity)
-            )
+    def produce_batch(self, errors, index):
+        """Threshold a whole batch with one candidate pass per signal length.
 
-        anomalies = _merge_overlapping(anomalies)
-        return {"anomalies": np.asarray(anomalies).reshape(-1, 3)}
+        Every window of every same-length signal is stacked into one
+        matrix and :func:`_select_epsilons` scores all of them at once,
+        bitwise-equal to :meth:`produce`'s window-by-window scan. The scan
+        visits windows of one width at starts ``0, step, 2 * step, ...``
+        (one window of the whole signal when it is shorter than a window),
+        so flags and thresholds are folded in the same window order.
+        Pruning and interval assembly stay per signal.
+        """
+        validated = [_validate(e, i) for e, i in zip(errors, index)]
+        results = [None] * len(validated)
+        z_range = (float(self.lower_z_range), float(self.upper_z_range))
+        for indices, stacked in shape_groups([e for e, _ in validated]):
+            n_signals, length = stacked.shape
+            if length == 0:
+                for i in indices:
+                    results[i] = np.zeros((0, 3))
+                continue
+            thresholds = np.full(stacked.shape, np.inf)
+            if self.fixed_threshold:
+                epsilon = (np.mean(stacked, axis=1)
+                           + 4.0 * np.std(stacked, axis=1))[:, np.newaxis]
+                flagged = stacked > epsilon
+                thresholds[:] = epsilon
+            else:
+                window_size, window_step = self._window_layout(length)
+                width = min(window_size, length)
+                starts = np.arange(0, max(1, length - window_size + 1),
+                                   window_step)
+                windows = np.lib.stride_tricks.sliding_window_view(
+                    stacked, width, axis=1)[:, starts]
+                epsilons = _select_epsilons(
+                    windows.reshape(-1, width), z_range
+                ).reshape(n_signals, len(starts), 1)
+                flagged = np.zeros(stacked.shape, dtype=bool)
+                for j, start in enumerate(starts):
+                    end = start + width
+                    flagged[:, start:end] |= windows[:, j] > epsilons[:, j]
+                    thresholds[:, start:end] = np.minimum(
+                        thresholds[:, start:end], epsilons[:, j])
+            for j, i in enumerate(indices):
+                results[i] = self._extract(*validated[i], flagged[j],
+                                           thresholds[j])
+        return {"anomalies": results}
 
 
 @register_primitive
@@ -231,14 +355,6 @@ class FixedThreshold(Primitive):
         self._prev_errors = None
         self._prev_index = None
 
-    @staticmethod
-    def _validate(errors, index):
-        errors = np.asarray(errors, dtype=float).ravel()
-        index = np.asarray(index)
-        if len(errors) != len(index):
-            raise PrimitiveError("errors and index must have the same length")
-        return errors, index
-
     def _extract(self, errors, index, threshold: float) -> dict:
         # find_sequences_mask is index-exact vs the _find_sequences scan
         # (pinned in tests), so batch and per-signal paths share one body.
@@ -256,7 +372,7 @@ class FixedThreshold(Primitive):
         return {"anomalies": np.asarray(anomalies).reshape(-1, 3)}
 
     def produce(self, errors, index):
-        errors, index = self._validate(errors, index)
+        errors, index = _validate(errors, index)
         if len(errors) == 0:
             return {"anomalies": np.zeros((0, 3))}
         threshold = float(np.mean(errors) + float(self.k) * np.std(errors))
@@ -264,7 +380,7 @@ class FixedThreshold(Primitive):
 
     def produce_batch(self, errors, index):
         """Threshold a whole batch: fused per-signal moments + extraction."""
-        validated = [self._validate(e, i) for e, i in zip(errors, index)]
+        validated = [_validate(e, i) for e, i in zip(errors, index)]
         size = len(validated)
         results = [None] * size
         nonempty = [i for i in range(size) if len(validated[i][0])]
@@ -298,7 +414,7 @@ class FixedThreshold(Primitive):
 
     def update(self, errors, index):
         """Threshold the window with running global error statistics."""
-        errors, index = self._validate(errors, index)
+        errors, index = _validate(errors, index)
         if len(errors) == 0:
             return {"anomalies": np.zeros((0, 3))}
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.core.batch import batched_ewma, shape_groups
@@ -30,6 +28,59 @@ def smooth_errors(errors: np.ndarray, smoothing_window: int) -> np.ndarray:
     for i in range(1, len(errors)):
         smoothed[i] = alpha * errors[i] + (1.0 - alpha) * smoothed[i - 1]
     return smoothed
+
+
+def _overlapping_median(abs_error: np.ndarray, step: int) -> np.ndarray:
+    """Per-position median of the errors of overlapping windows.
+
+    ``abs_error`` is ``(n, k, w, m)``: ``n`` signals of ``k`` windows of
+    ``w`` offsets over ``m`` channels, where offset ``t`` of window ``j``
+    lands on position ``j * step + t``. Returns ``(n, length, m)`` holding,
+    at every position, exactly what ``np.median`` returns over the errors
+    of the windows covering it (0.0 where none does). The errors are
+    scattered into an inf-padded matrix and sorted along the window axis,
+    so each position's first ``count`` values are its own errors in order
+    (NaN sorts last, past the padding): the middle one (odd count) or the
+    mean of the middle two (even count) is ``np.median``'s value, and a
+    NaN among them surfaces as the last sorted value, which ``np.median``
+    returns.
+    """
+    n, k, w, m = abs_error.shape
+    length = max(0, (k - 1) * step + w)
+    offsets = np.arange(w)
+    positions = np.arange(k)[:, np.newaxis] * step + offsets
+    counts = np.bincount(positions.ravel(), minlength=length)
+    collected = np.full((n, length, w, m), np.inf)
+    collected[:, positions, offsets] = abs_error
+    collected.sort(axis=2)
+
+    def middle(rank):
+        return np.take_along_axis(
+            collected, rank[np.newaxis, :, np.newaxis, np.newaxis],
+            axis=2)[:, :, 0]
+
+    high = middle(counts // 2)
+    low = middle(np.maximum(counts - 1, 0) // 2)
+    even = (counts % 2 == 0)[:, np.newaxis]
+    with np.errstate(over="ignore", invalid="ignore"):
+        median = np.where(even, (low + high) / 2, high)
+    last = collected[:, :, -1]
+    median = np.where(np.isnan(last), last, median)
+    median[:, counts == 0] = 0.0
+    return median
+
+
+def _point_index(index: np.ndarray, length: int, step: int) -> np.ndarray:
+    """Timestamp of every reconstructed point.
+
+    Window starts are spaced by ``step`` samples; the sampling interval is
+    inferred from the window index.
+    """
+    if len(index) > 1:
+        interval = (index[1] - index[0]) / step
+    else:
+        interval = 1
+    return (index[0] + np.arange(length) * interval).astype(np.int64)
 
 
 @register_primitive
@@ -144,37 +195,20 @@ class ReconstructionErrors(Primitive):
         if self.smooth:
             errors = smooth_errors(errors, int(self.smoothing_window))
 
-        return {"errors": errors, "index": self._point_index(index, length, step)}
-
-    def _point_index(self, index: np.ndarray, length: int,
-                     step: int) -> np.ndarray:
-        """Timestamp of every reconstructed point.
-
-        Window starts are spaced by ``step`` samples; the sampling interval
-        is inferred from the window index. Shared by :meth:`produce` and
-        :meth:`produce_batch`.
-        """
-        if len(index) > 1:
-            interval = (index[1] - index[0]) / step
-        else:
-            interval = 1
-        return (index[0] + np.arange(length) * interval).astype(np.int64)
+        return {"errors": errors, "index": _point_index(index, length, step)}
 
     def produce_batch(self, y, y_hat, index):
-        """Aggregate reconstruction errors with one vectorized scatter.
+        """Aggregate reconstruction errors with one vectorized median.
 
-        Instead of collecting per-position Python lists, every window
-        error lands in a NaN-padded ``(n_signals, length, window)`` matrix
-        (position ``w*step + t`` holds window ``w``'s error for offset
-        ``t``) and a single ``nanmedian`` along the window axis reproduces
-        the per-position median exactly — medians are order-invariant.
-        Mean aggregation (summation order would differ) and NaN-carrying
-        errors (``nanmedian`` would drop what ``median`` propagates) fall
-        back to the per-signal loop.
+        Signals of one shape share one :func:`_overlapping_median` call,
+        which returns exactly the per-position ``np.median`` of
+        :meth:`produce` (NaN errors included). Mean aggregation keeps the
+        per-signal loop: a vectorized sum would change the summation
+        order.
         """
         if self.aggregation == "mean":
             return super().produce_batch(y=y, y_hat=y_hat, index=index)
-        normalized = []
+        abs_errors, indexes = [], []
         for y_i, y_hat_i, index_i in zip(y, y_hat, index):
             y_i = np.asarray(y_i, dtype=float)
             y_hat_i = np.asarray(y_hat_i, dtype=float)
@@ -188,40 +222,19 @@ class ReconstructionErrors(Primitive):
                 raise PrimitiveError("reconstruction_errors expects windowed inputs")
             if len(index_i) != len(y_i):
                 raise PrimitiveError("index must have one entry per window")
-            normalized.append((y_i, y_hat_i, index_i))
+            abs_errors.append(np.abs(y_i[..., 0] - y_hat_i[..., 0]))
+            indexes.append(index_i)
 
-        size = len(normalized)
+        size = len(abs_errors)
         out = {"errors": [None] * size, "index": [None] * size}
         step = int(self.step_size)
-        pairs = [np.stack((entry[0][..., 0], entry[1][..., 0]))
-                 for entry in normalized]
-        for indices, stacked in shape_groups(pairs):
-            abs_error = np.abs(stacked[:, 0] - stacked[:, 1])
-            if np.isnan(abs_error).any():
-                partial = super().produce_batch(
-                    y=[y[i] for i in indices],
-                    y_hat=[y_hat[i] for i in indices],
-                    index=[index[i] for i in indices])
-                for j, i in enumerate(indices):
-                    out["errors"][i] = partial["errors"][j]
-                    out["index"][i] = partial["index"][j]
-                continue
-            n_windows, window_size = abs_error.shape[1:]
-            length = (n_windows - 1) * step + window_size
-            windows = np.arange(n_windows)[:, np.newaxis]
-            offsets = np.arange(window_size)[np.newaxis, :]
-            collected = np.full((len(indices), length, window_size), np.nan)
-            collected[:, windows * step + offsets, offsets] = abs_error
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", category=RuntimeWarning)
-                errors = np.nanmedian(collected, axis=2)
-            errors[np.all(np.isnan(collected), axis=2)] = 0.0
+        for indices, abs_error in shape_groups(abs_errors):
+            errors = _overlapping_median(abs_error[..., np.newaxis], step)[..., 0]
             if self.smooth:
                 errors = batched_ewma(errors, int(self.smoothing_window))
             for j, i in enumerate(indices):
                 out["errors"][i] = errors[j]
-                out["index"][i] = self._point_index(
-                    normalized[i][2], length, step)
+                out["index"][i] = _point_index(indexes[i], errors.shape[1], step)
         return out
 
 
@@ -313,22 +326,11 @@ class MultichannelReconstructionErrors(Primitive):
         if len(index) != len(y):
             raise PrimitiveError("index must have one entry per window")
 
-        n_windows, window_size, n_channels = y.shape
+        n_channels = y.shape[2]
         step = int(self.step_size)
-        length = (n_windows - 1) * step + window_size
-        abs_error = np.abs(y - y_hat)  # (k, window, m)
-
-        # Scatter every window error into a NaN-padded (length, window, m)
-        # matrix and take the median over the window axis — the vectorized
-        # per-position median (order-invariant) per channel.
-        windows = np.arange(n_windows)[:, np.newaxis]
-        offsets = np.arange(window_size)[np.newaxis, :]
-        collected = np.full((length, window_size, n_channels), np.nan)
-        collected[windows * step + offsets, offsets] = abs_error
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", category=RuntimeWarning)
-            channel_errors = np.nanmedian(collected, axis=1)  # (length, m)
-        channel_errors[np.all(np.isnan(collected), axis=1)] = 0.0
+        # Per-position median over the windows covering it, per channel.
+        channel_errors = _overlapping_median(
+            np.abs(y - y_hat)[np.newaxis], step)[0]  # (length, m)
 
         if self.smooth:
             window = int(self.smoothing_window)
@@ -337,11 +339,5 @@ class MultichannelReconstructionErrors(Primitive):
                 for c in range(n_channels)
             ])
         errors = channel_errors.mean(axis=1)
-
-        if len(index) > 1:
-            interval = (index[1] - index[0]) / step
-        else:
-            interval = 1
-        point_index = (index[0] + np.arange(length) * interval).astype(np.int64)
         return {"errors": errors, "channel_errors": channel_errors,
-                "index": point_index}
+                "index": _point_index(index, len(errors), step)}

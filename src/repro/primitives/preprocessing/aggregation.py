@@ -89,7 +89,10 @@ class TimeSegmentsAggregate(Primitive):
         sort order, interval inference, segment ids and per-segment masks
         are computed once — and each segment is aggregated for the whole
         group in one reduction along the sample axis, which NumPy applies
-        per signal exactly as the per-signal call would.
+        per signal exactly as the per-signal call would. On a regular
+        grid (strictly increasing segment ids, one sample per segment)
+        every segment's reduction is over a length-1 axis, so they all
+        run as one call.
         """
         if self.method not in self._METHODS:
             raise PrimitiveError(
@@ -132,9 +135,13 @@ class TimeSegmentsAggregate(Primitive):
                 (len(indices), n_segments, values.shape[2]), np.nan)
             segment_ids = np.floor((timestamps - start) / interval).astype(int)
             segment_ids = np.clip(segment_ids, 0, n_segments - 1)
-            for segment in np.unique(segment_ids):
-                mask = segment_ids == segment
-                aggregated[:, segment] = aggregate(values[:, mask], axis=1)
+            if np.all(np.diff(segment_ids) > 0):
+                aggregated[:, segment_ids] = aggregate(
+                    values[:, :, np.newaxis], axis=2)
+            else:
+                for segment in np.unique(segment_ids):
+                    mask = segment_ids == segment
+                    aggregated[:, segment] = aggregate(values[:, mask], axis=1)
 
             index = index.astype(np.int64)
             for j, i in enumerate(indices):

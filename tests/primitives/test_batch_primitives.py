@@ -155,8 +155,8 @@ class TestErrorBatch:
             primitive, {"y": ys, "y_hat": y_hats, "index": indices})
 
     def test_reconstruction_nan_falls_back(self, rng):
-        # nanmedian would silently drop what median propagates, so NaN
-        # errors must take the per-signal path (identical by construction).
+        # median propagates a NaN error to its position; nanmedian would
+        # silently drop it, so the kernel must not take the NaN-skipping path.
         primitive = get_primitive("reconstruction_errors",
                                   {"smooth": False})
         y = rng.normal(size=(30, 10, 1))
@@ -167,6 +167,33 @@ class TestErrorBatch:
                                      index=np.arange(30))
         np.testing.assert_array_equal(out["errors"][0], expected["errors"],
                                       strict=False)
+
+
+class TestFindAnomaliesBatch:
+    @pytest.mark.parametrize("fixed_threshold", [False, True])
+    def test_parity(self, rng, fixed_threshold):
+        primitive = get_primitive("find_anomalies",
+                                  {"fixed_threshold": fixed_threshold})
+        errors = [np.abs(rng.normal(size=n)) for n in (200, 200, 130, 5)]
+        for e in errors[:3]:
+            e[rng.integers(0, len(e), size=3)] += 6.0
+        indices = [np.arange(len(e)) * 3 for e in errors]
+        assert_batch_matches_loop(
+            primitive, {"errors": errors, "index": indices})
+
+    def test_zero_mean_window_raises_like_produce(self):
+        # produce scores a candidate by dividing by the window mean as a
+        # Python float; the kernel raises the same error for a zero mean.
+        primitive = get_primitive("find_anomalies",
+                                  {"window_size_portion": 1.0})
+        errors = np.array([-1.0] * 19 + [1.0] * 19 + [-5.0, 5.0])
+        for call in (
+                lambda: primitive.produce(errors=errors, index=np.arange(40)),
+                lambda: primitive.produce_batch(
+                    errors=[np.ones(40), errors],
+                    index=[np.arange(40), np.arange(40)])):
+            with pytest.raises(ZeroDivisionError, match="float division"):
+                call()
 
 
 class TestThresholdBatch:
@@ -209,12 +236,11 @@ class TestDefaultBatchContract:
     def test_every_primitive_accepts_batches(self, rng):
         # The default produce_batch must transpose outputs correctly for
         # any primitive; spot-check a non-fused one end to end.
-        primitive = get_primitive("find_anomalies")
+        primitive = get_primitive("multichannel_regression_errors")
         assert primitive.supports_batch is False
-        errors = [np.abs(rng.normal(size=60)), np.abs(rng.normal(size=60))]
-        indices = [np.arange(60), np.arange(60)]
-        assert_batch_matches_loop(
-            primitive, {"errors": errors, "index": indices})
+        ys = [rng.normal(size=(60, 1, 3)), rng.normal(size=(60, 1, 3))]
+        y_hats = [rng.normal(size=(60, 3)), rng.normal(size=(60, 3))]
+        assert_batch_matches_loop(primitive, {"y": ys, "y_hat": y_hats})
 
     def test_unequal_batch_lengths_raise(self):
         primitive = get_primitive("fixed_threshold")
@@ -229,7 +255,7 @@ class TestDefaultBatchContract:
         flags = {name: get_primitive_class(name).metadata()["supports_batch"]
                  for name in list_primitives()}
         assert flags["MinMaxScaler"] and flags["SpectralResidual"]
-        assert not flags["find_anomalies"]
+        assert not flags["multichannel_regression_errors"]
 
 
 class TestBatchHelpers:
