@@ -87,12 +87,14 @@ class TimeSegmentsAggregate(Primitive):
 
         Signals with identical timestamp grids share one segment layout —
         sort order, interval inference, segment ids and per-segment masks
-        are computed once — and each segment is aggregated for the whole
-        group in one reduction along the sample axis, which NumPy applies
-        per signal exactly as the per-signal call would. On a regular
-        grid (strictly increasing segment ids, one sample per segment)
-        every segment's reduction is over a length-1 axis, so they all
-        run as one call.
+        are computed once. On a regular grid (strictly increasing segment
+        ids, one sample per segment) every segment's reduction is over a
+        length-1 axis, so the whole group runs as one call. Segments of
+        several samples are reduced per signal on the same contiguous
+        ``(samples, channels)`` array the per-signal call builds: a
+        reduction over the stacked group would follow another NumPy loop
+        order, which can change a sum in the last ulp or the sign of a
+        zero minimum.
         """
         if self.method not in self._METHODS:
             raise PrimitiveError(
@@ -116,7 +118,6 @@ class TimeSegmentsAggregate(Primitive):
             timestamps = stacked[0, :, 0]
             order = np.argsort(timestamps)
             timestamps = timestamps[order]
-            values = stacked[:, order, 1:]
 
             interval = self.interval
             if interval is None:
@@ -132,16 +133,21 @@ class TimeSegmentsAggregate(Primitive):
             n_segments = int(np.floor((end - start) / interval)) + 1
             index = start + interval * np.arange(n_segments)
             aggregated = np.full(
-                (len(indices), n_segments, values.shape[2]), np.nan)
+                (len(indices), n_segments, stacked.shape[2] - 1), np.nan)
             segment_ids = np.floor((timestamps - start) / interval).astype(int)
             segment_ids = np.clip(segment_ids, 0, n_segments - 1)
             if np.all(np.diff(segment_ids) > 0):
+                values = stacked[:, order, 1:]
                 aggregated[:, segment_ids] = aggregate(
                     values[:, :, np.newaxis], axis=2)
             else:
-                for segment in np.unique(segment_ids):
-                    mask = segment_ids == segment
-                    aggregated[:, segment] = aggregate(values[:, mask], axis=1)
+                masks = [(segment, segment_ids == segment)
+                         for segment in np.unique(segment_ids)]
+                for j in range(len(indices)):
+                    values = stacked[j, :, 1:][order]
+                    for segment, mask in masks:
+                        aggregated[j, segment] = aggregate(
+                            values[mask], axis=0)
 
             index = index.astype(np.int64)
             for j, i in enumerate(indices):

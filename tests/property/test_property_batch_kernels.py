@@ -182,6 +182,26 @@ def test_time_segments_aggregate_batch_is_loop(batch, hyperparameters):
     assert_batch_is_loop(primitive, batch)
 
 
+def test_time_segments_aggregate_long_segments_are_exact():
+    """Segments of many samples, signed zeros among them: a reduction over
+    the stacked group instead of per signal changes sums in the last ulp
+    and the sign of a zero minimum."""
+    rng = np.random.default_rng(1)
+    timestamps = np.sort(rng.uniform(0.0, 10.0, 400))
+    zeros = np.array([[0.5, 0.0], [0.5, -0.0]])
+    for method in ["mean", "median", "min", "max", "sum"]:
+        for channels in (1, 2):
+            tables = [np.column_stack([timestamps, rng.choice(
+                [0.0, -0.0, -1.0, 3.3, 1e16], size=(400, channels))
+                * rng.standard_normal((400, channels))]) for _ in range(4)]
+            primitive = get_primitive("time_segments_aggregate",
+                                      {"method": method, "interval": 2.5})
+            assert_batch_is_loop(primitive, {"data": tables})
+            primitive = get_primitive("time_segments_aggregate",
+                                      {"method": method, "interval": None})
+            assert_batch_is_loop(primitive, {"data": [zeros] * 4})
+
+
 # --------------------------------------------------------------------- #
 # reconstruction_errors
 # --------------------------------------------------------------------- #
