@@ -11,8 +11,9 @@ Execution lowers through the unified plan IR (:mod:`repro.core.plan`): a
 mode-tagged :class:`~repro.core.plan.CompiledStep` representation per mode
 (``fit`` / ``batch`` / ``stream_batch``), and every public entry point
 runs one compiled plan in the caller with one
-:meth:`~repro.core.plan.ExecutionPlan.run` call: :meth:`Pipeline.fit` the
-fit plan, :meth:`Pipeline.detect_batch` the batch plan over N signals and
+:meth:`~repro.core.plan.ExecutionPlan.run` call over a list-shaped
+context: :meth:`Pipeline.fit` the fit plan over one signal,
+:meth:`Pipeline.detect_batch` the batch plan over N signals and
 :meth:`Pipeline.detect` the exact batch plan over one, and
 :meth:`Pipeline.partial_detect` the exact stream-batch plan with one lane.
 Plans are compiled once and kept across refits: a refit swaps fresh
@@ -138,9 +139,11 @@ class Pipeline:
     """An executable anomaly detection pipeline.
 
     The pipeline runs its steps over a shared *context* — a dictionary of
-    named variables. ``fit`` calls every step's ``fit`` and ``produce``;
-    ``detect`` only produces, through the batch plan over a list of one
-    signal. Steps run in order in the caller, and the plan's per-step
+    named variables, each a list with one entry per signal. ``fit`` runs
+    the fit plan over a list of one signal: every step fits, then
+    produces through its exact ``produce_batch`` kernel. ``detect`` only
+    produces, through the batch plan over a list of one signal. Steps run
+    in order in the caller, and the plan's per-step
     timings (and, when profiling, memory) land in ``step_timings`` — one
     entry per template step, fused chain members included — for the
     computational benchmark (Figure 7).
@@ -269,20 +272,23 @@ class Pipeline:
     # execution
     # ------------------------------------------------------------------ #
     def fit(self, data, profile: bool = False, **context_variables) -> "Pipeline":
-        """Fit every step on ``data`` (a ``(timestamp, values...)`` array)."""
-        context = {"data": np.asarray(data, dtype=float), "events": None}
-        context.update(context_variables)
+        """Fit every step on ``data`` (a ``(timestamp, values...)`` array).
+
+        The fit plan runs over ``[data]``, a batch of one: each step fits
+        on the signal and then produces through its exact batch kernel.
+        """
         self._rebuild_primitives()
-        self.step_timings = {}
-        _, self.step_timings = self.compiled_plan("fit").run(
-            context, profile=profile)
+        self._run_signals(
+            self.compiled_plan("fit"), [np.asarray(data, dtype=float)],
+            {name: [value] for name, value in context_variables.items()},
+            profile)
         self.fitted = True
         return self
 
     def _run_signals(self, plan: ExecutionPlan, arrays: list,
                      variables: Optional[dict] = None,
                      profile: bool = False):
-        """Run a batch or stream-batch ``plan`` over one entry per signal.
+        """Run a compiled ``plan`` (any mode) over one entry per signal.
 
         Builds the list-shaped context (``data``, ``events`` and every
         extra variable in ``variables``, each a list with one entry per

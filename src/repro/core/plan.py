@@ -7,10 +7,11 @@ template's steps — paired with their live primitive instances — into one
 mode-tagged :class:`CompiledStep` intermediate representation, and every
 execution surface consumes the same IR. There is one mode per semantics:
 
-* ``fit``          — each step fits (when its primitive declares
-  ``fit_args``) and then produces; the only mode that mutates primitives
-  through ``fit``. Fitting is a property of the mode, never a runtime
-  flag: no other mode can fit;
+* ``fit``          — a batch of one signal in which each step first fits
+  (when its primitive declares ``fit_args``) on the signal's entry and
+  then runs the same exact ``produce_batch`` kernel a batch step runs;
+  the only mode that mutates primitives through ``fit``. Fitting is a
+  property of the mode, never a runtime flag: no other mode can fit;
 * ``batch``        — every context variable holds a *list* with one entry
   per signal and each step runs ``produce_batch`` once over the whole
   batch. :meth:`~repro.core.pipeline.Pipeline.detect` is a batch of one.
@@ -25,6 +26,11 @@ execution surface consumes the same IR. There is one mode per semantics:
   through ``update``. The fleet plane runs one such plan per group of
   streams, and :meth:`~repro.core.pipeline.Pipeline.partial_detect` is a
   one-lane stream batch whose row is the pipeline's own cells.
+
+So every exact step produces through ``produce_batch``. A primitive's
+per-signal ``produce`` is the reference and the body of the default
+``produce_batch`` loop; primitives that declare ``supports_batch``
+replace that loop with a kernel that is byte-identical to it.
 
 A compiled plan is an :class:`ExecutionPlan`: an ordered list of named,
 timed :class:`StepNode` entries. It runs itself —
@@ -247,8 +253,9 @@ class ExecutionPlan:
         return context, timings
 
 
-#: The execution modes a template lowers into: fitting, N signals at once
-#: (``detect`` is a batch of one), and N sliding-window lanes at once —
+#: The execution modes a template lowers into: fitting (a batch of one that
+#: also fits), N signals at once (``detect`` is a batch of one), and N
+#: sliding-window lanes at once —
 #: stateless steps run once over the stacked windows while incremental
 #: steps keep per-lane state in a :class:`LaneRegistry` and lower to
 #: :class:`LaneStep` nodes (``partial_detect`` is a stream batch of one).
@@ -290,10 +297,13 @@ class CompiledStep:
     updates. A fit mutates that primitive in place, so the pipeline owning
     the cell sees it directly.
 
+    Every mode runs ``produce_batch`` over a list-shaped context (one entry
+    per signal or lane). A ``fit`` step is a batch of one: it first fits
+    its primitive on entry 0 of its ``fit_args``, then produces through
+    the same exact kernel a ``batch`` step calls.
+
     Args:
-        mode: one of :data:`PLAN_MODES`. A ``fit`` step fits and then
-            produces one signal; a ``batch`` or ``stream_batch`` step
-            runs ``produce_batch`` over one list entry per signal or lane.
+        mode: one of :data:`PLAN_MODES`.
         step: the template step dictionary (name, inputs, outputs).
         primitive: the live primitive instance executing the step.
         exact: batch modes only — ``False`` lowers to the fused
@@ -316,19 +326,15 @@ class CompiledStep:
         primitive = self.primitive
         step = self.step
         inputs = step.get("inputs", {})
-        if self.mode == "fit":
-            if primitive.fit_args:
-                primitive.fit(**collect_args(context, primitive.fit_args,
-                                             inputs, step))
-            produced = primitive.produce(**collect_args(
-                context, primitive.produce_args, inputs, step))
+        if self.mode == "fit" and primitive.fit_args:
+            fit_args = collect_args(context, primitive.fit_args, inputs, step)
+            primitive.fit(**{arg: values[0]
+                             for arg, values in fit_args.items()})
+        kwargs = collect_args(context, primitive.produce_args, inputs, step)
+        if not self.exact and primitive.supports_fused_batch:
+            produced = primitive.produce_batch_fused(**kwargs)
         else:
-            kwargs = collect_args(context, primitive.produce_args, inputs,
-                                  step)
-            if not self.exact and primitive.supports_fused_batch:
-                produced = primitive.produce_batch_fused(**kwargs)
-            else:
-                produced = primitive.produce_batch(**kwargs)
+            produced = primitive.produce_batch(**kwargs)
         return _map_outputs(step, primitive, produced)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

@@ -41,13 +41,21 @@ def _find_sequences(above: np.ndarray) -> List[Tuple[int, int]]:
     return sequences
 
 
+#: Why a window whose errors average exactly 0.0 cannot be thresholded:
+#: every candidate's score divides by the window mean.
+_ZERO_MEAN_WINDOW = ("find_anomalies cannot score a threshold for a window "
+                     "whose errors have a mean of 0.0 and a nonzero std "
+                     "(float division by zero)")
+
+
 def _select_epsilon(errors: np.ndarray, z_range: Tuple[float, float]) -> float:
     """Select the error threshold that best separates anomalous points.
 
     For each candidate ``z`` the threshold ``mean + z * std`` is scored by
     how much removing above-threshold points reduces the mean and standard
     deviation, penalized by the number of anomalous points and sequences it
-    creates (Hundman et al., eq. 4).
+    creates (Hundman et al., eq. 4). Scoring a candidate in a window whose
+    mean is 0.0 raises a :class:`~repro.exceptions.PrimitiveError`.
     """
     mean = float(np.mean(errors))
     std = float(np.std(errors))
@@ -69,6 +77,8 @@ def _select_epsilon(errors: np.ndarray, z_range: Tuple[float, float]) -> float:
         delta_mean = mean - float(np.mean(below))
         delta_std = std - float(np.std(below))
         n_sequences = len(find_sequences_mask(above))
+        if mean == 0.0:
+            raise PrimitiveError(_ZERO_MEAN_WINDOW)
         score = (delta_mean / mean + delta_std / std) / (n_above + n_sequences ** 2)
         if score > best_score:
             best_score = score
@@ -93,9 +103,8 @@ def _select_epsilons(windows: np.ndarray,
     moments of their below-threshold values, computed row-wise over the
     candidates that keep equally many values. The scan keeps a candidate
     only if its score beats every earlier one, so the first maximum of
-    the non-NaN scores above ``-inf`` wins. A zero mean makes the scan
-    divide a Python float by zero; the same ``ZeroDivisionError`` is
-    raised here.
+    the non-NaN scores above ``-inf`` wins. A zero mean in a row with a
+    scored candidate raises the scan's :class:`~repro.exceptions.PrimitiveError`.
     """
     rows, width = windows.shape
     mean = np.mean(windows, axis=1)
@@ -114,7 +123,7 @@ def _select_epsilons(windows: np.ndarray,
     scores = np.full(epsilons.shape, -np.inf)
     if len(row):
         if np.any(mean[row] == 0.0):
-            raise ZeroDivisionError("float division by zero")
+            raise PrimitiveError(_ZERO_MEAN_WINDOW)
         above = windows[row] > epsilons[row, column][:, np.newaxis]
         n_sequences = above[:, 0] + np.count_nonzero(
             above[:, 1:] & ~above[:, :-1], axis=1)

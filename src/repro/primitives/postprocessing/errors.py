@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.batch import batched_ewma, shape_groups
+from repro.core.batch import batched_ewma, shape_groups, smooth_errors
 from repro.core.primitive import Primitive, register_primitive
 from repro.exceptions import PrimitiveError
 
@@ -15,19 +15,6 @@ __all__ = [
     "MultichannelReconstructionErrors",
     "smooth_errors",
 ]
-
-
-def smooth_errors(errors: np.ndarray, smoothing_window: int) -> np.ndarray:
-    """Smooth a 1D error array with an exponentially-weighted moving average."""
-    errors = np.asarray(errors, dtype=float)
-    if smoothing_window <= 1 or len(errors) == 0:
-        return errors.copy()
-    alpha = 2.0 / (smoothing_window + 1.0)
-    smoothed = np.empty_like(errors)
-    smoothed[0] = errors[0]
-    for i in range(1, len(errors)):
-        smoothed[i] = alpha * errors[i] + (1.0 - alpha) * smoothed[i - 1]
-    return smoothed
 
 
 def _overlapping_median(abs_error: np.ndarray, step: int) -> np.ndarray:

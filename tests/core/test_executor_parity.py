@@ -86,10 +86,10 @@ def _run_where_plans(steps):
     })
     pipeline.fit(np.zeros((8, 2)))
     fit, _ = pipeline.compiled_plan("fit").run(
-        {"data": np.zeros((8, 2)), "events": None})
+        {"data": [np.zeros((8, 2))], "events": [None]})
     batch, _ = pipeline.compiled_plan("batch").run(
         {"data": [np.zeros((8, 2))], "events": [None]})
-    traces = [fit["events"], batch["events"][0]]
+    traces = [fit["events"][0], batch["events"][0]]
     return traces, (os.getpid(), threading.get_ident())
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.pipeline import Pipeline, Template
+from repro.core.primitive import get_primitive_class
 from repro.exceptions import NotFittedError, PipelineError
 from repro.pipelines import get_pipeline_spec
 
@@ -105,6 +106,26 @@ class TestPipelineExecution:
         for timing in pipeline.step_timings.values():
             assert timing["elapsed"] >= 0.0
             assert timing["engine"] in ("preprocessing", "modeling", "postprocessing")
+
+    @pytest.mark.parametrize(
+        "name,options",
+        [("azure", {}),
+         ("dense_autoencoder", {"window_size": 30, "epochs": 1})],
+        ids=["azure", "dense_autoencoder"])
+    def test_fit_runs_the_batch_kernels(self, small_signal, monkeypatch,
+                                        name, options):
+        # Fit is a batch of one: it produces through the exact kernels,
+        # never through the per-signal reference ``produce``.
+        def reference_only(self, **kwargs):
+            raise AssertionError(f"{self.name}.produce ran during fit")
+
+        for primitive in ("time_segments_aggregate", "reconstruction_errors",
+                          "find_anomalies"):
+            monkeypatch.setattr(get_primitive_class(primitive), "produce",
+                                reference_only)
+        pipeline = Pipeline(get_pipeline_spec(name, **options))
+        pipeline.fit(_data(small_signal))
+        assert pipeline.fitted
 
     def test_profile_records_memory(self, small_signal):
         pipeline = Pipeline(_simple_spec())

@@ -68,7 +68,7 @@ class TestCompiledStep:
         stateful = [cell[1] for cell in pipeline._primitives
                     if cell[1].fit_args]
         unfitted = [pickle.dumps(primitive) for primitive in stateful]
-        context = {"data": _data(), "events": None}
+        context = {"data": [_data()], "events": [None]}
         for node in plan:
             context.update(node.execute(context))
         assert stateful

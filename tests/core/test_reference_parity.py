@@ -2,9 +2,10 @@
 
 Every hub pipeline (small windows, one epoch) is fitted twice: by the
 engine and by ``tests/reference.py``, which calls each primitive's
-``fit``, ``produce`` or ``update`` in order on a plain dict. Five planes
+``fit``, ``produce`` or ``update`` in order on a plain dict. Six planes
 must reproduce the reference's final context — every variable, not only
-the events: ``detect``; exact ``detect_batch``; exact fleet
+the events: the fit plan itself (a batch of one that fits, then produces
+through the exact kernels); ``detect``; exact ``detect_batch``; exact fleet
 ``stream_batch`` windows, with the reference's lane copies advanced
 through ``update``; the same windows replayed through a standalone
 ``StreamRunner`` (``partial_detect``, a one-lane stream batch over the
@@ -15,6 +16,7 @@ control that moves one value of the engine's context by one ulp.
 
 import copy
 
+import numpy as np
 import pytest
 
 import reference
@@ -109,15 +111,38 @@ def _assert_matches(actual, expected):
 
 
 @pytest.fixture(scope="module", params=list_pipelines())
-def fitted(request):
-    """One hub pipeline fitted by the engine and by the reference."""
+def fits(request):
+    """One hub pipeline fitted by the engine and by the reference.
+
+    Returns the name, the engine's pipeline, the reference's primitives,
+    the context of every engine plan run during the fit, and the final
+    context of the reference's fit.
+    """
     name = request.param
+    spec = _spec(name)
     train, events = _train(name)
-    pipeline = Pipeline(_spec(name))
-    pipeline.fit(train, events=events)
-    primitives = reference.fit(_spec(name), train, events=events)
+    pipeline = Pipeline(spec)
+    with pytest.MonkeyPatch.context() as patch:
+        runs = _record_plan_runs(patch)
+        pipeline.fit(train, events=events)
+    primitives = reference.build(spec)
+    context = reference.run(spec, primitives, {
+        "data": np.asarray(train, dtype=float), "events": events}, fit=True)
+    return name, pipeline, primitives, runs, context
+
+
+@pytest.fixture(scope="module")
+def fitted(fits):
+    """One hub pipeline fitted by the engine and by the reference."""
+    name, pipeline, primitives, _, _ = fits
     signals = [signal.to_array() for signal in _signals(name, 4)[1:]]
     return _spec(name), pipeline, primitives, signals
+
+
+def test_fit(fits):
+    _, _, _, runs, expected = fits
+    assert len(runs) == 1
+    _assert_matches(_lane(runs[0], 0), expected)
 
 
 def test_detect(fitted):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.batch import (
+    EWMA_ROW_CUT,
     batched_ewma,
     find_sequences_mask,
     shape_groups,
@@ -182,8 +183,9 @@ class TestFindAnomaliesBatch:
             primitive, {"errors": errors, "index": indices})
 
     def test_zero_mean_window_raises_like_produce(self):
-        # produce scores a candidate by dividing by the window mean as a
-        # Python float; the kernel raises the same error for a zero mean.
+        # produce scores a candidate by dividing by the window mean; both
+        # paths raise a typed error for a zero mean, never a bare
+        # ZeroDivisionError.
         primitive = get_primitive("find_anomalies",
                                   {"window_size_portion": 1.0})
         errors = np.array([-1.0] * 19 + [1.0] * 19 + [-5.0, 5.0])
@@ -192,7 +194,7 @@ class TestFindAnomaliesBatch:
                 lambda: primitive.produce_batch(
                     errors=[np.ones(40), errors],
                     index=[np.arange(40), np.arange(40)])):
-            with pytest.raises(ZeroDivisionError, match="float division"):
+            with pytest.raises(PrimitiveError, match="float division"):
                 call()
 
 
@@ -276,10 +278,22 @@ class TestBatchHelpers:
         assert {tuple(indices) for indices, _ in groups} == {(0, 2), (1,)}
 
     def test_batched_ewma_matches_smooth_errors(self, rng):
-        stacked = rng.normal(size=(5, 64))
-        smoothed = batched_ewma(stacked, 10)
-        for row, expected in zip(smoothed, stacked):
-            np.testing.assert_array_equal(row, smooth_errors(expected, 10))
+        # Both sides of the row cut, one row included, byte for byte: NaN,
+        # inf (whose recursion turns into NaN) and -0.0 keep their bits.
+        for rows in (1, 5, EWMA_ROW_CUT - 1, EWMA_ROW_CUT, EWMA_ROW_CUT + 1):
+            for window in (10, 2):
+                stacked = rng.normal(size=(rows, 64))
+                stacked[0, :3] = -0.0
+                stacked[-1, 10:12] = [np.nan, -np.nan]
+                stacked[rows // 2, 30] = np.inf
+                stacked[rows // 2, 40] = -np.inf
+                with np.errstate(invalid="ignore"):  # inf - inf is NaN
+                    smoothed = batched_ewma(stacked, window)
+                    expected = [smooth_errors(row, window) for row in stacked]
+                assert smoothed.shape == stacked.shape
+                for row, wanted in zip(smoothed, expected):
+                    assert row.tobytes() == wanted.tobytes(), (rows, window)
+        assert batched_ewma(np.zeros((0, 8)), 10).shape == (0, 8)
 
     @pytest.mark.parametrize("pattern", [
         [], [True], [False], [True, True, False, True],

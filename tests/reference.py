@@ -44,13 +44,18 @@ def run(spec: dict, primitives: list, context: dict, fit: bool = False,
     return context
 
 
+def build(spec: dict) -> list:
+    """Each step's primitive, built unfitted from the spec."""
+    return [get_primitive(step["primitive"], step.get("hyperparameters"))
+            for step in spec["steps"]]
+
+
 def fit(spec: dict, data, **variables) -> list:
     """Build each step's primitive from the spec and fit it on ``data``.
 
     Returns the fitted primitives, one per step.
     """
-    primitives = [get_primitive(step["primitive"], step.get("hyperparameters"))
-                  for step in spec["steps"]]
+    primitives = build(spec)
     run(spec, primitives, {"data": np.asarray(data, dtype=float),
                            "events": None, **variables}, fit=True)
     return primitives
