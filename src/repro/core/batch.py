@@ -69,50 +69,42 @@ def smooth_errors(errors: np.ndarray, smoothing_window: int) -> np.ndarray:
     return smoothed
 
 
-#: Batches of fewer rows than this recur row by row on Python floats; larger
-#: ones take one vector step per time step. A Python step costs a fixed
-#: amount per row, a vector step a fixed amount per call almost regardless
-#: of the row count, so the cut does not move with ``T``. Both paths took
-#: about the same time at 26-30 rows (T = 200, 400 and 1400 on a 2-vCPU
-#: x86-64 machine); the cut takes the low end, so a batch that reaches it
-#: keeps the vector loop.
-EWMA_ROW_CUT = 26
+#: Batches of fewer rows than this run :func:`smooth_errors` on each row;
+#: larger ones take one vector step per time step. A reference step costs a
+#: fixed amount per row, a vector step a fixed amount per call almost
+#: regardless of the row count, so the cut does not move with ``T``. The two
+#: took the same time at 8 rows (T = 200, 400 and 1400 on a 2-vCPU x86-64
+#: machine), and a batch that reaches the cut keeps the vector loop.
+EWMA_ROW_CUT = 8
 
 
 def batched_ewma(errors: np.ndarray, smoothing_window: int) -> np.ndarray:
     """Exponentially-weighted moving average over axis 1 of ``(N, T)``.
 
     Bitwise-identical per row to :func:`smooth_errors`, NaN, inf and
-    ``-0.0`` included. Below :data:`EWMA_ROW_CUT` rows the recursion runs
-    per row on Python floats; from the cut on it runs one time-step loop
-    with vector arithmetic across the batch, which is cheaper once enough
-    rows share each step. Both perform the reference's IEEE-754 double
+    ``-0.0`` included. Below :data:`EWMA_ROW_CUT` rows it is
+    :func:`smooth_errors` on each row, so a fit (a batch of one) costs what
+    the reference costs. From the cut on it runs one time-step loop with
+    vector arithmetic across the batch, which is cheaper once enough rows
+    share each step. That loop performs the reference's IEEE-754 double
     operations in its order, so every result without a NaN is the
     reference's. Where two NaNs meet, IEEE-754 leaves open which one a sum
-    returns, and Python, NumPy-scalar and NumPy-vector adds pick
-    differently (the sign of the NaN differs), so rows holding a NaN are
-    recomputed by :func:`smooth_errors`. A NaN carries through every later
-    step of the recursion, so those are the rows whose last value is NaN.
+    returns, and NumPy-scalar and NumPy-vector adds pick differently (the
+    sign of the NaN differs), so rows holding a NaN are recomputed by
+    :func:`smooth_errors`. A NaN carries through every later step of the
+    recursion, so those are the rows whose last value is NaN.
     """
     errors = np.asarray(errors, dtype=float)
+    if len(errors) < EWMA_ROW_CUT:
+        return np.array([smooth_errors(row, smoothing_window)
+                         for row in errors], dtype=float).reshape(errors.shape)
     if smoothing_window <= 1 or errors.shape[1] == 0:
         return errors.copy()
     alpha = 2.0 / (smoothing_window + 1.0)
-    if len(errors) < EWMA_ROW_CUT:
-        beta = 1.0 - alpha
-        rows = errors.tolist()
-        for row in rows:
-            value = row[0]
-            for i in range(1, len(row)):
-                value = alpha * row[i] + beta * value
-                row[i] = value
-        smoothed = np.array(rows, dtype=float).reshape(errors.shape)
-    else:
-        smoothed = np.empty_like(errors)
-        smoothed[:, 0] = errors[:, 0]
-        for i in range(1, errors.shape[1]):
-            smoothed[:, i] = (alpha * errors[:, i]
-                              + (1.0 - alpha) * smoothed[:, i - 1])
+    smoothed = np.empty_like(errors)
+    smoothed[:, 0] = errors[:, 0]
+    for i in range(1, errors.shape[1]):
+        smoothed[:, i] = alpha * errors[:, i] + (1.0 - alpha) * smoothed[:, i - 1]
     for row in np.flatnonzero(np.isnan(smoothed[:, -1])):
         smoothed[row] = smooth_errors(errors[row], smoothing_window)
     return smoothed

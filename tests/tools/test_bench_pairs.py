@@ -23,8 +23,8 @@ def bench_pairs():
     return module
 
 
-def _result(throughput, setup=1.0):
-    return {"correct": True, "attempted": 10, "failed": 0, "metrics": {
+def _result(throughput, setup=1.0, failed=0):
+    return {"correct": True, "attempted": 10, "failed": failed, "metrics": {
         "throughput_per_s": {"value": throughput, "unit": "1/s"},
         "setup_s": {"value": setup, "unit": "s"}}}
 
@@ -57,14 +57,55 @@ def test_gain_needs_nine_tenths_of_pairs_and_a_gap_past_the_iqr(bench_pairs):
 
 def test_lower_is_better_and_worse_fraction(bench_pairs):
     pairs = [(_result(10.0, setup=2.0), _result(7.0, setup=1.0))
-             for _ in range(4)]
+             for _ in range(10)]
     rows = bench_pairs.summarize(pairs, DIRECTIONS, BOUNDS)
     setup = _row(rows, "setup_s")
-    assert setup["wins"] == 4 and setup["gain"] is True
+    assert setup["wins"] == 10 and setup["gain"] is True
     assert setup["worse_frac"] == pytest.approx(-0.5)
+    assert setup["verdict"] == "ok"
     throughput = _row(rows, "throughput_per_s")
     assert throughput["wins"] == 0 and throughput["gain"] is False
     assert throughput["worse_frac"] == pytest.approx(0.3)
+    assert throughput["verdict"] == "WORSE"
+
+
+def test_no_gain_on_fewer_than_ten_pairs(bench_pairs):
+    for count in (1, 4, 9):
+        pairs = [(_result(10.0, setup=2.0), _result(20.0, setup=1.0))
+                 for _ in range(count)]
+        for row in bench_pairs.summarize(pairs, DIRECTIONS, BOUNDS):
+            assert row["wins"] == count and row["gain"] is False, count
+
+
+def test_no_gain_when_the_change_fails_a_larger_share(bench_pairs):
+    pairs = [(_result(10.0), _result(20.0, failed=1 if i == 3 else 0))
+             for i in range(10)]
+    row = _row(bench_pairs.summarize(pairs, DIRECTIONS, BOUNDS),
+               "throughput_per_s")
+    assert row["wins"] == 10 and row["gain"] is False
+    pairs = [(_result(10.0, failed=1), _result(20.0, failed=1))
+             for _ in range(10)]
+    row = _row(bench_pairs.summarize(pairs, DIRECTIONS, BOUNDS),
+               "throughput_per_s")
+    assert row["gain"] is True
+
+
+def test_spread_wider_than_the_bound_is_unresolved(bench_pairs):
+    # Parent quartiles 7.5..12.5 around a median of 10: a 50% spread
+    # against a 25% bound, so a 10% lower change median shows nothing.
+    parent = [5.0, 7.5, 10.0, 12.5, 15.0] * 2
+    pairs = [(_result(p), _result(p - 1.0)) for p in parent]
+    row = _row(bench_pairs.summarize(pairs, DIRECTIONS, BOUNDS),
+               "throughput_per_s")
+    assert (row["parent_q1"], row["parent_q3"]) == (7.5, 12.5)
+    assert (row["change_q1"], row["change_q3"]) == (6.5, 11.5)
+    assert row["worse_frac"] == pytest.approx(0.1)
+    assert row["verdict"] == "unresolved"
+    # Unless every change run reads better than every parent run.
+    pairs = [(_result(p), _result(p + 20.0)) for p in parent]
+    row = _row(bench_pairs.summarize(pairs, DIRECTIONS, BOUNDS),
+               "throughput_per_s")
+    assert row["verdict"] == "ok" and row["gain"] is True
 
 
 def _checkout(root, name, throughput, log):
