@@ -30,8 +30,8 @@ the gateway's :class:`~repro.api.metrics.MetricsRegistry` in Prometheus
 text format: request counters and latency summaries by route, rate-limit
 and shed counters by tenant, plus collectors over the stats the stack
 already keeps — plan step timings, coalescer requests-vs-executions,
-stream session state, and work-queue depth/dead-letters. ``GET /health``
-is a public liveness probe.
+stream session state and background jobs. ``GET /health`` is a public
+liveness probe.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from repro.api.metrics import (
     fleet_collector,
     jobs_collector,
     stream_collector,
-    work_queue_collector,
 )
 from repro.api.rest import Response, SintelAPI, error_envelope
 from repro.api.tenants import TenantRegistry
@@ -233,10 +232,6 @@ class Gateway:
         registry.gauge("sintel_admission_max_concurrent",
                        "Bound on concurrently executing requests"
                        ).set(stats["max_concurrent"])
-
-    def attach_work_queue(self, queue) -> None:
-        """Export a distributed ``WorkQueue``'s depth/dead-letters."""
-        self.metrics.add_collector(work_queue_collector(queue))
 
     # ------------------------------------------------------------------ #
     # lifecycle

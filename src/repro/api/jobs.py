@@ -9,11 +9,10 @@ has finished, its result.
 A detect job runs its pipeline's steps in order in the thread that runs
 the job. Pipelines carry no executor, so a detect job ignores an
 ``executor`` key, and a benchmark job any pipeline-level executor key.
-Benchmark jobs may fan further out through their ``executor``:
-``"process"`` spreads the (pipeline, signal) jobs across a
-multiprocessing pool, ``"distributed"`` enqueues them into a durable work
-queue served by stateless ``python -m repro.worker`` processes (benchmark
-jobs then also honour ``queue_path``). Benchmark jobs also take ``shard_index`` /
+Benchmark jobs may fan further out through their ``executor``
+(``"serial"``, ``"threaded"`` or ``"process"``; any other name is a 400
+at submission): ``"process"`` spreads the (pipeline, signal) jobs across
+a multiprocessing pool. Benchmark jobs also take ``shard_index`` /
 ``shard_count`` / ``checkpoint_dir`` / ``resume`` for sharded, resumable
 sweeps (see :mod:`repro.benchmark.runner`).
 

@@ -8,8 +8,8 @@ Prometheus text exposition format served by ``GET /metrics``.
 Beyond the gateway's own request counters and latency summaries, the
 registry accepts *collectors*: callables invoked at render time that pull
 the rich stats the stack already keeps — ``RequestCoalescer.stats()``
-requests-vs-executions, stream session state, work-queue depth and
-dead-letters, and the per-step plan timings observed through
+requests-vs-executions, stream session state, background jobs, and the
+per-step plan timings observed through
 :func:`repro.core.plan.set_timing_sink` — and restate them as gauges
 and counters, so a single scrape covers every layer.
 
@@ -27,8 +27,7 @@ from typing import Callable, Dict, List, Tuple
 __all__ = [
     "Counter", "Gauge", "Summary", "MetricsRegistry", "parse_prometheus",
     "ExecutorTimingCollector", "coalescer_collector",
-    "stream_collector", "fleet_collector", "work_queue_collector",
-    "jobs_collector",
+    "stream_collector", "fleet_collector", "jobs_collector",
 ]
 
 #: Quantiles exported by every summary.
@@ -467,23 +466,6 @@ def fleet_collector(streams) -> Callable[[MetricsRegistry], None]:
             "Warm standby-pipeline cache counters")
         for field in ("hits", "misses", "evictions", "size"):
             standby_gauge.set(standby[field], event=field)
-
-    return collect
-
-
-def work_queue_collector(queue) -> Callable[[MetricsRegistry], None]:
-    """Export work-queue depth and dead-letter counts by state."""
-
-    def collect(registry: MetricsRegistry) -> None:
-        counts = queue.counts()
-        gauge = registry.gauge("sintel_work_queue_units",
-                               "Durable work units by lease state")
-        for state in ("ready", "leased", "done", "dead"):
-            gauge.set(counts.get(state, 0), state=state)
-        registry.gauge(
-            "sintel_work_queue_dead_letters",
-            "Units that exhausted their delivery attempts",
-        ).set(counts.get("dead", 0))
 
     return collect
 

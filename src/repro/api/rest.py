@@ -569,12 +569,17 @@ class SintelAPI:
 
     @staticmethod
     def _make_benchmark_job(body) -> Callable:
+        from repro.core.executor import get_executor
+
+        # Resolve the fan-out at submission, so an unknown executor is a
+        # 400 rather than a later "failed" job (as 'detect_batch' does).
+        get_executor(body.get("executor"))
         options = {
             key: body[key]
             for key in ("pipelines", "datasets", "method", "scale",
                         "max_signals", "pipeline_options", "workers",
                         "executor", "shard_index", "shard_count",
-                        "checkpoint_dir", "resume", "queue_path")
+                        "checkpoint_dir", "resume")
             if key in body
         }
         options.setdefault("profile_memory", False)

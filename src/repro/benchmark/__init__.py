@@ -14,11 +14,6 @@ from repro.benchmark.batch import (
     default_batch_signals,
     run_batch_on_pipeline,
 )
-from repro.benchmark.distributed import (
-    DETERMINISTIC_FIELDS,
-    benchmark_distributed,
-    quality_view,
-)
 from repro.benchmark.comparison import (
     FEATURE_MATRIX,
     FEATURES,
@@ -80,9 +75,6 @@ __all__ = [
     "anomalies_within_tolerance",
     "PARITY_RTOL",
     "PARITY_ATOL",
-    "benchmark_distributed",
-    "quality_view",
-    "DETERMINISTIC_FIELDS",
     "benchmark_api",
     "overload_proof",
     "percentile",

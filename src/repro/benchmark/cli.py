@@ -69,10 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--executor", default=None,
                      help="job fan-out executor name ("
                           f"{', '.join(list_executors())})")
-    run.add_argument("--queue-path", default=None,
-                     help="distributed executor only: durable work-queue "
-                          "file shared by the worker fleet (default: a "
-                          "temporary queue discarded after the run)")
     run.add_argument("--no-memory", action="store_true",
                      help="skip tracemalloc memory profiling (faster)")
     run.add_argument("--verbose", action="store_true",
@@ -93,15 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "to --checkpoint-dir)")
     merge.add_argument("--allow-partial", action="store_true",
                        help="merge even when some shards are missing")
-    merge.add_argument("--dedupe", action="store_true",
-                       help="keep the first record for a duplicated job "
-                            "key instead of failing — required when "
-                            "merging the fleet's worker-*.jsonl "
-                            "checkpoints, where a crashed worker leaves "
-                            "a duplicate for its redelivered unit")
-    merge.add_argument("--tolerate-corrupt", action="store_true",
-                       help="log and skip unparseable checkpoint lines "
-                            "(crashed-worker files) instead of failing")
     merge.add_argument("--output", required=True,
                        help="path of the merged BENCH_*.json")
 
@@ -146,7 +133,6 @@ def _command_run(args: argparse.Namespace) -> int:
         shard_count=args.shard_count,
         checkpoint_dir=args.checkpoint_dir,
         resume=not args.no_resume,
-        queue_path=args.queue_path,
     )
     shard = (f"shard {args.shard_index}/{args.shard_count}"
              if args.shard_count is not None else "full run")
@@ -183,8 +169,6 @@ def _command_merge(args: argparse.Namespace) -> int:
     result = merge_shard_checkpoints(
         args.checkpoint_dir if args.checkpoint_dir is not None else args.shards,
         expect_complete=not args.allow_partial,
-        dedupe=args.dedupe,
-        on_corrupt="skip" if args.tolerate_corrupt else "raise",
     )
     result.to_json(args.output)
     print(f"merged {len(result)} records into {args.output}")

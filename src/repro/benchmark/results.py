@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import glob
 import json
-import logging
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
@@ -14,39 +13,19 @@ import numpy as np
 
 __all__ = ["BenchmarkResult", "merge_shard_checkpoints", "read_checkpoint_lines"]
 
-LOGGER = logging.getLogger(__name__)
 
-
-def read_checkpoint_lines(path, on_corrupt: str = "raise") -> List[dict]:
+def read_checkpoint_lines(path) -> List[dict]:
     """Parse a JSONL checkpoint file, tolerating a torn final line.
 
     A process killed mid-append (SIGKILL, OOM, full disk) leaves a partial
     trailing line; that line is dropped, so its job is simply recomputed on
-    resume. What a corrupt line anywhere *else* means depends on who wrote
-    the file, so ``on_corrupt`` selects the policy:
-
-    * ``"raise"`` (the default) — a single-writer shard checkpoint cannot
-      tear a middle line, so the file is damaged and parsing raises rather
-      than silently losing records;
-    * ``"skip"`` — worker-written fleet checkpoints *can* carry mid-file
-      tears (a worker SIGKILL'd mid-append whose file is never appended to
-      again still merges alongside its siblings' complete files) and empty
-      files (a worker killed before its first record). Unparseable lines
-      are logged and dropped; a missing file is logged and treated as
-      empty.
+    resume. A checkpoint has one writer, which cannot tear a middle line,
+    so a corrupt line anywhere else means the file is damaged and parsing
+    raises rather than silently losing records. A missing file raises
+    :class:`FileNotFoundError`.
     """
-    if on_corrupt not in ("raise", "skip"):
-        raise ValueError(
-            f"on_corrupt must be 'raise' or 'skip', got {on_corrupt!r}")
-    try:
-        with open(path) as handle:
-            lines = handle.read().splitlines()
-    except FileNotFoundError:
-        if on_corrupt == "skip":
-            LOGGER.warning("Checkpoint file %s is missing; treating it as "
-                           "empty", path)
-            return []
-        raise
+    with open(path) as handle:
+        lines = handle.read().splitlines()
     entries: List[dict] = []
     for index, line in enumerate(lines):
         line = line.strip()
@@ -57,10 +36,6 @@ def read_checkpoint_lines(path, on_corrupt: str = "raise") -> List[dict]:
         except json.JSONDecodeError:
             if index == len(lines) - 1:
                 break
-            if on_corrupt == "skip":
-                LOGGER.warning("Skipping corrupt checkpoint line %d in %s",
-                               index + 1, path)
-                continue
             raise ValueError(
                 f"Corrupt checkpoint line {index + 1} in {path}; the file "
                 "is damaged beyond a torn trailing write"
@@ -233,9 +208,7 @@ class BenchmarkResult:
 # --------------------------------------------------------------------------- #
 def merge_shard_checkpoints(
         source: Union[str, Sequence[str]],
-        expect_complete: bool = True,
-        dedupe: bool = False,
-        on_corrupt: str = "raise") -> BenchmarkResult:
+        expect_complete: bool = True) -> BenchmarkResult:
     """Combine per-shard checkpoint files into one canonical result.
 
     Args:
@@ -245,19 +218,6 @@ def merge_shard_checkpoints(
             consistent headers, every shard index from ``0`` to
             ``shard_count - 1`` present exactly once. Disable to merge a
             partial collection (e.g. to inspect an in-flight run).
-        dedupe: how to treat a job key appearing more than once. Shards
-            partition a run, so across ``shard-*.jsonl`` files a duplicate
-            is a layout error and raises (the default). The distributed
-            fleet's ``worker-*.jsonl`` checkpoints legitimately overlap —
-            a worker that crashed after appending its record but before
-            acknowledging the queue leaves a duplicate for the redelivered
-            unit — so fleet merges pass ``dedupe=True``: the **first**
-            record read wins and later ones are dropped (both executions
-            computed the same job; only nondeterministic timings differ).
-        on_corrupt: line-damage policy forwarded to
-            :func:`read_checkpoint_lines` — ``"raise"`` for single-writer
-            shard files, ``"skip"`` to tolerate the truncated/empty files
-            a crashed fleet worker leaves behind.
 
     Returns:
         A :class:`BenchmarkResult` with the union of every shard's records
@@ -265,8 +225,7 @@ def merge_shard_checkpoints(
 
     Raises:
         ValueError: on inconsistent headers, duplicate job keys across
-            shards (unless ``dedupe``), or (with ``expect_complete``)
-            missing shards.
+            shards, or (with ``expect_complete``) missing shards.
     """
     if isinstance(source, (str, os.PathLike)):
         paths = sorted(glob.glob(os.path.join(str(source), "shard-*.jsonl")))
@@ -282,13 +241,11 @@ def merge_shard_checkpoints(
     counts_by_path: Dict[str, int] = {}
     for path in paths:
         counts_by_path[path] = 0
-        for entry in read_checkpoint_lines(path, on_corrupt=on_corrupt):
+        for entry in read_checkpoint_lines(path):
             if entry.get("kind") == "header":
                 headers.append({**entry, "path": path})
             elif entry.get("kind") == "record":
                 if entry["key"] in records:
-                    if dedupe:
-                        continue
                     raise ValueError(
                         f"Job {entry['key']!r} appears in more than one "
                         "shard checkpoint; the shards do not partition "

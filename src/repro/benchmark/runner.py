@@ -269,8 +269,7 @@ def benchmark(pipelines: Optional[Sequence[str]] = None,
               shard_index: Optional[int] = None,
               shard_count: Optional[int] = None,
               checkpoint_dir: Optional[str] = None,
-              resume: bool = True,
-              queue_path: Optional[str] = None) -> BenchmarkResult:
+              resume: bool = True) -> BenchmarkResult:
     """Run the full quality + computational benchmark (Table 3 / Figure 7a).
 
     Args:
@@ -292,18 +291,16 @@ def benchmark(pipelines: Optional[Sequence[str]] = None,
             ``executor``, ``1`` keeps the original serial behaviour and
             ``N > 1`` fans jobs out over a
             :class:`~repro.core.executor.ThreadedExecutor`. An executor
-            named ``"threaded"``, ``"process"`` or ``"distributed"`` always
-            gets ``workers`` workers, ``1`` included.
+            named ``"threaded"`` or ``"process"`` always gets ``workers``
+            workers, ``1`` included.
         executor: executor name, class or instance for the job fan-out.
             ``"process"`` schedules jobs across a multiprocessing pool of
             ``workers`` processes — the fastest option for the CPU-bound
-            Figure 7 sweep. ``"distributed"`` enqueues the jobs into a
-            durable work queue and spawns ``workers`` stateless worker
-            processes (``python -m repro.worker``) against it — slower to
-            start than ``"process"`` but crash-survivable: a killed
-            worker costs one lease timeout, and a re-run against the same
-            ``queue_path`` resumes from the finished jobs. Each job runs
-            its pipeline's steps in order in the job's own thread.
+            Figure 7 sweep. A pool worker that dies (``SIGKILL``, OOM)
+            breaks the pool and the run raises ``BrokenProcessPool``;
+            with a ``checkpoint_dir``, re-running resumes from the jobs
+            that finished. Each job runs its pipeline's steps in order in
+            the job's own thread.
         shard_index / shard_count: run only a deterministic round-robin
             slice of the job list. Both must be given together; distinct
             indices partition the run, so N invocations with
@@ -314,11 +311,6 @@ def benchmark(pipelines: Optional[Sequence[str]] = None,
         resume: when a checkpoint for this shard exists, skip its finished
             jobs and only run the remainder (default). ``False`` discards
             the existing checkpoint and recomputes the whole shard.
-        queue_path: ``executor="distributed"`` only — path of the durable
-            work-queue file the worker fleet shares. ``None`` uses a
-            temporary queue discarded after the run; an explicit path
-            makes the fan-out itself resumable and lets externally
-            started workers (other hosts sharing the filesystem) join.
 
     Returns:
         A :class:`BenchmarkResult` with one record per (pipeline, signal)
@@ -416,15 +408,7 @@ def benchmark(pipelines: Optional[Sequence[str]] = None,
     pending = [job for job in jobs if job["key"] not in completed]
 
     if executor is not None:
-        if executor == "distributed":
-            # The fleet executor always honours the worker count (one
-            # worker is still a durable, crash-survivable subprocess) and
-            # shares the benchmark's checkpoint directory so workers
-            # leave worker-*.jsonl audit trails beside the shard files.
-            job_executor = get_executor(
-                executor, max_workers=workers, queue_path=queue_path,
-                checkpoint_dir=checkpoint_dir)
-        elif executor in (ThreadedExecutor.name, ProcessExecutor.name):
+        if executor in (ThreadedExecutor.name, ProcessExecutor.name):
             job_executor = get_executor(executor, max_workers=workers)
         else:
             job_executor = get_executor(executor)
@@ -444,11 +428,10 @@ def benchmark(pipelines: Optional[Sequence[str]] = None,
     # With a concurrent in-process job executor, hold one tracemalloc trace
     # across the whole fan-out: individual jobs then measure snapshot deltas
     # instead of racing to stop a trace their siblings are still reading.
-    # Process and distributed workers own their traces (jobs run in other
-    # processes), so the parent holds nothing.
+    # Process workers own their traces (jobs run in other processes), so
+    # the parent holds nothing.
     hold_trace = profile_memory \
-        and not isinstance(job_executor, (SerialExecutor, ProcessExecutor)) \
-        and getattr(job_executor, "name", "") != "distributed"
+        and not isinstance(job_executor, (SerialExecutor, ProcessExecutor))
     try:
         with trace_memory(hold_trace):
             records = job_executor.map(_execute_benchmark_job, pending,

@@ -10,9 +10,6 @@ implements one method, :meth:`Executor.map`:
 * :class:`ThreadedExecutor` — on a thread pool;
 * :class:`ProcessExecutor` — on a ``multiprocessing`` pool, sidestepping
   the GIL for CPU-heavy jobs.
-
-A queue-backed ``"distributed"`` executor registers itself from
-:mod:`repro.distributed.executor` on first use.
 """
 
 from __future__ import annotations
@@ -243,26 +240,10 @@ EXECUTORS: Dict[str, type] = {
     ProcessExecutor.name: ProcessExecutor,
 }
 
-#: Executors that live in heavier subsystems and register themselves into
-#: :data:`EXECUTORS` when their module first loads. Resolved lazily so
-#: this core module never imports them at load time (the distributed tier
-#: imports *this* module — eager registration would be a cycle).
-_LAZY_EXECUTORS: Dict[str, str] = {
-    "distributed": "repro.distributed.executor",
-}
-
-
-def _load_lazy_executor(name: str) -> None:
-    if name in EXECUTORS or name not in _LAZY_EXECUTORS:
-        return
-    import importlib
-
-    importlib.import_module(_LAZY_EXECUTORS[name])
-
 
 def list_executors() -> List[str]:
     """Names of the registered executor strategies."""
-    return sorted(set(EXECUTORS) | set(_LAZY_EXECUTORS))
+    return sorted(EXECUTORS)
 
 
 def get_executor(executor: Optional[Union[str, Executor, type]] = None,
@@ -279,7 +260,6 @@ def get_executor(executor: Optional[Union[str, Executor, type]] = None,
     if isinstance(executor, type) and issubclass(executor, Executor):
         return executor(**options)
     if isinstance(executor, str):
-        _load_lazy_executor(executor)
         if executor not in EXECUTORS:
             raise ExecutorError(
                 f"Unknown executor {executor!r}. Registered: {list_executors()}"

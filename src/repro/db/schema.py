@@ -23,7 +23,7 @@ from typing import Dict, List
 from repro.exceptions import DatabaseError
 
 __all__ = ["COLLECTIONS", "EVENT_SOURCES", "ANNOTATION_TAGS",
-           "WORK_QUEUE_STATES", "TENANT_STATUSES",
+           "TENANT_STATUSES",
            "validate_document", "new_document"]
 
 #: Collection name -> required fields (besides ``_id`` and ``created_at``).
@@ -47,21 +47,10 @@ COLLECTIONS: Dict[str, List[str]] = {
     # salted hash of the API key is stored; the cleartext key is returned
     # exactly once at provisioning time (see repro.api.tenants).
     "tenants": ["name", "key_hash", "status"],
-    # Distributed work queue (fleet tier): one document per durable work
-    # unit. The authoritative store is the SQLite file behind
-    # :class:`repro.distributed.queue.WorkQueue` (document views come
-    # from ``WorkQueue.to_documents``); this entry pins the shared
-    # document shape and the allowed lease states.
-    "work_queue": ["key", "kind", "status"],
 }
 
 #: Allowed values of the ``source`` field on events (Figure 6 legend).
 EVENT_SOURCES = ("machine", "human", "both")
-
-#: Lease lifecycle states of a distributed work unit: ``ready`` (claimable),
-#: ``leased`` (invisible under a visibility timeout), ``done`` (result
-#: stored), ``dead`` (retries exhausted — the dead-letter state).
-WORK_QUEUE_STATES = ("ready", "leased", "done", "dead")
 
 #: Lifecycle states of an API tenant: ``active`` keys authenticate,
 #: ``revoked`` keys are refused at the gateway.
@@ -93,12 +82,6 @@ def validate_document(collection: str, document: dict) -> None:
             and document.get("status") not in TENANT_STATUSES:
         raise DatabaseError(
             f"Tenant status must be one of {TENANT_STATUSES}, "
-            f"got {document.get('status')!r}"
-        )
-    if collection == "work_queue" \
-            and document.get("status") not in WORK_QUEUE_STATES:
-        raise DatabaseError(
-            f"Work-queue status must be one of {WORK_QUEUE_STATES}, "
             f"got {document.get('status')!r}"
         )
 

@@ -207,52 +207,6 @@ class DocumentStore:
                 os.remove(self.path)
 
     # ------------------------------------------------------------------ #
-    def work_queue(self, path: Optional[str] = None, **options):
-        """A durable :class:`~repro.distributed.queue.WorkQueue` sibling.
-
-        The queue's authoritative state lives in its own SQLite file —
-        lease claims need multi-process atomicity this JSON store cannot
-        provide — but it is addressed *through* the store so persistent
-        deployments keep one data directory: with no explicit ``path``
-        the queue lands next to the store's JSON file as
-        ``<store>.queue.sqlite``. Document views of the queue rows
-        (``WorkQueue.to_documents``) follow the ``work_queue`` collection
-        schema; load them into ``self["work_queue"]`` to snapshot/query
-        queue state alongside the other collections.
-        """
-        from repro.distributed.queue import WorkQueue
-
-        if path is None:
-            if not self.path:
-                raise DatabaseError(
-                    "work_queue() needs an explicit path when the store "
-                    "itself is not file-backed"
-                )
-            path = os.path.splitext(self.path)[0] + ".queue.sqlite"
-        return WorkQueue(path, **options)
-
-    def snapshot_work_queue(self, queue) -> int:
-        """Mirror a queue's current rows into the ``work_queue`` collection.
-
-        Replaces the collection contents with the queue's document views
-        (validated against the schema) and returns how many were loaded —
-        the hook the explorer/API layers use to expose queue state
-        through the ordinary document query surface.
-        """
-        from repro.db.schema import validate_document
-
-        documents = queue.to_documents()
-        collection = self.collection("work_queue")
-        with self._lock:
-            collection._documents.clear()
-            for index, document in enumerate(documents):
-                validate_document("work_queue", document)
-                document = dict(document)
-                document.setdefault("_id", f"work_queue-{index + 1}")
-                collection.load_documents([document])
-        return len(documents)
-
-    # ------------------------------------------------------------------ #
     def save(self, path: Optional[str] = None) -> None:
         """Persist every collection to a JSON file."""
         path = path or self.path

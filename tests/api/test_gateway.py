@@ -462,16 +462,6 @@ class TestMetricsEndpoint:
         assert ("sintel_stream_sessions", (("status", "open"),)) in samples
         assert ("sintel_jobs", (("status", "succeeded"),)) in samples
 
-    def test_work_queue_metrics_attachable(self, gateway, tmp_path):
-        from repro.distributed.queue import WorkQueue
-
-        queue = WorkQueue(str(tmp_path / "q.sqlite"))
-        queue.put("mapped", {"x": 1}, key="u1")
-        gateway.attach_work_queue(queue)
-        samples = parse_prometheus(gateway.get("/metrics").body)
-        assert samples[("sintel_work_queue_units",
-                        (("state", "ready"),))] == 1
-
     def test_requests_total_by_tenant_and_code(self, gateway, tenant_key):
         gateway.get("/v1/pipelines", headers=_headers(tenant_key))
         gateway.get("/v1/nowhere", headers=_headers(tenant_key))

@@ -12,7 +12,6 @@ from repro.api.metrics import (
     fleet_collector,
     jobs_collector,
     parse_prometheus,
-    work_queue_collector,
 )
 
 
@@ -153,18 +152,6 @@ class TestCollectors:
             assert ("sintel_fleet_standby_cache",
                     (("event", field),)) in samples
         manager.shutdown()
-
-    def test_work_queue_collector(self, tmp_path):
-        from repro.distributed.queue import WorkQueue
-
-        queue = WorkQueue(str(tmp_path / "q.sqlite"))
-        queue.put("mapped", {"payload": 1}, key="u1")
-        queue.put("mapped", {"payload": 2}, key="u2")
-        registry = MetricsRegistry()
-        registry.add_collector(work_queue_collector(queue))
-        samples = parse_prometheus(registry.render())
-        assert samples[("sintel_work_queue_units", (("state", "ready"),))] == 2
-        assert samples[("sintel_work_queue_dead_letters", ())] == 0
 
     def test_jobs_collector(self):
         from repro.api.jobs import JobManager

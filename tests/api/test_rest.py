@@ -176,11 +176,24 @@ class TestJobs:
             "max_signals": 1, "scale": 0.02, "workers": 2,
             "executor": "threaded",  # the job fan-out
             "pipeline_executor": "process",  # a legacy key, ignored
+            "queue_path": "fleet.sqlite",  # a legacy key, ignored
         })
         assert accepted.status == 202
         job = api.jobs.wait(accepted.body["id"], timeout=120)
         assert job.status == "succeeded"
         assert len(job.result["records"]) == 1
+
+    @pytest.mark.parametrize("executor", ["caching", "distributed"])
+    def test_benchmark_job_unknown_executor_400(self, api, executor):
+        response = api.post("/jobs", {
+            "task": "benchmark", "pipelines": ["azure"], "datasets": ["NAB"],
+            "max_signals": 1, "scale": 0.02, "executor": executor,
+        })
+        assert response.status == 400
+        assert response.body["error"]["code"] == "bad_request"
+        assert f"Unknown executor {executor!r}" in \
+            response.body["error"]["message"]
+        assert api.get("/jobs").body["jobs"] == []
 
     def test_context_manager_closes_job_pool(self):
         with SintelAPI(SintelExplorer()) as scoped:

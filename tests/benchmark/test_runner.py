@@ -1,8 +1,15 @@
 """Tests for the benchmark runner."""
 
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.benchmark import DEFAULT_PIPELINE_OPTIONS, benchmark, run_pipeline_on_signal
+from repro.benchmark import runner
+from repro.benchmark.results import read_checkpoint_lines
+from repro.core.executor import MP_START_ENV
 from repro.data import Dataset, generate_signal
 from repro.exceptions import BenchmarkError
 
@@ -163,3 +170,42 @@ class TestBenchmarkFanOut:
                            workers=1)
         assert len(result) == 2
         assert opened == [1]
+
+    def test_killed_process_worker_resumes_from_checkpoint(
+            self, tiny_datasets, monkeypatch, tmp_path):
+        # A pool worker SIGKILLed mid-sweep breaks the pool; the shard
+        # checkpoint still holds every job that finished, and a resumed
+        # run completes the sweep with the records of an uninterrupted one.
+        serial = benchmark(pipelines=FAST, datasets=tiny_datasets,
+                           profile_memory=False)
+        # Forked workers inherit the patched runner below.
+        monkeypatch.setenv(MP_START_ENV, "fork")
+        marker = tmp_path / "killed"
+        real = runner.run_pipeline_on_signal
+
+        def kill_once(pipeline_name, sig, *args, **kwargs):
+            # Jobs run arima over both signals, then azure: the third job
+            # is only taken once a worker has finished one of the first two.
+            if (pipeline_name, sig.name) == ("azure", "nab-0") \
+                    and not marker.exists():
+                marker.touch()
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(pipeline_name, sig, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_pipeline_on_signal", kill_once)
+        checkpoints = tmp_path / "checkpoints"
+        common = dict(pipelines=FAST, datasets=tiny_datasets,
+                      profile_memory=False, executor="process", workers=2,
+                      checkpoint_dir=str(checkpoints))
+        with pytest.raises(BrokenProcessPool):
+            benchmark(**common)
+        assert marker.exists()
+
+        [path] = checkpoints.glob("shard-*.jsonl")
+        entries = read_checkpoint_lines(str(path))
+        assert entries[0]["kind"] == "header"
+        assert len(entries) - 1 < len(serial)
+
+        resumed = benchmark(**common)
+        assert self._strip_timings(resumed.records) == \
+            self._strip_timings(serial.records)

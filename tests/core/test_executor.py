@@ -127,16 +127,16 @@ class TestRegistry:
         assert executor.max_workers == 3
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ExecutorError, match="Unknown executor"):
-            get_executor("quantum")
+        for name in ("quantum", "distributed"):
+            with pytest.raises(ExecutorError, match="Unknown executor"):
+                get_executor(name)
 
     def test_bad_type_rejected(self):
         with pytest.raises(ExecutorError):
             get_executor(42)
 
     def test_list_executors(self):
-        assert list_executors() == ["distributed", "process", "serial",
-                                    "threaded"]
+        assert list_executors() == ["process", "serial", "threaded"]
 
     def test_invalid_worker_counts_rejected(self):
         with pytest.raises(ExecutorError):

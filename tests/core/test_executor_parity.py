@@ -166,8 +166,7 @@ class TestPlanRunsInCaller:
         # Whichever executor fans a job out, the job's plans run node by
         # node, in plan order, on the thread that runs the job.
         steps = ["first", "second", "third"]
-        options = {"max_workers": 0} if executor == "distributed" else {}
-        [(traces, caller)] = get_executor(executor, **options).map(
+        [(traces, caller)] = get_executor(executor).map(
             _run_where_plans, [steps])
         for events in traces:
             assert [where[0] for where in events] == steps

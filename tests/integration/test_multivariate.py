@@ -10,10 +10,13 @@ on every executor.
 import pytest
 
 import reference
+from repro.api.rest import SintelAPI
 from repro.core.executor import get_executor
 from repro.core.sintel import Sintel
 from repro.data.signal import LABELS_KEY
 from repro.data.synthetic import WorkloadGenerator
+from repro.db.explorer import SintelExplorer
+from repro.exceptions import PrimitiveError
 
 EXECUTORS = ["serial", "threaded", "process"]
 
@@ -99,6 +102,29 @@ class TestMultivariateDetect:
                     matched += 1
                     break
         assert matched > 0
+
+
+class TestChannelMismatch:
+    def test_detect_on_another_channel_count_is_rejected(self):
+        # Fitted on 2 channels, a 1-channel signal is an error, not a
+        # silently rescaled table that detects nothing.
+        two = WorkloadGenerator(seed=1, n_channels=2, length=400).signal(0)
+        one = WorkloadGenerator(seed=1, length=400).signal(0)
+        name, options = MV_PIPELINE
+        sintel = Sintel(name, **options)
+        sintel.fit(two.to_array())
+        message = "MinMaxScaler was fitted on 2 channels but received 1"
+        with pytest.raises(PrimitiveError, match=message):
+            sintel.detect(one.to_array())
+
+        with SintelAPI(SintelExplorer()) as api:
+            response = api.post("/detect", {
+                "pipeline": name, "pipeline_options": options,
+                "train": two.to_array().tolist(),
+                "data": one.to_array().tolist(),
+            })
+        assert response.status == 400
+        assert message in response.body["error"]["message"]
 
 
 class TestUnivariateUnchanged:

@@ -413,13 +413,20 @@ def test_cutoff_window_sequences_batch_is_loop(drawn, hyperparameters):
 @st.composite
 def fitted_batches(draw):
     """A training table and a batch of tables with its channel count;
-    1-D when that count is 1, now and then."""
+    1-D when that count is 1, now and then. In one batch of four, one
+    table has another channel count, which ``produce`` and
+    ``produce_batch`` must both reject (or both accept) alike."""
     channels = draw(st.integers(1, 3))
     train = draw(samples((draw(st.integers(1, 60)), channels), signed=True))
-    flat = channels == 1 and draw(st.booleans())
+    flat = draw(st.booleans())
     lengths = _lengths(draw, st.integers(0, 60) | st.sampled_from([0, 1]))
-    batch = [draw(samples((rows,) if flat else (rows, channels),
-                          signed=True)) for rows in lengths]
+    widths = [channels] * len(lengths)
+    if not draw(st.integers(0, 3)):
+        widths[draw(st.integers(0, len(lengths) - 1))] = draw(
+            st.integers(1, 3).filter(lambda width: width != channels))
+    batch = [draw(samples((rows,) if flat and width == 1 else (rows, width),
+                          signed=True))
+             for rows, width in zip(lengths, widths)]
     return train, {"X": batch}
 
 
