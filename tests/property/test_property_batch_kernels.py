@@ -7,8 +7,9 @@ signals. Hypothesis draws batches that mix lengths (0, 1 and shorter than
 one window included), NaN and inf bursts, constant runs and tied values,
 duplicate, irregular, reversed and shuffled timestamps, 1-2 channels, all
 five aggregation methods, ``fixed_threshold`` on and off, varied window
-portions and layouts, fitted scaler and imputer statistics, and for the
-two EWMA kernels groups of one length just below, at and past
+portions and layouts, fitted scaler and imputer statistics (and tables
+whose channel count differs from the fit), and for the two EWMA kernels
+groups of one length just below, at and past
 :data:`~repro.core.batch.EWMA_ROW_CUT`. Entry ``i`` of every
 ``produce_batch`` output must have the dtype, shape and bytes of
 ``produce`` on signal ``i``, over the whole batch and over a batch of
