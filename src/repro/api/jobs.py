@@ -72,63 +72,53 @@ class Job:
 
 
 class _CoalesceBatch:
-    """One in-flight accumulation window of compatible requests."""
+    """One batch of compatible requests: queued, then executed once."""
 
-    __slots__ = ("items", "closed", "done", "results", "error", "cond")
+    __slots__ = ("items", "closed", "done", "results", "error")
 
-    def __init__(self, lock: threading.Lock):
+    def __init__(self):
         self.items: List[object] = []
-        self.closed = False          # no longer accepting joiners
+        self.closed = False          # executing: no longer accepting joiners
         self.done = threading.Event()
         self.results: Optional[List[object]] = None
         self.error: Optional[BaseException] = None
-        # Shares the coalescer lock so the leader can wait for joiners
-        # while submit() appends under the same mutex.
-        self.cond = threading.Condition(lock)
 
 
 class RequestCoalescer:
-    """Accumulate concurrent compatible requests into one batched call.
+    """Batch the concurrent compatible requests queued behind an execution.
 
-    The request-coalescing front door of the batch data plane: the first
-    request for a given ``key`` becomes the *leader* and opens a small
-    accumulation window (``window`` seconds, at most ``max_batch``
-    requests). Concurrent requests with the same key join the window and
-    block; when the window closes — full, or timed out — the leader runs
-    ``execute(items)`` **once** over every accumulated payload and each
-    caller receives its own slice of the result, in submission order. An
-    execution error propagates to every caller in the batch.
+    The request-coalescing front door of the batch data plane. The first
+    request for a given ``key`` executes at once, on the submitting
+    thread, as a batch of one. Requests with the same key that arrive
+    while it runs queue up as the *next* batch (at most ``max_batch``
+    requests; a full batch starts another behind it), and that batch's
+    first request runs ``execute(items)`` **once** over every queued
+    payload as soon as the batch before it has finished. Each caller
+    receives its own slice of the result, in submission order. An
+    execution error propagates to every caller in the batch, and the key
+    stays usable for the next one.
 
+    Nothing waits on a timer: a lone request never waits, and a burst
+    coalesces exactly as far as it outpaces the execution ahead of it.
     Requests with different keys (different pipeline, hyperparameters,
-    training data...) never share a batch; they coalesce independently.
-
-    The window is a deliberate latency/throughput trade-off: a request
-    that finds no peers still waits out the window before executing, so
-    the worst case adds ``window`` seconds to every lone request in
-    exchange for collapsing bursts into single executions. Size it to the
-    burstiness of the traffic, and set ``window=0`` for latency-sensitive
-    deployments — coalescing is then fully disabled (every request
-    executes alone, guaranteed, without changing the call shape).
+    training data...) never share a batch and never wait for each other.
 
     Args:
         execute: ``execute(items) -> results`` — must return one result
             per item, aligned by position.
-        window: seconds the leader waits for additional requests. ``0``
-            disables accumulation.
-        max_batch: requests that force an immediate flush when reached.
+        max_batch: most requests one execution serves.
     """
 
     def __init__(self, execute: Callable[[List[object]], List[object]],
-                 window: float = 0.01, max_batch: int = 8):
-        if window < 0:
-            raise ValueError("window must be non-negative")
+                 max_batch: int = 8):
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
         self.execute = execute
-        self.window = float(window)
         self.max_batch = int(max_batch)
         self._lock = threading.Lock()
-        self._pending: Dict[object, _CoalesceBatch] = {}
+        # The newest batch of each key with work in flight, executing or
+        # queued behind the one executing.
+        self._tail: Dict[object, _CoalesceBatch] = {}
         self._stats = {"requests": 0, "executions": 0,
                        "coalesced_requests": 0, "largest_batch": 0}
 
@@ -141,49 +131,40 @@ class RequestCoalescer:
         """
         with self._lock:
             snapshot = dict(self._stats)
-        snapshot["window"] = self.window
         snapshot["max_batch"] = self.max_batch
         return snapshot
 
     def submit(self, key, payload):
         """Run ``payload`` through the coalesced batch for ``key``.
 
-        Blocks until the batch executes (bounded by ``window`` plus the
-        execution itself) and returns this request's result.
+        Blocks until the batch executes — at once when nothing of ``key``
+        is in flight, else after the executions queued ahead of it — and
+        returns this request's result.
         """
         with self._lock:
             self._stats["requests"] += 1
-            batch = self._pending.get(key)
-            leader = batch is None or batch.closed
+            previous = self._tail.get(key)
+            leader = (previous is None or previous.closed
+                      or len(previous.items) >= self.max_batch)
             if leader:
-                batch = _CoalesceBatch(self._lock)
-                self._pending[key] = batch
+                batch = _CoalesceBatch()
+                self._tail[key] = batch
+            else:
+                batch = previous
             index = len(batch.items)
             batch.items.append(payload)
-            # A zero window means no accumulation at all: close the batch
-            # while still holding the lock so no concurrent request can
-            # ever join it.
-            if len(batch.items) >= self.max_batch or self.window <= 0:
-                batch.closed = True
-                batch.cond.notify_all()
 
         if leader:
             # Everything after leadership is assumed runs under one
             # try/finally: whatever happens to this thread — including an
-            # async exception while waiting on the condition — the batch
-            # is unpinned from ``_pending`` and ``done`` is set, so
-            # joiners can never be stranded in ``wait()``.
+            # async exception while waiting for the batch ahead — the batch
+            # is unpinned from ``_tail`` and ``done`` is set, so joiners
+            # can never be stranded in ``wait()``.
             try:
-                deadline = time.monotonic() + self.window
+                if previous is not None:
+                    previous.done.wait()
                 with self._lock:
-                    while not batch.closed:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            break
-                        batch.cond.wait(remaining)
                     batch.closed = True
-                    if self._pending.get(key) is batch:
-                        del self._pending[key]
                     items = list(batch.items)
                     self._stats["executions"] += 1
                     self._stats["largest_batch"] = max(
@@ -203,8 +184,8 @@ class RequestCoalescer:
             finally:
                 with self._lock:
                     batch.closed = True
-                    if self._pending.get(key) is batch:
-                        del self._pending[key]
+                    if self._tail.get(key) is batch:
+                        del self._tail[key]
                 batch.done.set()
         else:
             batch.done.wait()

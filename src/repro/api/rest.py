@@ -131,14 +131,16 @@ class SintelAPI:
     into the fused (tolerance-parity) batch plane.
 
     ``POST /detect`` serves clients that ask about *one* signal at a time
-    — but the server still batches them: concurrent requests with a
-    compatible configuration (same pipeline, hyperparameters, options,
-    exact flag and training rows) accumulate in a small time/size-bounded
-    window (``coalesce_window`` seconds, at most ``coalesce_max_batch``
-    requests) and execute as **one** ``detect_batch`` pass, with each
-    response carrying only its own signal's anomalies. ``self.coalescer``
-    exposes ``stats()`` (requests vs underlying executions) for
-    observability.
+    — but the server still batches them: a request with no compatible
+    execution in flight (same pipeline, hyperparameters, options, exact
+    flag and training rows) executes at once, and compatible requests
+    that arrive while one executes queue up and execute together, as
+    **one** ``detect_batch`` pass of at most ``coalesce_max_batch``
+    requests, right after it. Each response carries only its own
+    signal's anomalies. ``self.coalescer`` exposes ``stats()`` (requests
+    vs underlying executions) for observability. ``/detect``,
+    ``/detect/batch`` and the ``detect`` / ``detect_batch`` jobs all fit
+    and detect through one helper (:meth:`_fit_detect`).
 
     Live signals go through the ``/streams`` resource instead: ``POST
     /streams`` fits the requested pipeline on the supplied training rows
@@ -159,24 +161,18 @@ class SintelAPI:
         job_workers: worker threads for background jobs.
         max_streams: capacity bound on concurrently open stream sessions
             (every session, ``fleet_group`` or not, is one lane of it).
-        coalesce_window: seconds a ``POST /detect`` leader waits for
-            compatible concurrent requests before executing the batch.
-            This is added latency for lone requests in exchange for
-            burst collapsing — size it to the traffic's burstiness, or
-            pass ``0`` to disable accumulation entirely.
-        coalesce_max_batch: requests that force an immediate flush of a
-            coalescing window.
+        coalesce_max_batch: most ``POST /detect`` requests one
+            coalesced ``detect_batch`` pass serves.
     """
 
     def __init__(self, explorer: Optional[SintelExplorer] = None,
                  job_workers: int = 2, max_streams: int = 64,
-                 coalesce_window: float = 0.01, coalesce_max_batch: int = 8):
+                 coalesce_max_batch: int = 8):
         self.explorer = explorer or SintelExplorer()
         self.jobs = JobManager(max_workers=job_workers)
         self.streams = StreamManager(max_sessions=max_streams,
                                      explorer=self.explorer)
         self.coalescer = RequestCoalescer(self._execute_detect_group,
-                                          window=coalesce_window,
                                           max_batch=coalesce_max_batch)
         self._routes: List[Tuple[str, re.Pattern, Callable]] = []
         self._request_counter = itertools.count(1)
@@ -431,8 +427,31 @@ class SintelAPI:
         return Response(200, {"pipelines": list_pipelines()})
 
     # ------------------------------------------------------------------ #
-    # batched detection
+    # detection
     # ------------------------------------------------------------------ #
+    @staticmethod
+    def _fit_detect(body, train, signals, exact) -> List[list]:
+        """Fit ``body``'s pipeline on ``train`` and detect over ``signals``.
+
+        The one detection path behind ``/detect``, ``/detect/batch`` and
+        the ``detect`` / ``detect_batch`` jobs: a fresh pipeline is built
+        from ``body``'s ``pipeline``, ``hyperparameters`` and
+        ``pipeline_options``, fitted once and run over every signal in
+        one ``detect_many`` pass. Returns one JSON-ready anomaly list per
+        signal, in input order.
+        """
+        # Imported lazily to keep the API importable without the core.
+        from repro.core.sintel import Sintel
+
+        sintel = Sintel(
+            body["pipeline"],
+            hyperparameters=body.get("hyperparameters"),
+            **body.get("pipeline_options", {}),
+        )
+        sintel.fit(train)
+        return [[list(anomaly) for anomaly in per_signal]
+                for per_signal in sintel.detect_many(signals, exact=exact)]
+
     @staticmethod
     def _validate_detect_batch(body) -> None:
         """Reject malformed batch requests before any work is queued."""
@@ -445,32 +464,21 @@ class SintelAPI:
     @classmethod
     def _run_detect_batch(cls, body) -> dict:
         """Fit the requested pipeline and run one batched detection pass."""
-        # Imported lazily to keep the API importable without the core.
-        from repro.core.sintel import Sintel
-
         cls._validate_detect_batch(body)
         signals = body["signals"]
-        sintel = Sintel(
-            body["pipeline"],
-            hyperparameters=body.get("hyperparameters"),
-            **body.get("pipeline_options", {}),
-        )
         # Train on the supplied rows, or on the first signal of the batch.
-        sintel.fit(body.get("data", signals[0]))
-        batches = sintel.detect_many(signals, exact=body.get("exact", True))
+        anomalies = cls._fit_detect(body, body.get("data", signals[0]),
+                                    signals, body.get("exact", True))
         return {
             "pipeline": body["pipeline"],
             "n_signals": len(signals),
-            "anomalies": [[list(anomaly) for anomaly in per_signal]
-                          for per_signal in batches],
+            "anomalies": anomalies,
         }
 
     def _detect_batch(self, body, query) -> Response:
         return Response(200, self._run_detect_batch(body))
 
-    # ------------------------------------------------------------------ #
-    # coalesced single-signal detection
-    # ------------------------------------------------------------------ #
+    # Coalesced single-signal detection ----------------------------------------
     @staticmethod
     def _detect_group_key(body) -> str:
         """Coalescing compatibility key of one ``POST /detect`` request.
@@ -492,27 +500,13 @@ class SintelAPI:
         }, sort_keys=True, default=str)
 
     def _execute_detect_group(self, items: List[dict]) -> List[dict]:
-        """Serve one coalesced window with a single ``detect_batch`` pass."""
-        # Imported lazily to keep the API importable without the core.
-        from repro.core.sintel import Sintel
-
+        """Serve one coalesced batch with a single ``detect_batch`` pass."""
         first = items[0]
-        sintel = Sintel(
-            first["pipeline"],
-            hyperparameters=first.get("hyperparameters"),
-            **first.get("pipeline_options", {}),
-        )
-        sintel.fit(first.get("train", first["data"]))
-        batches = sintel.detect_many([item["data"] for item in items],
-                                     exact=first.get("exact", True))
-        return [
-            {
-                "pipeline": first["pipeline"],
-                "anomalies": [list(anomaly) for anomaly in per_signal],
-                "batch_size": len(items),
-            }
-            for per_signal in batches
-        ]
+        batches = self._fit_detect(first, first.get("train", first["data"]),
+                                   [item["data"] for item in items],
+                                   first.get("exact", True))
+        return [{"pipeline": first["pipeline"], "anomalies": anomalies,
+                 "batch_size": len(items)} for anomalies in batches]
 
     def _detect(self, body, query) -> Response:
         if "pipeline" not in body:
@@ -546,24 +540,18 @@ class SintelAPI:
             )
         return Response(202, self.jobs.submit(task, runner).accepted)
 
-    @staticmethod
-    def _make_detect_job(body) -> Callable:
-        pipeline = body["pipeline"]
-        data = body["data"]
-        hyperparameters = body.get("hyperparameters")
-        options = body.get("pipeline_options", {})
+    @classmethod
+    def _make_detect_job(cls, body) -> Callable:
+        # Read the required fields now, so a missing one is a 400 at
+        # submission rather than a later "failed" job.
+        body = dict(body)
+        pipeline, data = body["pipeline"], body["data"]
 
         def run() -> dict:
-            # Imported lazily to keep the API importable without the core.
-            from repro.core.sintel import Sintel
-
-            sintel = Sintel(pipeline, hyperparameters=hyperparameters,
-                            **options)
-            anomalies = sintel.fit_detect(data)
-            return {
-                "pipeline": pipeline,
-                "anomalies": [list(anomaly) for anomaly in anomalies],
-            }
+            # Fit on the signal and detect in it; a detect job is always
+            # exact, whatever the body says.
+            [anomalies] = cls._fit_detect(body, data, [data], exact=True)
+            return {"pipeline": pipeline, "anomalies": anomalies}
 
         return run
 

@@ -405,11 +405,8 @@ class FusedStep:
                     kwargs = {key: _downcast_batch(value)
                               for key, value in kwargs.items()}
                 if not compiled.exact and primitive.supports_fused_batch:
-                    if primitive.fused_accepts_arena:
-                        produced = primitive.produce_batch_fused(
-                            arena=arena, **kwargs)
-                    else:
-                        produced = primitive.produce_batch_fused(**kwargs)
+                    produced = primitive.produce_batch_fused(arena=arena,
+                                                             **kwargs)
                 else:
                     produced = primitive.produce_batch(**kwargs)
                 mapped = _map_outputs(step, primitive, produced)

@@ -72,7 +72,9 @@ class Primitive:
     #: results are only guaranteed equal to the per-signal loop within a
     #: small numerical tolerance — BLAS summation order changes with the
     #: GEMM shape — so they are reachable only through ``exact=False``
-    #: batch plans, never through the bitwise-exact plane.
+    #: batch plans, never through the bitwise-exact plane. Inside a fused
+    #: chain the call also gets an ``arena=`` keyword (an
+    #: :class:`~repro.core.arena.ArenaPool`) for scratch buffers.
     supports_fused_batch: bool = False
     #: Step-fusion category consumed by the plan compiler's fusion pass
     #: (``repro.core.plan``). Contiguous batch-mode steps whose categories
@@ -88,10 +90,6 @@ class Primitive:
     #: the right value for event-assembly postprocessors and for models
     #: whose per-signal state makes chaining pointless.
     fuse_category: Optional[str] = None
-    #: Whether :meth:`produce_batch_fused` accepts an ``arena=`` keyword
-    #: (an :class:`~repro.core.arena.ArenaPool`) for scratch buffers. Only
-    #: consulted on the fused batch plane inside fused chains.
-    fused_accepts_arena: bool = False
 
     def __init__(self, **hyperparameters):
         defaults = self.get_default_hyperparameters()

@@ -172,27 +172,15 @@ class Sequential:
 
         return history
 
-    def predict(self, x: np.ndarray, batch_size: int = None) -> np.ndarray:
-        """Run inference and return the stacked predictions.
-
-        ``batch_size=None`` (the default) runs one full forward pass over
-        every sample — the plan-driven batch size: callers that already
-        hold a batch sized by the execution plan should not pay per-chunk
-        overhead on top. Passing an integer restores chunked inference
-        for memory-bound workloads.
-        """
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Run inference: one full forward pass over every sample."""
         x = np.asarray(x, dtype=float)
         if not self.built:
             self.build(x.shape[1:])
         if len(x) == 0:
             shape = self.layers[-1].output_shape if self.layers else ()
             return np.zeros((0,) + tuple(shape))
-        if batch_size is None:
-            return self.forward(x, training=False)
-        outputs = []
-        for start in range(0, len(x), batch_size):
-            outputs.append(self.forward(x[start:start + batch_size], training=False))
-        return np.concatenate(outputs, axis=0)
+        return self.forward(x, training=False)
 
     def predict_fused(self, x: np.ndarray, arena=None) -> np.ndarray:
         """Single-precision, cache-free inference over the whole batch.

@@ -74,7 +74,6 @@ class _WindowAutoencoder(Primitive):
 
     supports_fused_batch = True
     fuse_category = "forward"
-    fused_accepts_arena = True
 
     def produce(self, X):
         if self._model is None:

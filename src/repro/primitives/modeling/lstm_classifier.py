@@ -71,7 +71,6 @@ class LSTMTimeSeriesClassifier(Primitive):
 
     supports_fused_batch = True
     fuse_category = "forward"
-    fused_accepts_arena = True
 
     def produce(self, X):
         if self._model is None:

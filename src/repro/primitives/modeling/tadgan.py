@@ -193,7 +193,6 @@ class TadGAN(Primitive):
     # ------------------------------------------------------------------ #
     supports_fused_batch = True
     fuse_category = "forward"
-    fused_accepts_arena = True
 
     def produce(self, X):
         if self._encoder is None:

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.core.primitive import Primitive, register_primitive
 from repro.exceptions import PrimitiveError
+from repro.primitives.preprocessing.channels import as_2d
 
 __all__ = ["detect_change_points", "ChangePointSegmenter"]
 
@@ -119,11 +120,7 @@ class ChangePointSegmenter(Primitive):
     }
 
     def produce(self, X, index):
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X.reshape(-1, 1)
-        if X.ndim != 2:
-            raise PrimitiveError("change_point_segmenter expects a 1D or 2D array")
+        X = as_2d(self, X)
         index = np.asarray(index)
         if len(X) != len(index):
             raise PrimitiveError("X and index must have the same length")

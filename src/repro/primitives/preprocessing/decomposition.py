@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.core.primitive import Primitive, register_primitive
 from repro.exceptions import PrimitiveError
+from repro.primitives.preprocessing.channels import as_2d
 
 __all__ = ["SeasonalTrendDecomposition", "Differencing", "decompose"]
 
@@ -110,7 +111,7 @@ class SeasonalTrendDecomposition(Primitive):
         self._periods = None
 
     def fit(self, X):
-        X = _as_2d(X)
+        X = as_2d(self, X)
         periods = []
         for channel in range(X.shape[1]):
             column = _fill_nan(X[:, channel])
@@ -121,7 +122,7 @@ class SeasonalTrendDecomposition(Primitive):
         self._periods = periods
 
     def produce(self, X):
-        X = _as_2d(X)
+        X = as_2d(self, X)
         periods = self._periods or [self.period or 2] * X.shape[1]
         output = np.empty_like(X, dtype=float)
         for channel in range(X.shape[1]):
@@ -149,7 +150,7 @@ class Differencing(Primitive):
     tunable_hyperparameters = {}
 
     def produce(self, X, index):
-        X = _as_2d(X)
+        X = as_2d(self, X)
         index = np.asarray(index)
         order = int(self.order)
         if order < 1:
@@ -160,15 +161,6 @@ class Differencing(Primitive):
         for _ in range(order):
             diffed = np.diff(diffed, axis=0)
         return {"X": diffed, "index": index[order:]}
-
-
-def _as_2d(X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
-    if X.ndim != 2:
-        raise PrimitiveError("Decomposition primitives expect a 1D or 2D array")
-    return X
 
 
 def _fill_nan(column: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ import numpy as np
 from repro.core.batch import shape_groups
 from repro.core.primitive import Primitive, register_primitive
 from repro.exceptions import NotFittedError, PrimitiveError
+from repro.primitives.preprocessing.channels import as_2d, as_fitted_2d
 
 __all__ = ["SimpleImputer"]
 
@@ -45,7 +46,7 @@ class SimpleImputer(Primitive):
         self._statistics = None
 
     def fit(self, X):
-        X = _as_2d(X)
+        X = as_2d(self, X)
         if self.strategy in ("mean", "median"):
             # All-NaN channels legitimately produce a NaN statistic here and
             # fall back to the constant fill value below; silence the
@@ -65,12 +66,10 @@ class SimpleImputer(Primitive):
     def produce(self, X):
         if self._statistics is None:
             raise NotFittedError("SimpleImputer must be fit before produce")
-        X = _as_2d(X).copy()
+        X = as_fitted_2d(self, X, self._statistics).copy()
         for channel in range(X.shape[1]):
             column = X[:, channel]
-            column[np.isnan(column)] = self._statistics[
-                min(channel, len(self._statistics) - 1)
-            ]
+            column[np.isnan(column)] = self._statistics[channel]
         return {"X": X}
 
     def produce_batch(self, X):
@@ -82,20 +81,10 @@ class SimpleImputer(Primitive):
         if self._statistics is None:
             raise NotFittedError("SimpleImputer must be fit before produce")
         results = [None] * len(X)
-        for indices, stacked in shape_groups([_as_2d(x) for x in X]):
-            channels = np.minimum(np.arange(stacked.shape[2]),
-                                  len(self._statistics) - 1)
-            fill = self._statistics[channels]
-            filled = np.where(np.isnan(stacked), fill, stacked)
+        for indices, stacked in shape_groups(
+                [as_fitted_2d(self, x, self._statistics) for x in X]):
+            filled = np.where(np.isnan(stacked), self._statistics, stacked)
             for j, i in enumerate(indices):
                 results[i] = filled[j]
         return {"X": results}
 
-
-def _as_2d(X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
-    if X.ndim != 2:
-        raise PrimitiveError("SimpleImputer expects a 1D or 2D array")
-    return X

@@ -7,6 +7,7 @@ import numpy as np
 from repro.core.batch import shape_groups
 from repro.core.primitive import Primitive, register_primitive
 from repro.exceptions import NotFittedError, PrimitiveError
+from repro.primitives.preprocessing.channels import as_2d, as_fitted_2d
 
 __all__ = ["MinMaxScaler", "StandardScaler"]
 
@@ -44,7 +45,7 @@ class MinMaxScaler(Primitive):
         self._scale = None
 
     def fit(self, X):
-        X = _as_2d(X)
+        X = as_2d(self, X)
         self._min = np.nanmin(X, axis=0)
         self._max = np.nanmax(X, axis=0)
         data_range = self._max - self._min
@@ -54,7 +55,7 @@ class MinMaxScaler(Primitive):
     def produce(self, X):
         if self._min is None:
             raise NotFittedError("MinMaxScaler must be fit before produce")
-        X = _as_fitted_2d(self, X, self._min)
+        X = as_fitted_2d(self, X, self._min)
         low, high = self.feature_range
         scaled = (X - self._min) / self._scale
         return {"X": scaled * (high - low) + low}
@@ -66,7 +67,7 @@ class MinMaxScaler(Primitive):
         low, high = self.feature_range
         results = [None] * len(X)
         for indices, stacked in shape_groups(
-                [_as_fitted_2d(self, x, self._min) for x in X]):
+                [as_fitted_2d(self, x, self._min) for x in X]):
             scaled = (stacked - self._min) / self._scale
             scaled = scaled * (high - low) + low
             for j, i in enumerate(indices):
@@ -77,7 +78,7 @@ class MinMaxScaler(Primitive):
         """Fold a micro-batch into the rolling extrema, then scale it."""
         if self._min is None:
             raise NotFittedError("MinMaxScaler must be fit before update")
-        X = _as_fitted_2d(self, X, self._min)
+        X = as_fitted_2d(self, X, self._min)
         if len(X):
             self._min = np.fmin(self._min, np.nanmin(X, axis=0))
             self._max = np.fmax(self._max, np.nanmax(X, axis=0))
@@ -90,7 +91,7 @@ class MinMaxScaler(Primitive):
         """Map scaled values back to the original range."""
         if self._min is None:
             raise NotFittedError("MinMaxScaler must be fit before inverse")
-        X = _as_fitted_2d(self, X, self._min)
+        X = as_fitted_2d(self, X, self._min)
         low, high = self.feature_range
         return (X - low) / (high - low) * self._scale + self._min
 
@@ -129,7 +130,7 @@ class StandardScaler(Primitive):
         self._prev_window = None
 
     def fit(self, X):
-        X = _as_2d(X)
+        X = as_2d(self, X)
         self._count = len(X)
         self._raw_mean = np.nanmean(X, axis=0)
         self._raw_var = np.nanvar(X, axis=0)
@@ -150,7 +151,7 @@ class StandardScaler(Primitive):
     def produce(self, X):
         if self._mean is None:
             raise NotFittedError("StandardScaler must be fit before produce")
-        X = _as_fitted_2d(self, X, self._mean)
+        X = as_fitted_2d(self, X, self._mean)
         return {"X": (X - self._mean) / self._std}
 
     def produce_batch(self, X):
@@ -159,7 +160,7 @@ class StandardScaler(Primitive):
             raise NotFittedError("StandardScaler must be fit before produce")
         results = [None] * len(X)
         for indices, stacked in shape_groups(
-                [_as_fitted_2d(self, x, self._mean) for x in X]):
+                [as_fitted_2d(self, x, self._mean) for x in X]):
             scaled = (stacked - self._mean) / self._std
             for j, i in enumerate(indices):
                 results[i] = scaled[j]
@@ -187,7 +188,7 @@ class StandardScaler(Primitive):
         """Fold a window's new rows into the running moments, then scale."""
         if self._mean is None:
             raise NotFittedError("StandardScaler must be fit before update")
-        X = _as_fitted_2d(self, X, self._mean)
+        X = as_fitted_2d(self, X, self._mean)
         fresh = self._fresh_rows(X)
         if len(fresh):
             batch_mean = np.nanmean(fresh, axis=0)
@@ -208,24 +209,5 @@ class StandardScaler(Primitive):
         """Map standardized values back to the original scale."""
         if self._mean is None:
             raise NotFittedError("StandardScaler must be fit before inverse")
-        return _as_fitted_2d(self, X, self._mean) * self._std + self._mean
+        return as_fitted_2d(self, X, self._mean) * self._std + self._mean
 
-
-def _as_2d(X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
-    if X.ndim != 2:
-        raise PrimitiveError("Scalers expect a 1D or 2D array")
-    return X
-
-
-def _as_fitted_2d(scaler: Primitive, X, fitted: np.ndarray) -> np.ndarray:
-    """``X`` as a 2D array with as many channels as the ``fitted`` statistic."""
-    X = _as_2d(X)
-    if X.shape[1] != len(fitted):
-        raise PrimitiveError(
-            f"{scaler.name} was fitted on {len(fitted)} channels but "
-            f"received {X.shape[1]}"
-        )
-    return X

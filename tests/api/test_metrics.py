@@ -92,7 +92,7 @@ class TestParser:
 
 class TestCollectors:
     def test_coalescer_collector(self):
-        coalescer = RequestCoalescer(lambda items: list(items), window=0)
+        coalescer = RequestCoalescer(lambda items: list(items))
         coalescer.submit("k", 1)
         registry = MetricsRegistry()
         registry.add_collector(coalescer_collector(coalescer))

@@ -1,6 +1,8 @@
 """Tests for the REST-style API router."""
 
 import json
+import threading
+import time
 
 import pytest
 
@@ -390,8 +392,16 @@ class TestDetectBatch:
         assert len(job.result["anomalies"]) == 2
 
 
+def wait_for_requests(coalescer, count, timeout=60.0):
+    """Spin until ``count`` requests have reached ``coalescer``."""
+    deadline = time.monotonic() + timeout
+    while coalescer.stats()["requests"] < count:
+        assert time.monotonic() < deadline, "requests never reached it"
+
+
 class TestCoalescedDetect:
-    """``POST /detect``: concurrent compatible requests share one batch."""
+    """``POST /detect``: compatible requests queued behind an execution
+    share one batch."""
 
     @staticmethod
     def _signals(n=4, length=220):
@@ -401,43 +411,77 @@ class TestCoalescedDetect:
                                 random_state=i, flavour="periodic").to_array()
                 for i in range(n)]
 
+    @staticmethod
+    def _start_held_execution(api, body):
+        """Post ``body`` on a thread and hold its execution open.
+
+        Returns ``(thread, release)``: once this returns, the request is
+        executing, and its execution finishes only after ``release`` is
+        set. Requests with the same key queue up behind it meanwhile.
+        """
+        entered, release = threading.Event(), threading.Event()
+        execute = api.coalescer.execute
+
+        def held(items):
+            if not entered.is_set():
+                entered.set()
+                release.wait(timeout=60)
+            return execute(items)
+
+        api.coalescer.execute = held
+        thread = threading.Thread(target=api.post, args=("/detect", body))
+        thread.start()
+        assert entered.wait(timeout=60)
+        return thread, release
+
+    @staticmethod
+    def _post_all(api, bodies, held, release):
+        """Post ``bodies`` concurrently behind the ``held`` execution.
+
+        Every request is queued before ``release`` lets the held execution
+        finish, so the burst's batches are fixed by ``max_batch`` alone.
+        Returns the responses in ``bodies`` order.
+        """
+        responses = [None] * len(bodies)
+
+        def post(index):
+            responses[index] = api.post("/detect", bodies[index])
+
+        queued = api.coalescer.stats()["requests"]
+        threads = [threading.Thread(target=post, args=(index,))
+                   for index in range(len(bodies))]
+        for thread in threads:
+            thread.start()
+        wait_for_requests(api.coalescer, queued + len(bodies))
+        release.set()
+        for thread in [held] + threads:
+            thread.join(timeout=60)
+        return responses
+
     @pytest.fixture
     def coalescing_api(self):
-        # A generous window plus max_batch == request count makes the test
-        # deterministic: the batch flushes on size, never on time.
-        api = SintelAPI(SintelExplorer(), coalesce_window=10.0,
-                        coalesce_max_batch=4)
+        # max_batch == burst size: a burst queued behind one held
+        # execution fills exactly one batch.
+        api = SintelAPI(SintelExplorer(), coalesce_max_batch=4)
         yield api
         api.close()
 
     def test_concurrent_requests_execute_one_batch(self, coalescing_api):
-        import threading
-
         signals = self._signals(4)
         train = signals[0].tolist()
-        responses = [None] * 4
-
-        def post(index):
-            responses[index] = coalescing_api.post("/detect", {
-                "pipeline": "azure",
-                "data": signals[index].tolist(),
-                "train": train,
-            })
-
-        threads = [threading.Thread(target=post, args=(index,))
-                   for index in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
+        held, release = self._start_held_execution(coalescing_api, {
+            "pipeline": "azure", "data": train, "train": train})
+        responses = self._post_all(coalescing_api, [
+            {"pipeline": "azure", "data": signal.tolist(), "train": train}
+            for signal in signals], held, release)
 
         for response in responses:
             assert response is not None and response.status == 200
             # Every response reports the shared underlying batch.
             assert response.body["batch_size"] == 4
         stats = coalescing_api.coalescer.stats()
-        assert stats["requests"] == 4
-        assert stats["executions"] == 1  # one detect_batch pass served all
+        assert stats["requests"] == 5  # the held request, then the burst
+        assert stats["executions"] == 2  # one detect_batch pass per batch
         assert stats["coalesced_requests"] == 4
 
         # Per-request demux matches a direct per-signal Sintel run.
@@ -450,14 +494,9 @@ class TestCoalescedDetect:
             assert response.body["anomalies"] == expected
 
     def test_incompatible_requests_do_not_coalesce(self):
-        import threading
-
         signals = self._signals(2)
         responses = [None] * 2
-        # Different group keys can never fill a shared batch, so flushing
-        # happens on the window timer — keep it short.
-        api = SintelAPI(SintelExplorer(), coalesce_window=0.2,
-                        coalesce_max_batch=4)
+        api = SintelAPI(SintelExplorer(), coalesce_max_batch=4)
 
         def post(index, k):
             responses[index] = api.post("/detect", {
@@ -482,31 +521,20 @@ class TestCoalescedDetect:
         api.close()
 
     def test_requests_differing_only_in_executor_coalesce(self):
-        import threading
-
         signals = self._signals(2)
-        responses = [None] * 2
-        # max_batch == request count: the batch flushes on size, so the
-        # two requests share a pass only if they share a group key.
-        api = SintelAPI(SintelExplorer(), coalesce_window=10.0,
-                        coalesce_max_batch=2)
-
-        def post(index, executor):
-            responses[index] = api.post("/detect", {
-                "pipeline": "azure",
-                "data": signals[index].tolist(),
-                "train": signals[0].tolist(),
-                "executor": executor,
-            })
-
-        threads = [threading.Thread(target=post, args=(0, "serial")),
-                   threading.Thread(target=post, args=(1, "process"))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
+        train = signals[0].tolist()
+        # max_batch == burst size: the two queued requests share a pass
+        # only if they share a group key.
+        api = SintelAPI(SintelExplorer(), coalesce_max_batch=2)
+        held, release = self._start_held_execution(api, {
+            "pipeline": "azure", "data": train, "train": train})
+        responses = self._post_all(api, [
+            {"pipeline": "azure", "data": signals[index].tolist(),
+             "train": train, "executor": executor}
+            for index, executor in enumerate(("serial", "process"))],
+            held, release)
         assert all(r.status == 200 for r in responses)
-        assert api.coalescer.stats()["executions"] == 1
+        assert api.coalescer.stats()["executions"] == 2  # held + one batch
         assert all(r.body["batch_size"] == 2 for r in responses)
         api.close()
 
@@ -525,8 +553,6 @@ class TestCoalescedDetect:
         assert api.post("/detect", {"pipeline": "azure", "data": []}).status == 400
 
     def test_zero_window_disables_coalescing(self):
-        import threading
-
         from repro.api.jobs import RequestCoalescer
 
         sizes = []
@@ -535,48 +561,27 @@ class TestCoalescedDetect:
             sizes.append(len(items))
             return list(items)
 
-        coalescer = RequestCoalescer(execute, window=0.0, max_batch=8)
-        results = [None] * 4
-
-        def submit(index):
-            results[index] = coalescer.submit("key", index)
-
-        threads = [threading.Thread(target=submit, args=(index,))
-                   for index in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        # Every request executed alone — a zero window never accumulates,
-        # even under concurrency.
+        coalescer = RequestCoalescer(execute, max_batch=8)
+        results = [coalescer.submit("key", index) for index in range(4)]
+        # Every request found nothing of its key in flight, so each
+        # executed alone, at once.
         assert results == [0, 1, 2, 3]
         assert sizes == [1, 1, 1, 1]
         assert coalescer.stats()["executions"] == 4
         assert coalescer.stats()["coalesced_requests"] == 0
 
     def test_execution_error_propagates_to_every_caller(self):
-        import threading
-
         signal = self._signals(1)[0]
-        responses = [None] * 2
-        api = SintelAPI(SintelExplorer(), coalesce_window=10.0,
-                        coalesce_max_batch=2)
-
-        def post(index):
-            responses[index] = api.post("/detect", {
-                "pipeline": "no-such-pipeline",
-                "data": signal.tolist(),
-            })
-
-        threads = [threading.Thread(target=post, args=(index,))
-                   for index in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
+        body = {"pipeline": "no-such-pipeline", "data": signal.tolist()}
+        api = SintelAPI(SintelExplorer(), coalesce_max_batch=2)
+        held, release = self._start_held_execution(api, body)
+        responses = self._post_all(api, [body, body], held, release)
         # The leader's execution error fans out to every caller in the
         # batch: both get a 400, never a hang.
         assert all(r is not None and r.status == 400 for r in responses)
         assert all("no-such-pipeline" in str(r.body["error"])
                    for r in responses)
+        stats = api.coalescer.stats()
+        assert stats["executions"] == 2  # held + one batch
+        assert stats["coalesced_requests"] == 2
         api.close()

@@ -113,7 +113,7 @@ class TestChannelMismatch:
         name, options = MV_PIPELINE
         sintel = Sintel(name, **options)
         sintel.fit(two.to_array())
-        message = "MinMaxScaler was fitted on 2 channels but received 1"
+        message = "SimpleImputer was fitted on 2 channels but received 1"
         with pytest.raises(PrimitiveError, match=message):
             sintel.detect(one.to_array())
 
@@ -122,6 +122,26 @@ class TestChannelMismatch:
                 "pipeline": name, "pipeline_options": options,
                 "train": two.to_array().tolist(),
                 "data": one.to_array().tolist(),
+            })
+        assert response.status == 400
+        assert message in response.body["error"]["message"]
+
+    @pytest.mark.parametrize("fitted, given", [(1, 2), (2, 1)])
+    def test_azure_rejects_another_channel_count(self, fitted, given):
+        # azure has no scaler: its imputer is the step that must notice.
+        train, data = (WorkloadGenerator(seed=1, n_channels=channels,
+                                         length=400).signal(0).to_array()
+                       for channels in (fitted, given))
+        sintel = Sintel("azure").fit(train)
+        message = (f"SimpleImputer was fitted on {fitted} channels but "
+                   f"received {given}")
+        with pytest.raises(PrimitiveError, match=message):
+            sintel.detect(data)
+
+        with SintelAPI(SintelExplorer()) as api:
+            response = api.post("/detect", {
+                "pipeline": "azure", "train": train.tolist(),
+                "data": data.tolist(),
             })
         assert response.status == 400
         assert message in response.body["error"]["message"]
