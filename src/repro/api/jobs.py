@@ -183,7 +183,6 @@ class RequestCoalescer:
                 batch.error = error
             finally:
                 with self._lock:
-                    batch.closed = True
                     if self._tail.get(key) is batch:
                         del self._tail[key]
                 batch.done.set()

@@ -5,6 +5,7 @@ with ``threading.Event``s and by polling ``stats()["requests"]``, never
 with sleeps, so every batch boundary below is deterministic.
 """
 
+import sys
 import threading
 import time
 
@@ -23,11 +24,11 @@ def wait_for_requests(coalescer, count, timeout=30.0):
 class Recorder:
     """A fake ``execute`` that records its calls and can hold one open.
 
-    ``execute(items)`` records the batch and its thread, and answers
-    ``"r-<item>"`` per item, and ``after_held`` whether the held batch had
-    returned when it started. A batch that contains ``"hold"`` signals
-    ``entered`` and returns only once ``release`` is set; a batch that
-    contains ``"boom"`` raises.
+    ``execute(items)`` answers ``"r-<item>"`` per item. It records each
+    batch, the thread that ran it and, in ``after_held``, whether the
+    held batch had returned when it started. A batch that contains
+    ``"hold"`` signals ``entered`` and returns only once ``release`` is
+    set; a batch that contains ``"boom"`` raises.
     """
 
     def __init__(self):
@@ -133,6 +134,7 @@ class TestChainedCoalescer:
         assert recorder.after_held == [False, False]
         recorder.release.set()
         held.join(timeout=30)
+        assert not held.is_alive()
 
     def test_queue_past_max_batch_splits_into_chained_batches(self):
         recorder = Recorder()
@@ -166,6 +168,64 @@ class TestChainedCoalescer:
         # The key stays usable: the next request runs alone, at once.
         assert coalescer.submit("k", "c") == "r-c"
         assert recorder.batches[-1] == ["c"]
+
+    def test_concurrent_submits_keep_every_request_and_run_keys_serially(self):
+        # More threads than cores, switching as often as the interpreter
+        # allows: a lost update would drop or misroute a request, and a
+        # broken chain would run two executions of one key at once.
+        keys, max_batch = ("k0", "k1", "k2"), 3
+        lock = threading.Lock()
+        running = dict.fromkeys(keys, 0)
+        batches, overlaps = [], []
+
+        def execute(items):
+            key = items[0][0]
+            with lock:
+                running[key] += 1
+                if running[key] > 1:
+                    overlaps.append(key)
+                batches.append(list(items))
+            # Python work long enough for other threads to queue behind.
+            sum(range(2000))
+            results = [("r",) + item for item in items]
+            with lock:
+                running[key] -= 1
+            return results
+
+        coalescer = RequestCoalescer(execute, max_batch=max_batch)
+        n_threads, per_thread = 16, 25
+        results = {}
+
+        def client(thread):
+            for number in range(per_thread):
+                payload = (keys[(thread + number) % len(keys)], thread, number)
+                results[payload] = coalescer.submit(payload[0], payload)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(thread,))
+                       for thread in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+
+        assert len(results) == n_threads * per_thread
+        assert all(result == ("r",) + payload
+                   for payload, result in results.items())
+        executed = sorted(item for batch in batches for item in batch)
+        assert executed == sorted(results)
+        assert all(len(batch) <= max_batch for batch in batches)
+        assert all(len({item[0] for item in batch}) == 1 for batch in batches)
+        assert overlaps == []
+        stats = coalescer.stats()
+        assert stats["requests"] == n_threads * per_thread
+        assert stats["executions"] == len(batches)
+        assert stats["executions"] < stats["requests"]  # chains were built
 
     def test_removed_window_knobs_rejected(self):
         from repro.api import SintelAPI

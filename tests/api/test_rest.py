@@ -392,13 +392,6 @@ class TestDetectBatch:
         assert len(job.result["anomalies"]) == 2
 
 
-def wait_for_requests(coalescer, count, timeout=60.0):
-    """Spin until ``count`` requests have reached ``coalescer``."""
-    deadline = time.monotonic() + timeout
-    while coalescer.stats()["requests"] < count:
-        assert time.monotonic() < deadline, "requests never reached it"
-
-
 class TestCoalescedDetect:
     """``POST /detect``: compatible requests queued behind an execution
     share one batch."""
@@ -447,12 +440,14 @@ class TestCoalescedDetect:
         def post(index):
             responses[index] = api.post("/detect", bodies[index])
 
-        queued = api.coalescer.stats()["requests"]
+        queued = api.coalescer.stats()["requests"] + len(bodies)
         threads = [threading.Thread(target=post, args=(index,))
                    for index in range(len(bodies))]
         for thread in threads:
             thread.start()
-        wait_for_requests(api.coalescer, queued + len(bodies))
+        deadline = time.monotonic() + 60
+        while api.coalescer.stats()["requests"] < queued:
+            assert time.monotonic() < deadline, "the burst never queued"
         release.set()
         for thread in [held] + threads:
             thread.join(timeout=60)
