@@ -427,7 +427,7 @@ class SintelAPI:
         return Response(200, {"pipelines": list_pipelines()})
 
     # ------------------------------------------------------------------ #
-    # detection
+    # batched detection
     # ------------------------------------------------------------------ #
     @staticmethod
     def _fit_detect(body, train, signals, exact) -> List[list]:
@@ -478,7 +478,9 @@ class SintelAPI:
     def _detect_batch(self, body, query) -> Response:
         return Response(200, self._run_detect_batch(body))
 
-    # Coalesced single-signal detection ----------------------------------------
+    # ------------------------------------------------------------------ #
+    # coalesced single-signal detection
+    # ------------------------------------------------------------------ #
     @staticmethod
     def _detect_group_key(body) -> str:
         """Coalescing compatibility key of one ``POST /detect`` request.

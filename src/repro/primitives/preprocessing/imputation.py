@@ -87,4 +87,3 @@ class SimpleImputer(Primitive):
             for j, i in enumerate(indices):
                 results[i] = filled[j]
         return {"X": results}
-

@@ -210,4 +210,3 @@ class StandardScaler(Primitive):
         if self._mean is None:
             raise NotFittedError("StandardScaler must be fit before inverse")
         return as_fitted_2d(self, X, self._mean) * self._std + self._mean
-
