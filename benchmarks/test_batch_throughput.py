@@ -22,11 +22,11 @@ lstm_dynamic_threshold / lstm_autoencoder at batch 8.
 
 The numbers land in machine-readable ``BENCH_batch.json`` with one entry
 per plane; CI's ``bench-batch`` leg re-runs this experiment and gates on
-both parities.
+both parities and on the recurrent pipelines' fused plane running at
+least 5x faster than their exact plane over the same signals.
 """
 
 import json
-import os
 
 from bench_utils import FAST_PIPELINE_OPTIONS, write_output
 
@@ -36,9 +36,9 @@ from repro.benchmark import benchmark_batch, default_batch_signals
 #: ``supports_fused_batch``.
 FUSED_PIPELINES = ("lstm_dynamic_threshold", "lstm_autoencoder", "tadgan")
 
-#: Pipelines gated on the fused+arena plane beating the pre-fusion fused
-#: plane (``REPRO_NO_FUSION`` + ``REPRO_FUSED_LEGACY``): the recurrent
-#: pipelines whose forwards the time-major kernel rewrites.
+#: Pipelines gated on the fused plane beating the exact plane on the same
+#: signals: the recurrent pipelines whose forwards the time-major kernel
+#: rewrites.
 FUSION_GATED = ("lstm_dynamic_threshold", "lstm_autoencoder")
 
 
@@ -77,38 +77,23 @@ def _render_fusion(records):
         report = record.get("fusion")
         if not report:
             continue
-        arena = report["arena"] or {}
+        arena = report["arena"]
         lines.append(
             f"{record['pipeline']:<24} chains={report['n_chains']} "
             f"steps_fused={report['n_fused_steps']} "
-            f"arena_allocs={arena.get('allocations', 0)} "
-            f"arena_bytes_reused={arena.get('bytes_reused', 0)}"
+            f"arena_allocs={arena['allocations']} "
+            f"arena_bytes_reused={arena['bytes_reused']}"
         )
         for group in report["groups"]:
             lines.append(f"    {group['name']}")
-        if "fusion_speedup" in record:
+        if "speedup_vs_exact" in record:
             lines.append(
-                f"    vs pre-fusion fused plane: "
-                f"{record['fusion_speedup']:.2f}x "
-                f"({record['legacy_batch_time'] * 1000:.1f}ms -> "
+                f"    vs exact plane: "
+                f"{record['speedup_vs_exact']:.2f}x "
+                f"({record['exact_batch_time'] * 1000:.1f}ms -> "
                 f"{record['batch_time'] * 1000:.1f}ms)"
             )
     return lines
-
-
-def _legacy_fused_times(signals):
-    """The pre-fusion fused plane: no chains, batch-major legacy forwards."""
-    os.environ["REPRO_NO_FUSION"] = "1"
-    os.environ["REPRO_FUSED_LEGACY"] = "1"
-    try:
-        legacy = benchmark_batch(
-            signals=signals, pipelines=list(FUSED_PIPELINES),
-            pipeline_options=FAST_PIPELINE_OPTIONS, repeats=3, exact=False)
-    finally:
-        del os.environ["REPRO_NO_FUSION"]
-        del os.environ["REPRO_FUSED_LEGACY"]
-    return {record["pipeline"]: record["batch_time"]
-            for record in legacy["records"] if record["status"] == "ok"}
 
 
 def test_batch_throughput_and_parity():
@@ -119,12 +104,6 @@ def test_batch_throughput_and_parity():
     fused = benchmark_batch(signals=signals,
                             pipeline_options=FAST_PIPELINE_OPTIONS,
                             repeats=3, exact=False)
-    legacy_times = _legacy_fused_times(signals)
-    for record in fused["records"]:
-        legacy = legacy_times.get(record["pipeline"])
-        if legacy is not None and record.get("batch_time"):
-            record["legacy_batch_time"] = legacy
-            record["fusion_speedup"] = legacy / record["batch_time"]
 
     # Every pipeline must run on both planes, with full parity: bitwise
     # on the exact plane, within the documented tolerance on the fused
@@ -132,6 +111,13 @@ def test_batch_throughput_and_parity():
     for result in (exact, fused):
         assert result["summary"]["n_ok"] == len(result["records"]) == 6
         assert result["summary"]["parity_rate"] == 1.0
+    exact_times = {record["pipeline"]: record["batch_time"]
+                   for record in exact["records"]}
+    for record in fused["records"]:
+        if record["pipeline"] in FUSED_PIPELINES:
+            record["exact_batch_time"] = exact_times[record["pipeline"]]
+            record["speedup_vs_exact"] = (record["exact_batch_time"]
+                                          / record["batch_time"])
     # The fused pipelines must beat the loop clearly even on noisy CI
     # hardware; the committed JSON records the actual measured speedups.
     assert exact["summary"]["speedup_best"] >= 1.5
@@ -145,14 +131,14 @@ def test_batch_throughput_and_parity():
     fused_recurrent = [record["speedup"] for record in fused["records"]
                        if record["pipeline"] in FUSED_PIPELINES]
     assert max(fused_recurrent) >= 1.3
-    # The step-fusion pass + time-major arena kernel must clearly beat
-    # the pre-fusion fused plane on the recurrent pipelines (measured
-    # ~2.5x locally; the committed JSON records >=2x). Same-run ratio, so
-    # host speed cancels — the loose floor only catches the fused chain
-    # path degenerating back to the per-step plane.
+    # The time-major arena kernel must clearly beat the exact plane's
+    # float64 forwards over the same signals on the recurrent pipelines
+    # (measured 8-11x on 2 vCPUs). Same-run ratio, so host speed cancels
+    # — the floor catches the fused forward degenerating towards the
+    # exact plane's cost.
     for record in fused["records"]:
         if record["pipeline"] in FUSION_GATED:
-            assert record["fusion_speedup"] >= 1.5, record["pipeline"]
+            assert record["speedup_vs_exact"] >= 5.0, record["pipeline"]
         if record["pipeline"] in FUSED_PIPELINES:
             assert record.get("fusion", {}).get("n_chains", 0) >= 1
 
@@ -170,6 +156,6 @@ def test_batch_throughput_and_parity():
     write_output("batch_fusion_report.json", json.dumps(
         [{"pipeline": record["pipeline"],
           "fusion": record.get("fusion"),
-          "legacy_batch_time": record.get("legacy_batch_time"),
-          "fusion_speedup": record.get("fusion_speedup")}
+          "exact_batch_time": record.get("exact_batch_time"),
+          "speedup_vs_exact": record.get("speedup_vs_exact")}
          for record in fused["records"]], indent=2))

@@ -129,12 +129,11 @@ def fusion_report(pipeline) -> dict:
     plan = pipeline.compiled_plan("batch", exact=False)
     groups = [dict(group, n_steps=len(group["steps"]))
               for group in plan.fusion_groups]
-    arena = getattr(plan, "arena", None)
     return {
         "groups": groups,
         "n_chains": len(groups),
         "n_fused_steps": sum(group["n_steps"] for group in groups),
-        "arena": arena.stats() if arena is not None else None,
+        "arena": plan.arena.stats(),
     }
 
 
@@ -186,13 +185,12 @@ def explain_plan(pipeline_name: str,
             for step, category in zip(group["steps"], group["categories"]))
         lines.append(f"    {group['name']}: {members}")
     arena = report["arena"]
-    if arena is not None:
-        lines.append(
-            f"  arena: {arena['allocations']} allocation(s), "
-            f"{arena['reuses']} reuse(s), {arena['bytes_held']} bytes held, "
-            f"{arena['bytes_reused']} bytes reused")
-        for shape in arena["shapes"]:
-            lines.append(f"    buffer {shape}")
+    lines.append(
+        f"  arena: {arena['allocations']} allocation(s), "
+        f"{arena['reuses']} reuse(s), {arena['bytes_held']} bytes held, "
+        f"{arena['bytes_reused']} bytes reused")
+    for shape in arena["shapes"]:
+        lines.append(f"    buffer {shape}")
     return "\n".join(lines)
 
 

@@ -1,16 +1,17 @@
-"""Preallocated scratch-buffer arena for fused plan execution.
+"""Preallocated scratch-buffer arena for the fused NN forwards.
 
-Fused chains (:class:`~repro.core.plan.FusedStep`) and the time-major NN
-kernels behind ``produce_batch_fused`` need a handful of scratch ndarrays
-per call — gate pre-activations, cell state, per-step RHS buffers. Sized
-from the batch shape, those buffers are identical call after call, so the
-plan owns one :class:`ArenaPool` and the kernels lease buffers from it
-instead of allocating fresh arrays on every batch.
+The time-major NN kernels behind ``produce_batch_fused`` — every
+``exact=False`` forward, inside a fused chain or not — need a handful of
+scratch ndarrays per call: gate pre-activations, cell state, per-step RHS
+buffers. Sized from the batch shape, those buffers are identical call
+after call, so the plan owns one :class:`ArenaPool`, its compiler hands
+it to every :class:`~repro.core.plan.CompiledStep`, and the kernels lease
+buffers from it instead of allocating fresh arrays on every batch.
 
 Ownership rules (documented in ARCHITECTURE.md):
 
-* the **plan** owns the pool — one pool per compiled batch plan, created
-  at compile time and living exactly as long as the plan does;
+* the **plan** owns the pool — one pool per compiled plan, created at
+  compile time and living exactly as long as the plan does;
 * a kernel **leases** buffers inside an :meth:`ArenaPool.scope` block and
   must not let leased memory escape the scope (escaping values are
   copied out);
@@ -38,8 +39,7 @@ class ArenaPool:
     ``take`` hands out a free buffer of the requested shape/dtype or
     allocates one; buffers leased inside a :meth:`scope` return to the
     free lists when the scope exits. The pool is thread-safe: concurrent
-    scopes lease disjoint buffers (the executor may run independent
-    fused chains on worker threads).
+    scopes lease disjoint buffers.
     """
 
     def __init__(self) -> None:

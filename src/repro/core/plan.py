@@ -18,7 +18,9 @@ execution surface consumes the same IR. There is one mode per semantics:
   With ``exact=False`` the compiler lowers to ``produce_batch_fused`` for
   primitives that declare ``supports_fused_batch`` — fused NN forwards
   whose parity is tolerance-based instead of bitwise (BLAS summation
-  order changes with the GEMM shape), compiled as a plan of its own;
+  order changes with the GEMM shape), compiled as a plan of its own.
+  Every such forward leases its scratch buffers from the plan's
+  :class:`~repro.core.arena.ArenaPool`, inside a fused chain or not;
 * ``stream_batch`` — the streaming mode: one sliding window per *lane*.
   Stateless steps run once over the stacked windows through the batch
   machinery, while ``supports_stream`` steps lower to :class:`LaneStep`
@@ -46,15 +48,13 @@ output mapping, and mode dispatch for every mode.
 Batch and stream-batch plans additionally run a **step-fusion pass**:
 contiguous runs of steps whose primitives declare a ``fuse_category``
 (elementwise / window / forward) lower into a single :class:`FusedStep`
-work unit — one node that executes the whole chain in one pass, threading
-intermediate ndarrays straight from member to member and leasing NN
-scratch space from the plan's :class:`~repro.core.arena.ArenaPool`
-instead of returning to the plan loop per step. A ``FusedStep`` times
-each member with the same probe the plan loop uses, so a run's timings
-hold one entry per template step on every plane. Setting the
-``REPRO_NO_FUSION`` environment variable disables the pass (each step
-lowers to its own node, the pre-fusion behaviour) — the benchmark uses
-this to attribute speedups.
+work unit — one node that runs its members' :meth:`CompiledStep.run` in
+one pass, threading intermediate ndarrays straight from member to member
+instead of returning to the plan loop per step. The pass only schedules:
+a member runs exactly as an unfused node would, except that the
+reduced-precision plane casts a chain's inputs to ``float32``. A
+``FusedStep`` times each member with the same probe the plan loop uses,
+so a run's timings hold one entry per template step on every plane.
 
 The compiler also owns the plan cache: plans are compiled lazily per
 ``(mode, exact, precision)`` key and reused — not recompiled — when a
@@ -67,7 +67,6 @@ streaming layer's refit-reuse regression test pins.
 from __future__ import annotations
 
 import contextlib
-import os
 import time
 import tracemalloc
 from dataclasses import dataclass
@@ -306,14 +305,20 @@ class CompiledStep:
         mode: one of :data:`PLAN_MODES`.
         step: the template step dictionary (name, inputs, outputs).
         primitive: the live primitive instance executing the step.
-        exact: batch modes only — ``False`` lowers to the fused
-            (tolerance-parity) ``produce_batch_fused`` for primitives that
-            support it.
+        exact: ``False`` lowers to the fused (tolerance-parity)
+            ``produce_batch_fused`` for primitives that support it.
+        arena: the plan's :class:`~repro.core.arena.ArenaPool`, passed to
+            every ``produce_batch_fused`` call for its scratch buffers.
+        precision: ``None`` or ``"float32"`` — a fused chain's
+            reduced-precision plane casts the step's float64 ndarray
+            inputs down before the call.
     """
 
-    __slots__ = ("mode", "step", "primitive", "exact")
+    __slots__ = ("mode", "step", "primitive", "exact", "arena", "precision")
 
-    def __init__(self, mode: str, step: dict, primitive, exact: bool = True):
+    def __init__(self, mode: str, step: dict, primitive, exact: bool = True,
+                 arena: Optional[ArenaPool] = None,
+                 precision: Optional[str] = None):
         if mode not in PLAN_MODES:
             raise PipelineError(f"Unknown plan mode {mode!r}; expected one "
                                 f"of {PLAN_MODES}")
@@ -321,6 +326,8 @@ class CompiledStep:
         self.step = step
         self.primitive = primitive
         self.exact = exact
+        self.arena = arena
+        self.precision = precision
 
     def run(self, context: dict) -> dict:
         primitive = self.primitive
@@ -331,8 +338,12 @@ class CompiledStep:
             primitive.fit(**{arg: values[0]
                              for arg, values in fit_args.items()})
         kwargs = collect_args(context, primitive.produce_args, inputs, step)
+        if self.precision == "float32":
+            kwargs = {key: _downcast_batch(value)
+                      for key, value in kwargs.items()}
         if not self.exact and primitive.supports_fused_batch:
-            produced = primitive.produce_batch_fused(**kwargs)
+            produced = primitive.produce_batch_fused(arena=self.arena,
+                                                     **kwargs)
         else:
             produced = primitive.produce_batch(**kwargs)
         return _map_outputs(step, primitive, produced)
@@ -357,59 +368,41 @@ class FusedStep:
     """A contiguous chain of batch steps executed as one work unit.
 
     The fusion pass lowers runs of fusable :class:`CompiledStep`s into one
-    ``FusedStep``: :meth:`run` pushes the batch through every member in a
-    single pass, threading intermediate variables through a chain-local
-    context instead of returning to the plan loop between steps. The
-    returned updates are the union of every member's mapped outputs, so
-    the post-run context is identical to the unfused plan's — fusion
-    changes scheduling, never results (bitwise on the exact plane). Each
-    member is timed like an unfused node, into the run's ``timings``
-    under its own step name, so per-step attribution survives fusion.
+    ``FusedStep``: :meth:`run` calls every member's
+    :meth:`CompiledStep.run` in a single pass, threading intermediate
+    variables through a chain-local context instead of returning to the
+    plan loop between steps. The returned updates are the union of every
+    member's mapped outputs, so the post-run context is identical to the
+    unfused plan's — fusion changes scheduling, never results (bitwise on
+    the exact plane). Each member is timed like an unfused node, into the
+    run's ``timings`` under its own step name, so per-step attribution
+    survives fusion.
 
     Args:
         mode: ``"batch"`` or ``"stream_batch"`` — the modes the fusion
             pass runs on.
-        steps: the member :class:`CompiledStep`s, in chain order.
-        precision: ``None`` or ``"float32"`` — the reduced-precision
-            plane casts every member's float64 ndarray inputs down before
-            the call, keeping the whole chain in single precision.
-        arena: the plan's :class:`~repro.core.arena.ArenaPool` for NN
-            scratch buffers (a private pool per run when omitted).
+        steps: the member :class:`CompiledStep`s, in chain order; they
+            carry the plan's arena and the chain's precision.
     """
 
-    __slots__ = ("mode", "steps", "precision", "arena")
+    __slots__ = ("mode", "steps")
 
-    def __init__(self, mode: str, steps, precision: Optional[str] = None,
-                 arena: Optional[ArenaPool] = None):
+    def __init__(self, mode: str, steps):
         if mode not in ("batch", "stream_batch"):
             raise PipelineError(
                 f"FusedStep only exists in batch modes, not {mode!r}")
         self.mode = mode
         self.steps = list(steps)
-        self.precision = precision
-        self.arena = arena
 
     def run(self, context: dict, timings: Dict[str, dict],
             profile: bool = False) -> dict:
         """Run the chain; record one ``timings`` entry per member step."""
-        arena = self.arena if self.arena is not None else ArenaPool()
         local = dict(context)
         updates = {}
         for compiled in self.steps:
-            primitive = compiled.primitive
-            step = compiled.step
-            with _timed(timings, step["name"], primitive.engine, profile):
-                kwargs = collect_args(local, primitive.produce_args,
-                                      step.get("inputs", {}), step)
-                if self.precision == "float32":
-                    kwargs = {key: _downcast_batch(value)
-                              for key, value in kwargs.items()}
-                if not compiled.exact and primitive.supports_fused_batch:
-                    produced = primitive.produce_batch_fused(arena=arena,
-                                                             **kwargs)
-                else:
-                    produced = primitive.produce_batch(**kwargs)
-                mapped = _map_outputs(step, primitive, produced)
+            with _timed(timings, compiled.step["name"],
+                        compiled.primitive.engine, profile):
+                mapped = compiled.run(local)
             local.update(mapped)
             updates.update(mapped)
         return updates
@@ -417,8 +410,7 @@ class FusedStep:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         names = "+".join(compiled.step.get("name", "?")
                          for compiled in self.steps)
-        return (f"FusedStep(mode={self.mode!r}, steps={names!r}, "
-                f"precision={self.precision!r})")
+        return f"FusedStep(mode={self.mode!r}, steps={names!r})"
 
 
 class LaneRegistry:
@@ -508,10 +500,12 @@ class PlanCompiler:
     # lowering
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _lower_node(entry: list, mode: str, exact: bool) -> StepNode:
+    def _lower_node(entry: list, mode: str, exact: bool,
+                    arena: ArenaPool) -> StepNode:
         def execute(context: dict) -> dict:
             # The primitive is read through the cell at call time.
-            return CompiledStep(mode, entry[0], entry[1], exact).run(context)
+            return CompiledStep(mode, entry[0], entry[1], exact,
+                                arena).run(context)
 
         return StepNode(name=entry[0]["name"], engine=entry[1].engine,
                         execute=execute)
@@ -554,10 +548,10 @@ class PlanCompiler:
 
         def execute(context: dict, timings: Dict[str, dict],
                     profile: bool) -> dict:
-            members = [CompiledStep(mode, cell[0], cell[1], exact)
+            members = [CompiledStep(mode, cell[0], cell[1], exact, arena,
+                                    precision)
                        for cell in entries]
-            return FusedStep(mode, members, precision, arena).run(
-                context, timings, profile)
+            return FusedStep(mode, members).run(context, timings, profile)
 
         return StepNode(
             name="fused:" + "+".join(entry[0]["name"] for entry in entries),
@@ -589,12 +583,13 @@ class PlanCompiler:
                 registry: Optional[LaneRegistry] = None) -> ExecutionPlan:
         """Lower every step into a fresh mode-tagged :class:`ExecutionPlan`.
 
-        Batch-mode plans additionally run the step-fusion pass (unless
-        the ``REPRO_NO_FUSION`` environment variable is set): contiguous
-        fusable chains become single :class:`FusedStep` nodes sharing the
-        plan's :class:`~repro.core.arena.ArenaPool`, exposed on the
-        returned plan as ``plan.arena`` alongside ``plan.fusion_groups``.
-        Fit-mode plans lower every step to its own node.
+        Every plan owns one :class:`~repro.core.arena.ArenaPool`, exposed
+        as ``plan.arena``; each of its ``exact=False`` forwards leases
+        scratch buffers from it. Batch-mode plans additionally run the
+        step-fusion pass: contiguous fusable chains become single
+        :class:`FusedStep` nodes, listed in ``plan.fusion_groups``, whose
+        members run at ``precision``. Fit-mode plans lower every step to
+        its own node.
 
         Stream-batch plans run the same fusion pass over their stateless
         cells; incremental cells lower to :class:`LaneStep` nodes bound to
@@ -607,11 +602,9 @@ class PlanCompiler:
         if stream_batch and registry is None:
             registry = LaneRegistry()
         self.compilations += 1
-        batched = mode != "fit"
-        fuse = batched and not os.environ.get("REPRO_NO_FUSION")
         chains = self._fusion_chains(exclude_stream=stream_batch) \
-            if fuse else []
-        arena = ArenaPool() if batched else None
+            if mode != "fit" else []
+        arena = ArenaPool()
         chain_start = {chain[0]: chain for chain in chains}
         fused_indices = {index for chain in chains for index in chain}
 
@@ -636,7 +629,8 @@ class PlanCompiler:
                 nodes.append(self._lower_lane_node(
                     self.cells[index], index, registry))
             else:
-                nodes.append(self._lower_node(self.cells[index], mode, exact))
+                nodes.append(self._lower_node(self.cells[index], mode, exact,
+                                              arena))
             index += 1
 
         plan = ExecutionPlan(nodes)

@@ -66,15 +66,16 @@ class Primitive:
     #: :meth:`produce` per signal, which is always correct but never
     #: cheaper.
     supports_batch: bool = False
-    #: Whether :meth:`produce_batch_fused` implements the *opt-in* fused
-    #: batch contract: the whole batch concatenated into single large
-    #: tensor operations (batched matmuls for the NN forwards). Fused
-    #: results are only guaranteed equal to the per-signal loop within a
-    #: small numerical tolerance — BLAS summation order changes with the
-    #: GEMM shape — so they are reachable only through ``exact=False``
-    #: batch plans, never through the bitwise-exact plane. Inside a fused
-    #: chain the call also gets an ``arena=`` keyword (an
-    #: :class:`~repro.core.arena.ArenaPool`) for scratch buffers.
+    #: Whether the primitive implements ``produce_batch_fused``, the
+    #: *opt-in* fused batch contract: the arguments and outputs of
+    #: :meth:`produce_batch`, but the whole batch concatenated into single
+    #: large tensor operations (one NN forward). Fused results are only
+    #: guaranteed equal to the per-signal loop within a small numerical
+    #: tolerance — BLAS summation order changes with the GEMM shape — so
+    #: they are reachable only through ``exact=False`` plans, never
+    #: through the bitwise-exact plane. Every call also gets the executing
+    #: plan's :class:`~repro.core.arena.ArenaPool` as the ``arena``
+    #: keyword for scratch buffers, inside a fused chain or not.
     supports_fused_batch: bool = False
     #: Step-fusion category consumed by the plan compiler's fusion pass
     #: (``repro.core.plan``). Contiguous batch-mode steps whose categories
@@ -196,20 +197,6 @@ class Primitive:
             out: [result[out] for result in produced]
             for out in self.produce_output
         }
-
-    def produce_batch_fused(self, **kwargs):
-        """Produce outputs for many signals in one *fused* call (opt-in).
-
-        Same argument and return shape as :meth:`produce_batch`, but
-        implementations may concatenate the whole batch into single large
-        tensor operations whose results are only tolerance-equal to the
-        per-signal loop (the ``exact=False`` batch contract). The default
-        simply delegates to :meth:`produce_batch`, so the fused lowering
-        is always safe to run; primitives that genuinely fuse must declare
-        ``supports_fused_batch = True`` — the plan compiler only routes
-        ``exact=False`` batch steps here for primitives that do.
-        """
-        return self.produce_batch(**kwargs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{self.__class__.__name__}({self.hyperparameters})"

@@ -10,16 +10,15 @@ The layers follow a small Keras-like contract:
   accumulates parameter gradients into ``self.grads`` and returns the
   gradient with respect to the layer input.
 
-Layers additionally expose a **time-major** fused-inference plane used by
-the step-fusion compiler pass: ``fused_forward_tm(x, take)`` operates on
-arrays laid out ``(timesteps, features, batch)`` for sequences and
+Every layer also implements ``fused_forward_tm(x, take)``, the one
+inference kernel of the fused batch plane (``exact=False``): it operates
+on arrays laid out ``(timesteps, features, batch)`` for sequences and
 ``(features, batch)`` for flat activations, leasing scratch buffers from
-an arena through ``take(shape, dtype)``. The transposed layout makes the
-recurrent hot loops contiguous (gate blocks become contiguous row bands,
-per-step GEMMs fold the input projection, recurrent matmul and bias into
-one ``matmul``), which is where the fused plane's speedup comes from.
-Layers flag support with ``supports_time_major``; ``Sequential`` falls
-back to the batch-major ``fused_forward`` plane when any layer opts out.
+the executing plan's arena through ``take(shape, dtype)``. The transposed
+layout makes the recurrent hot loops contiguous (gate blocks become
+contiguous row bands, per-step GEMMs fold the input projection, recurrent
+matmul and bias into one ``matmul``), which is where the fused plane's
+speedup comes from.
 """
 
 from __future__ import annotations
@@ -48,11 +47,6 @@ _layer_counter = itertools.count()
 class Layer:
     """Base class for all layers."""
 
-    #: Whether this layer implements :meth:`fused_forward_tm`, the
-    #: time-major fused-inference kernel. ``Sequential`` only takes the
-    #: transposed fast path when every layer in the stack supports it.
-    supports_time_major = False
-
     def __init__(self, name: str = None):
         self.name = name or f"{self.__class__.__name__.lower()}_{next(_layer_counter)}"
         self.params = {}
@@ -75,28 +69,16 @@ class Layer:
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         raise NotImplementedError
 
-    def fused_forward(self, x: np.ndarray) -> np.ndarray:
-        """Inference-only forward for the fused batch plane.
-
-        Contract: no training caches are built, and the computation runs
-        in the *input's* dtype — callers feed ``float32`` for the
-        reduced-precision fused NN forwards (``exact=False`` batch mode),
-        so results are tolerance-equal, not bitwise-equal, to
-        ``forward(x, training=False)``. The default delegates to the
-        regular forward (promoting back to float64 through the float64
-        parameters), which is always correct; layers on the fused hot
-        path override it with cache-free, dtype-preserving kernels.
-        """
-        return self.forward(x, training=False)
-
     def fused_forward_tm(self, x: np.ndarray, take) -> np.ndarray:
         """Time-major fused inference: ``x`` is ``(T, F, N)`` or ``(F, N)``.
 
-        ``take(shape, dtype)`` leases scratch/output buffers from the
-        executing plan's arena (or plain ``np.empty`` when no arena is
-        attached). Returned arrays may alias leased buffers — the caller
-        copies escaping results out of the arena scope. Only layers with
-        ``supports_time_major`` implement this.
+        No training caches are built, and the computation runs in the
+        *input's* dtype (``float32`` on the fused plane), so results are
+        tolerance-equal, not bitwise-equal, to ``forward(x,
+        training=False)``. ``take(shape, dtype)`` leases scratch/output
+        buffers from the executing plan's arena. Returned arrays may alias
+        leased buffers — the caller copies escaping results out of the
+        arena scope.
         """
         raise NotImplementedError(
             f"{self.__class__.__name__} has no time-major kernel")
@@ -136,8 +118,6 @@ class Layer:
 class Dense(Layer):
     """Fully-connected layer applied to the last axis of the input."""
 
-    supports_time_major = True
-
     def __init__(self, units: int, activation=None, kernel_initializer="glorot_uniform",
                  name: str = None):
         super().__init__(name)
@@ -165,11 +145,6 @@ class Dense(Layer):
         out = self.activation.forward(z)
         self._cache = (x, out)
         return out
-
-    def fused_forward(self, x):
-        z = x @ self.params["W"].astype(x.dtype, copy=False) \
-            + self.params["b"].astype(x.dtype, copy=False)
-        return self.activation.forward(z)
 
     def fused_forward_tm(self, x, take):
         dtype = x.dtype
@@ -199,8 +174,6 @@ class Dense(Layer):
 class Dropout(Layer):
     """Inverted dropout: active only during training."""
 
-    supports_time_major = True
-
     def __init__(self, rate: float, name: str = None, seed: int = None):
         super().__init__(name)
         if not 0.0 <= rate < 1.0:
@@ -221,9 +194,6 @@ class Dropout(Layer):
         self._mask = (self._rng.random(x.shape) < keep) / keep
         return x * self._mask
 
-    def fused_forward(self, x):
-        return x  # inference: dropout is the identity
-
     def fused_forward_tm(self, x, take):
         return x  # inference: dropout is the identity
 
@@ -235,8 +205,6 @@ class Dropout(Layer):
 
 class Flatten(Layer):
     """Flatten every axis but the batch axis."""
-
-    supports_time_major = True
 
     def __init__(self, name: str = None):
         super().__init__(name)
@@ -261,8 +229,6 @@ class Flatten(Layer):
 
 class Reshape(Layer):
     """Reshape the non-batch axes to ``target_shape``."""
-
-    supports_time_major = True
 
     def __init__(self, target_shape, name: str = None):
         super().__init__(name)
@@ -294,8 +260,6 @@ class Reshape(Layer):
 
 class RepeatVector(Layer):
     """Repeat a 2D input ``n`` times along a new time axis."""
-
-    supports_time_major = True
 
     def __init__(self, n: int, name: str = None):
         super().__init__(name)
@@ -329,10 +293,6 @@ class TimeDistributed(Layer):
     def __init__(self, layer: Layer, name: str = None):
         super().__init__(name)
         self.layer = layer
-        # Instance-level: the wrapper is only time-major-able when the
-        # wrapped layer is.
-        self.supports_time_major = bool(
-            getattr(layer, "supports_time_major", False))
 
     def build(self, input_shape, rng):
         self.layer.build(input_shape[1:], rng)
@@ -351,9 +311,6 @@ class TimeDistributed(Layer):
     def forward(self, x, training=False):
         return self.layer.forward(x, training=training)
 
-    def fused_forward(self, x):
-        return self.layer.fused_forward(x)
-
     def fused_forward_tm(self, x, take):
         return self.layer.fused_forward_tm(x, take)
 
@@ -369,8 +326,6 @@ class LSTM(Layer):
     Parameters follow the standard formulation with a single stacked kernel
     for the four gates in the order input, forget, cell, output.
     """
-
-    supports_time_major = True
 
     def __init__(self, units: int, return_sequences: bool = False,
                  kernel_initializer="glorot_uniform",
@@ -437,53 +392,6 @@ class LSTM(Layer):
             return outputs
         return outputs[:, -1, :]
 
-    @staticmethod
-    def _fast_sigmoid(z):
-        # Dtype-preserving logistic. exp may overflow to inf for very
-        # negative z, which still yields the correct limit (1/inf -> 0);
-        # only the warning is suppressed. The branch-free form is what
-        # keeps the fused time loop cheap.
-        with np.errstate(over="ignore"):
-            return 1.0 / (1.0 + np.exp(-z))
-
-    def fused_forward(self, x):
-        """Cache-free recurrent inference in the input's dtype.
-
-        Two structural differences from :meth:`forward`, both covered by
-        the fused plane's tolerance contract: the input projection
-        ``x @ W + b`` is hoisted out of the time loop into one large GEMM
-        over all timesteps (changing floating-point association), and all
-        arithmetic stays in ``x.dtype`` (float32 on the fused batch path)
-        instead of promoting through the float64 parameters. No backward
-        cache is built.
-        """
-        dtype = x.dtype
-        units = self.units
-        weights = self.params["W"].astype(dtype, copy=False)
-        recurrent = self.params["U"].astype(dtype, copy=False)
-        bias = self.params["b"].astype(dtype, copy=False)
-        batch, timesteps, features = x.shape
-
-        projected = x.reshape(batch * timesteps, features) @ weights
-        projected = projected.reshape(batch, timesteps, 4 * units)
-        projected += bias
-
-        h = np.zeros((batch, units), dtype=dtype)
-        c = np.zeros((batch, units), dtype=dtype)
-        outputs = (np.empty((batch, timesteps, units), dtype=dtype)
-                   if self.return_sequences else None)
-        for t in range(timesteps):
-            z = projected[:, t, :] + h @ recurrent
-            i = self._fast_sigmoid(z[:, :units])
-            f = self._fast_sigmoid(z[:, units:2 * units])
-            g = np.tanh(z[:, 2 * units:3 * units])
-            o = self._fast_sigmoid(z[:, 3 * units:])
-            c = f * c + i * g
-            h = o * np.tanh(c)
-            if outputs is not None:
-                outputs[:, t, :] = h
-        return outputs if outputs is not None else h
-
     def _step_matrix(self, dtype):
         """Augmented, gate-permuted step matrix of the time-major kernel.
 
@@ -509,8 +417,8 @@ class LSTM(Layer):
     @staticmethod
     def _sigmoid_inplace(a):
         # sig(z) = (tanh(z / 2) + 1) / 2 — one transcendental plus three
-        # cheap in-place passes; matches the exp form to ~1e-7, inside
-        # the fused plane's tolerance contract.
+        # cheap in-place passes; matches 1 / (1 + exp(-z)) to ~1e-7,
+        # inside the fused plane's tolerance contract.
         np.multiply(a, 0.5, out=a)
         np.tanh(a, out=a)
         np.add(a, 1.0, out=a)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.nn.callbacks import History
@@ -182,46 +180,30 @@ class Sequential:
             return np.zeros((0,) + tuple(shape))
         return self.forward(x, training=False)
 
-    def predict_fused(self, x: np.ndarray, arena=None) -> np.ndarray:
+    def predict_fused(self, x: np.ndarray, arena) -> np.ndarray:
         """Single-precision, cache-free inference over the whole batch.
 
         The fused batch plane's forward: the input is cast to ``float32``
-        and, when every layer supports it, pushed through the stack in
-        **time-major** layout — one transpose in, one transpose out, with
-        each recurrent step folded into a single GEMM over arena-leased
-        scratch buffers (see ``Layer.fused_forward_tm``). Stacks with a
-        layer that lacks a time-major kernel fall back to the batch-major
-        per-layer ``fused_forward`` plane. The result is cast back to
+        and pushed through the stack in **time-major** layout — one
+        transpose in, one transpose out, with each recurrent step folded
+        into a single GEMM over scratch buffers leased from ``arena``
+        (see ``Layer.fused_forward_tm``). The result is cast back to
         ``float64`` for downstream numerics but is only tolerance-equal
         to :meth:`predict` — reduced precision and changed summation
         order are the price of the speedup, which is why only
-        ``exact=False`` batch plans reach this path.
+        ``exact=False`` plans reach this path.
 
         Args:
-            x: input samples, batch axis first.
-            arena: optional :class:`~repro.core.arena.ArenaPool` whose
-                buffers back the time-major scratch space; without one,
-                scratch is freshly allocated per call.
+            x: input samples, batch axis first (at least one sample).
+            arena: the executing plan's
+                :class:`~repro.core.arena.ArenaPool`, whose buffers back
+                the scratch space.
         """
         x = np.asarray(x, dtype=np.float32)
         if not self.built:
             self.build(x.shape[1:])
-        time_major = (
-            len(x) > 0
-            and all(getattr(layer, "supports_time_major", False)
-                    for layer in self.layers)
-            and not os.environ.get("REPRO_FUSED_LEGACY")
-        )
-        if time_major:
-            if arena is not None:
-                with arena.scope() as take:
-                    return self._forward_time_major(x, take)
-            return self._forward_time_major(
-                x, lambda shape, dtype: np.empty(shape, dtype))
-        out = x
-        for layer in self.layers:
-            out = layer.fused_forward(out)
-        return np.asarray(out, dtype=float)
+        with arena.scope() as take:
+            return self._forward_time_major(x, take)
 
     def _forward_time_major(self, x, take):
         """Run the stack in ``(T, F, N)`` / ``(F, N)`` layout.

@@ -24,10 +24,11 @@ __all__ = ["LSTMAutoencoder", "DenseAutoencoder"]
 def fitted_windows(name: str, window_shape: tuple, X) -> np.ndarray:
     """``X`` as float ``(n, window, channels)`` windows of the fitted shape.
 
-    ``rolling_window_sequences`` shrinks the window of a signal shorter
-    than ``window_size + target_size``, so a model fitted on such a signal
-    learned another window shape than later signals produce. Raise a
-    typed error naming both shapes instead of failing inside numpy.
+    The window primitives shrink the window of a signal too short for
+    their ``window_size``, so a model fitted on such a signal learned
+    another window shape than later signals produce, and the other way
+    round. Raise a typed error naming both shapes instead of failing
+    inside numpy or predicting on windows the model was not built for.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 2:
@@ -83,16 +84,15 @@ class _WindowAutoencoder(Primitive):
         reconstruction = reconstruction.reshape((len(X),) + self._window_shape)
         return {"y_hat": reconstruction}
 
-    def produce_batch_fused(self, X, arena=None):
+    def produce_batch_fused(self, X, arena):
         """One concatenated reconstruction pass over the whole batch.
 
         The ``exact=False`` batch contract: every signal's windows are
         stacked into a single array and reconstructed in one network
         forward (one recurrent time-step loop / one set of dense matmuls
         for the entire batch). Results are tolerance-equal, not bitwise,
-        to the per-signal loop. Inside a fused chain the plan's arena
-        supplies the forward's scratch buffers, so repeat batches
-        allocate nothing.
+        to the per-signal loop. The plan's arena supplies the forward's
+        scratch buffers, so repeat batches allocate nothing.
         """
         if self._model is None:
             raise NotFittedError(f"{self.name} must be fit before produce")
@@ -101,7 +101,7 @@ class _WindowAutoencoder(Primitive):
         if not arrays:
             return {"y_hat": []}
         fused = self._model.predict_fused(np.concatenate(arrays, axis=0),
-                                          arena=arena)
+                                          arena)
         fused = fused.reshape((len(fused),) + self._window_shape)
         splits = np.cumsum([len(array) for array in arrays])[:-1]
         return {"y_hat": np.split(fused, splits, axis=0)}

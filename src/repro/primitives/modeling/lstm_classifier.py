@@ -7,6 +7,7 @@ import numpy as np
 from repro.core.primitive import Primitive, register_primitive
 from repro.exceptions import NotFittedError
 from repro.nn import LSTM, Dense, Dropout, EarlyStopping, Sequential
+from repro.primitives.modeling.autoencoders import fitted_windows
 
 __all__ = ["LSTMTimeSeriesClassifier"]
 
@@ -43,12 +44,14 @@ class LSTMTimeSeriesClassifier(Primitive):
     def __init__(self, **hyperparameters):
         super().__init__(**hyperparameters)
         self._model = None
+        self._window_shape = None
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
         if X.ndim == 2:
             X = X[..., np.newaxis]
         y = np.asarray(y, dtype=float).reshape(-1, 1)
+        self._window_shape = X.shape[1:]
 
         model = Sequential(random_state=int(self.random_state))
         model.add(LSTM(int(self.lstm_units), return_sequences=False))
@@ -75,32 +78,26 @@ class LSTMTimeSeriesClassifier(Primitive):
     def produce(self, X):
         if self._model is None:
             raise NotFittedError("LSTMTimeSeriesClassifier must be fit before produce")
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 2:
-            X = X[..., np.newaxis]
+        X = fitted_windows(self.name, self._window_shape, X)
         return {"y_hat": self._model.predict(X).ravel()}
 
-    def produce_batch_fused(self, X, arena=None):
+    def produce_batch_fused(self, X, arena):
         """Score every signal's windows in one concatenated forward pass.
 
         The ``exact=False`` batch contract: all signals' trailing windows
         are stacked into a single array and scored in one network forward
         (one recurrent time-step loop for the whole batch). Results are
-        tolerance-equal, not bitwise, to the per-signal loop. Inside a
-        fused chain the plan's arena supplies the forward's scratch
-        buffers, so repeat batches allocate nothing.
+        tolerance-equal, not bitwise, to the per-signal loop. The plan's
+        arena supplies the forward's scratch buffers, so repeat batches
+        allocate nothing.
         """
         if self._model is None:
             raise NotFittedError("LSTMTimeSeriesClassifier must be fit before produce")
-        arrays = []
-        for x in X:
-            x = np.asarray(x, dtype=float)
-            if x.ndim == 2:
-                x = x[..., np.newaxis]
-            arrays.append(x)
+        arrays = [fitted_windows(self.name, self._window_shape, x)
+                  for x in X]
         if not arrays:
             return {"y_hat": []}
         fused = self._model.predict_fused(np.concatenate(arrays, axis=0),
-                                          arena=arena).ravel()
+                                          arena).ravel()
         splits = np.cumsum([len(array) for array in arrays])[:-1]
         return {"y_hat": np.split(fused, splits)}

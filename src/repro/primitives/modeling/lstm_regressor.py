@@ -7,6 +7,7 @@ import numpy as np
 from repro.core.primitive import Primitive, register_primitive
 from repro.exceptions import NotFittedError
 from repro.nn import LSTM, Dense, Dropout, EarlyStopping, Sequential
+from repro.primitives.modeling.autoencoders import fitted_windows
 
 __all__ = ["LSTMTimeSeriesRegressor"]
 
@@ -44,6 +45,7 @@ class LSTMTimeSeriesRegressor(Primitive):
     def __init__(self, **hyperparameters):
         super().__init__(**hyperparameters)
         self._model = None
+        self._window_shape = None
 
     def _build(self, input_shape, output_size):
         units = int(self.lstm_units)
@@ -68,6 +70,7 @@ class LSTMTimeSeriesRegressor(Primitive):
             # predicts every channel's next values as one flat vector;
             # the error primitive reshapes y_hat back to (target_size, m).
             y = y.reshape(len(y), -1)
+        self._window_shape = X.shape[1:]
         self._model = self._build(X.shape[1:], y.shape[1])
         callbacks = [EarlyStopping(monitor="val_loss", patience=int(self.patience))]
         self._model.fit(
@@ -85,10 +88,10 @@ class LSTMTimeSeriesRegressor(Primitive):
     def produce(self, X):
         if self._model is None:
             raise NotFittedError("LSTMTimeSeriesRegressor must be fit before produce")
-        X = np.asarray(X, dtype=float)
+        X = fitted_windows(self.name, self._window_shape, X)
         return {"y_hat": self._model.predict(X)}
 
-    def produce_batch_fused(self, X, arena=None):
+    def produce_batch_fused(self, X, arena):
         """One concatenated forward pass over every signal's windows.
 
         The ``exact=False`` batch contract: all signals' rolling windows
@@ -97,15 +100,16 @@ class LSTMTimeSeriesRegressor(Primitive):
         time-step loop runs once for the whole batch instead of once per
         signal/chunk, and every per-step matmul covers the full batch.
         Results are tolerance-equal (not bitwise) to the per-signal loop.
-        Inside a fused chain the plan's arena supplies the forward's
-        scratch buffers, so repeat batches allocate nothing.
+        The plan's arena supplies the forward's scratch buffers, so repeat
+        batches allocate nothing.
         """
         if self._model is None:
             raise NotFittedError("LSTMTimeSeriesRegressor must be fit before produce")
-        arrays = [np.asarray(x, dtype=float) for x in X]
+        arrays = [fitted_windows(self.name, self._window_shape, x)
+                  for x in X]
         if not arrays:
             return {"y_hat": []}
         fused = self._model.predict_fused(np.concatenate(arrays, axis=0),
-                                          arena=arena)
+                                          arena)
         splits = np.cumsum([len(array) for array in arrays])[:-1]
         return {"y_hat": np.split(fused, splits, axis=0)}

@@ -204,7 +204,7 @@ class TadGAN(Primitive):
         critic_scores = self._critic_x.predict(X).ravel()
         return {"y_hat": reconstructed, "critic": critic_scores}
 
-    def produce_batch_fused(self, X, arena=None):
+    def produce_batch_fused(self, X, arena):
         """Reconstruct and score every signal's windows in fused forwards.
 
         The ``exact=False`` batch contract: all signals' windows are
@@ -212,9 +212,8 @@ class TadGAN(Primitive):
         critic as three concatenated forwards — each network's recurrent
         time-step loop (or dense matmul) runs once for the whole batch
         instead of once per signal. Results are tolerance-equal, not
-        bitwise, to the per-signal loop. Inside a fused chain the plan's
-        arena supplies every forward's scratch buffers, so repeat batches
-        allocate nothing.
+        bitwise, to the per-signal loop. The plan's arena supplies every
+        forward's scratch buffers, so repeat batches allocate nothing.
         """
         if self._encoder is None:
             raise NotFittedError("TadGAN must be fit before produce")
@@ -223,12 +222,11 @@ class TadGAN(Primitive):
         if not arrays:
             return {"y_hat": [], "critic": []}
         stacked = np.concatenate(arrays, axis=0)
-        encoded = self._encoder.predict_fused(stacked, arena=arena)
-        reconstructed = self._generator.predict_fused(encoded, arena=arena)
+        encoded = self._encoder.predict_fused(stacked, arena)
+        reconstructed = self._generator.predict_fused(encoded, arena)
         reconstructed = reconstructed.reshape(
             (len(stacked),) + self._window_shape)
-        critic_scores = self._critic_x.predict_fused(
-            stacked, arena=arena).ravel()
+        critic_scores = self._critic_x.predict_fused(stacked, arena).ravel()
         splits = np.cumsum([len(array) for array in arrays])[:-1]
         return {"y_hat": np.split(reconstructed, splits, axis=0),
                 "critic": np.split(critic_scores, splits)}

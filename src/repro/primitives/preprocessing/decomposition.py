@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.primitive import Primitive, register_primitive
 from repro.exceptions import PrimitiveError
-from repro.primitives.preprocessing.channels import as_2d
+from repro.primitives.preprocessing.channels import as_2d, as_fitted_2d
 
 __all__ = ["SeasonalTrendDecomposition", "Differencing", "decompose"]
 
@@ -122,12 +122,16 @@ class SeasonalTrendDecomposition(Primitive):
         self._periods = periods
 
     def produce(self, X):
-        X = as_2d(self, X)
-        periods = self._periods or [self.period or 2] * X.shape[1]
+        if self._periods is None:
+            X = as_2d(self, X)
+            periods = [self.period or 2] * X.shape[1]
+        else:
+            X = as_fitted_2d(self, X, self._periods)
+            periods = self._periods
         output = np.empty_like(X, dtype=float)
         for channel in range(X.shape[1]):
             column = _fill_nan(X[:, channel])
-            parts = decompose(column, period=periods[min(channel, len(periods) - 1)])
+            parts = decompose(column, period=periods[channel])
             result = column.copy()
             if self.remove_trend:
                 result = result - parts["trend"]

@@ -3,15 +3,17 @@
 The fusion pass lowers contiguous runs of fusable batch steps into single
 :class:`~repro.core.plan.FusedStep` nodes. These tests pin its contract: a
 non-fusable step mid-chain splits the run into two fused nodes around a
-plain passthrough; results stay bitwise-identical to the unfused plan on
-every executor; a fused chain still reports one timing per member step;
-the plan's arena genuinely reuses buffers across repeat batches; and the
+plain passthrough; results stay bitwise-identical to the step-by-step
+reference interpreter on every executor; a fused chain still reports one
+timing per member step; the plan's arena genuinely reuses buffers across
+repeat batches, for forwards inside a chain and outside one; and the
 reduced-precision plane is opt-in, validated and tolerance-correct.
 """
 
 import numpy as np
 import pytest
 
+import reference
 from repro.benchmark.profiling import profile_pipeline_steps
 from repro.core.executor import get_executor
 from repro.core.pipeline import Pipeline
@@ -76,18 +78,6 @@ def _run_batch_plan(job):
     return context
 
 
-def _assert_context_equal(actual: dict, expected: dict) -> None:
-    assert set(actual) == set(expected)
-    for key, want in expected.items():
-        got = actual[key]
-        if isinstance(want, list):
-            assert len(got) == len(want)
-            for got_entry, want_entry in zip(got, want):
-                np.testing.assert_array_equal(got_entry, want_entry)
-        else:
-            np.testing.assert_array_equal(got, want)
-
-
 class TestChainSplitting:
     def test_non_fusable_step_splits_the_chain(self, split_pipeline):
         plan = split_pipeline.compiled_plan("batch", exact=True)
@@ -121,27 +111,24 @@ class TestChainSplitting:
         assert all(node.members is None for node in plan.nodes)
         assert plan.fusion_groups == []
 
-    def test_no_fusion_env_disables_the_pass(self, split_pipeline,
-                                             monkeypatch):
-        monkeypatch.setenv("REPRO_NO_FUSION", "1")
-        plan = split_pipeline.compiled_plan("batch", exact=True)
-        assert len(plan.nodes) == len(split_pipeline.steps)
-        assert plan.fusion_groups == []
-
 
 class TestFusedParity:
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_bitwise_identical_to_unfused_plan(self, split_pipeline,
-                                               executor, monkeypatch):
+                                               executor):
+        # The unfused oracle is the reference interpreter: it runs each
+        # primitive's produce in order, with no plan, fusion or arena.
         signals = _signals()
-        monkeypatch.setenv("REPRO_NO_FUSION", "1")
-        unfused_plan = split_pipeline.compiler.compile("batch", exact=True)
-        monkeypatch.delenv("REPRO_NO_FUSION")
-        reference, _ = unfused_plan.run(_batch_context(signals))
+        primitives = reference.fit(SPLIT_SPEC, _data())
         # The job compiles the fused plan wherever the executor runs it.
         [context] = get_executor(executor).map(
             _run_batch_plan, [(split_pipeline, signals)])
-        _assert_context_equal(context, reference)
+        for index, data in enumerate(signals):
+            actual = {name: values[index] for name, values in context.items()}
+            expected = reference.detect(SPLIT_SPEC, primitives, data)
+            reference.assert_same(actual, expected)
+            with pytest.raises(AssertionError):
+                reference.assert_same(reference.nudge(actual), expected)
 
     def test_fused_step_is_batch_only(self):
         with pytest.raises(PipelineError, match="batch"):
@@ -213,3 +200,18 @@ class TestArenaAndPrecision:
         assert second["allocations"] == first["allocations"]
         assert second["reuses"] > first["reuses"]
         assert second["bytes_reused"] > 0
+
+    def test_unchained_fused_forward_leases_from_the_plan_arena(self):
+        # labels_from_events and probabilities_to_intervals declare no
+        # fuse_category, so the classifier's forward runs outside any
+        # chain, as a plain node.
+        signals = _signals()
+        sintel = Sintel("lstm_classifier", window_size=20, epochs=1)
+        sintel.fit(signals[0], events=[(100.0, 120.0)])
+        plan = sintel.pipeline.compiled_plan("batch", exact=False)
+        classifier = sintel.pipeline.steps[5]["name"]
+        assert classifier in [node.name for node in plan.nodes]
+        sintel.detect_many(signals, exact=False)
+        first = plan.arena.stats()["reuses"]
+        sintel.detect_many(signals, exact=False)
+        assert plan.arena.stats()["reuses"] > first

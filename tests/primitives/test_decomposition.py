@@ -82,6 +82,15 @@ class TestSeasonalTrendDecompositionPrimitive:
         out = primitive.produce(X=values)["X"]
         assert out.shape == values.shape
 
+    def test_rejects_a_channel_count_it_was_not_fitted_on(self):
+        values = np.sin(np.arange(200) / 8.0).reshape(-1, 1)
+        primitive = SeasonalTrendDecomposition()
+        primitive.fit(X=values)
+        with pytest.raises(PrimitiveError, match=(
+                r"^stl_decomposition was fitted on 1 channels but "
+                r"received 2$")):
+            primitive.produce(X=np.hstack([values, values]))
+
 
 class TestDifferencing:
     def test_first_order_removes_linear_trend(self):

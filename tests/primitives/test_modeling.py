@@ -107,6 +107,26 @@ class TestFittedWindowShape:
             else:
                 sintel.detect_many([signal], exact=False)
 
+    @pytest.mark.parametrize("pipeline,short", [
+        ("lstm_dynamic_threshold", 8), ("lstm_classifier", 9)])
+    def test_lstm_mixed_batch_names_both_shapes_on_both_planes(
+            self, pipeline, short):
+        # Fitted on 30-row windows; a 10-row signal's windows shrink to
+        # ``short`` rows, while the 100-row signal keeps 30.
+        sine = np.sin(np.arange(240) / 8.0)
+        sintel = Sintel(pipeline, window_size=30, epochs=1)
+        events = {"events": [(100.0, 120.0)]} \
+            if pipeline == "lstm_classifier" else {}
+        sintel.fit(sine, **events)
+        messages = []
+        for exact in (True, False):
+            with pytest.raises(PrimitiveError) as error:
+                sintel.detect_many([sine[:10], sine[:100]], exact=exact)
+            messages.append(str(error.value))
+        assert messages[0] == messages[1]
+        assert f"shape (30, 1) but received windows of shape ({short}, 1)" \
+            in messages[0]
+
 
 class TestTadGAN:
     def test_fit_produce_contract(self, tiny_windows):
