@@ -47,7 +47,7 @@ def main():
     clock = {"now": 0.0}
     scheduler = StreamScheduler(refit_sync=True, refit_budget=2,
                                 clock=lambda: clock["now"],
-                                exact=False, coalesce=True)
+                                exact=False)
 
     # Three SLA classes: tight deadlines go hot as staleness accumulates,
     # medium deadlines pass through warm, no-SLA lanes stay cold.

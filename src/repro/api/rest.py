@@ -15,6 +15,8 @@ import json
 import re
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.api.jobs import JobManager, RequestCoalescer
 from repro.api.streams import StreamManager
 from repro.db.explorer import SintelExplorer
@@ -482,29 +484,36 @@ class SintelAPI:
     # coalesced single-signal detection
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _detect_group_key(body) -> str:
+    def _rows(body, name: str) -> np.ndarray:
+        """``body[name]`` as float64 rows; a 400 when it does not convert."""
+        try:
+            return np.asarray(body[name], dtype=float)
+        except (TypeError, ValueError) as error:
+            raise ValueError(f"{name} must hold numeric rows: {error}") from None
+
+    @staticmethod
+    def _detect_group_key(body, train: np.ndarray) -> str:
         """Coalescing compatibility key of one ``POST /detect`` request.
 
         Requests may only share a batch when the *whole* pipeline
         configuration — name, hyperparameters, options, exact flag — and
-        the training rows are identical; the (potentially large) training
-        rows enter the key as a digest.
+        the float64 training rows are identical; the (potentially large)
+        training rows enter the key as a digest of their shape and bytes,
+        so ``[[0, 1]]`` and ``[[0.0, 1.0]]`` share a key.
         """
-        train = body.get("train", body["data"])
-        digest = hashlib.sha256(
-            json.dumps(train, default=str).encode()).hexdigest()
+        digest = hashlib.sha256(repr(train.shape).encode() + train.tobytes())
         return json.dumps({
             "pipeline": body["pipeline"],
             "hyperparameters": body.get("hyperparameters"),
             "pipeline_options": body.get("pipeline_options", {}),
             "exact": bool(body.get("exact", True)),
-            "train": digest,
+            "train": digest.hexdigest(),
         }, sort_keys=True, default=str)
 
     def _execute_detect_group(self, items: List[dict]) -> List[dict]:
         """Serve one coalesced batch with a single ``detect_batch`` pass."""
         first = items[0]
-        batches = self._fit_detect(first, first.get("train", first["data"]),
+        batches = self._fit_detect(first, first["train"],
                                    [item["data"] for item in items],
                                    first.get("exact", True))
         return [{"pipeline": first["pipeline"], "anomalies": anomalies,
@@ -517,8 +526,11 @@ class SintelAPI:
             raise KeyError("data")
         if not body["data"]:
             raise ValueError("data must be a non-empty row array")
-        result = self.coalescer.submit(self._detect_group_key(body),
-                                       dict(body))
+        # Each request's rows convert once; fit and detect reuse the arrays.
+        data = self._rows(body, "data")
+        train = self._rows(body, "train") if "train" in body else data
+        result = self.coalescer.submit(self._detect_group_key(body, train),
+                                       dict(body, data=data, train=train))
         return Response(200, result)
 
     # ------------------------------------------------------------------ #

@@ -205,10 +205,13 @@ def run_fleet_at_scale(pipeline_name: str, n_streams: int,
         record["fit_time"] = time.perf_counter() - started
 
         fleet = FleetStreamRunner(exact=exact, precision=precision,
-                                  coalesce=coalesce,
                                   max_streams=max(n_streams, 1))
+        # Without coalescing every lane serves its own copy of the fitted
+        # pipeline, so each is a group of one that runs its own plan.
         lanes = [
-            fleet.add_stream(sintel.pipeline, stream_id=f"bench-{index}",
+            fleet.add_stream(sintel.pipeline if coalesce
+                             else copy.deepcopy(sintel.pipeline),
+                             stream_id=f"bench-{index}",
                              window_size=window_size, warmup=warmup,
                              drift_detector=None)
             for index in range(n_streams)
@@ -305,7 +308,9 @@ def benchmark_fleet_streaming(pipeline_name: str = "dense_autoencoder",
             (throughput gate).
         precision: optional fused-plane precision override.
         coalesce: ``False`` disables cross-stream batching — the negative
-            control; each lane then runs its own stream-batch plan.
+            control; each lane then serves its own deep copy of the fitted
+            pipeline, so it forms a group of one and runs its own
+            stream-batch plan.
         pipeline_options: spec-factory overrides for the pipeline.
         random_state: workload seed.
         verbose: print one line per fleet size.

@@ -12,8 +12,9 @@ execution across signals — but only offline. This module joins them:
   round, and executes **one stream-batch plan per group** — stateless
   steps run once over the stacked ``(n_streams, window)`` batch (through
   the same ``produce_batch`` / fused ``FusedStep`` machinery as
-  ``detect_batch``), while incremental steps keep per-stream state in a
-  :class:`~repro.core.plan.LaneRegistry` and run per lane. The per-lane
+  ``detect_batch``), while incremental steps run per lane over each
+  runner's own primitive row, bound through the plan's
+  :class:`~repro.core.plan.LaneRegistry`. The per-lane
   detections demux back into each stream's stable-id
   :class:`~repro.core.stream.StreamEvent` reconciliation, so on the exact
   plane fleet events are **bitwise identical** to N independent runners;
@@ -32,7 +33,6 @@ execution across signals — but only offline. This module joins them:
 
 from __future__ import annotations
 
-import copy
 import json
 import threading
 import time
@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.core.pipeline import Pipeline
 from repro.core.plan import LaneRegistry
-from repro.core.stream import StreamEvent, StreamRunner
+from repro.core.stream import StreamEvent, StreamRunner, detect_windows
 from repro.exceptions import PipelineError, StreamError
 
 __all__ = ["FleetLane", "FleetGroup", "FleetStreamRunner", "TierPolicy",
@@ -52,14 +52,14 @@ __all__ = ["FleetLane", "FleetGroup", "FleetStreamRunner", "TierPolicy",
 
 
 class FleetLane:
-    """One stream's seat in the fleet: runner, local state, refit status.
+    """One stream's seat in the fleet: runner, queue, refit status.
 
     The lane owns everything that is *per stream*: the
     :class:`~repro.core.stream.StreamRunner` (sliding window, event
-    registry, drift monitor), its private copies of every incremental
-    (``supports_stream``) primitive, the pending micro-batch queue, and
-    the scheduler's tier/refit bookkeeping. Everything *shared* lives on
-    the lane's :class:`FleetGroup`.
+    registry, drift monitor and its own copies of every incremental
+    primitive), the pending micro-batch queue, and the scheduler's
+    tier/refit bookkeeping. Everything *shared* lives on the lane's
+    :class:`FleetGroup`.
     """
 
     def __init__(self, lane_id: str, runner: StreamRunner,
@@ -69,7 +69,6 @@ class FleetLane:
         self.runner = runner
         self.group = group
         self.sla_deadline = sla_deadline
-        self.primitives = self._local_primitives(group.base)
         self.pending: deque = deque()
         self.idle = threading.Event()
         self.idle.set()
@@ -79,25 +78,6 @@ class FleetLane:
         self.tier = "cold"
         self.last_refit = now
         self.refit_in_flight = False
-
-    @staticmethod
-    def _local_primitives(base: Pipeline) -> list:
-        """Per-lane copies of the incremental primitives, shared otherwise.
-
-        An independent ``StreamRunner`` mutates its pipeline's own
-        ``supports_stream`` primitives on every window; in a fleet those
-        running statistics belong to exactly one stream, so each lane
-        deep-copies them from the *freshly fitted* base — starting from
-        the identical state an independent runner would start from —
-        while stateless fitted steps stay the shared base instances.
-        """
-        return [copy.deepcopy(cell[1]) if cell[1].supports_stream
-                else cell[1] for cell in base._primitives]
-
-    def rebind(self, group: "FleetGroup") -> None:
-        """Move the lane onto ``group`` after a refit swapped its pipeline."""
-        self.group = group
-        self.primitives = self._local_primitives(group.base)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"FleetLane(id={self.lane_id!r}, tier={self.tier!r}, "
@@ -138,17 +118,15 @@ class FleetGroup:
     def detect(self, lanes: List[FleetLane]) -> List[List[tuple]]:
         """Run one stream-batch plan over the participating lanes' windows.
 
-        The same plan :meth:`Pipeline.partial_detect` runs with one lane,
-        here with one row of primitives per participating lane. Returns
-        one ``partial_detect``-shaped detection list per lane, in lane
-        order, ready to demux into each lane's event reconciliation; the
-        run's per-step timings land on the base pipeline.
+        :func:`~repro.core.stream.detect_windows` over the lanes' runners,
+        each bringing its own row of incremental primitives — the call a
+        lone :class:`~repro.core.stream.StreamRunner` makes with itself
+        alone. Returns one detection list per lane, in lane order, ready
+        to demux into each lane's event reconciliation; the run's per-step
+        timings land on the base pipeline.
         """
-        plan = self.base.compiler.plan(
-            "stream_batch", exact=self.exact, precision=self.precision)
-        plan.lane_registry.set_rows([lane.primitives for lane in lanes])
-        return self.base._run_signals(
-            plan, [lane.runner.window for lane in lanes])[0]
+        return detect_windows(self.base, [lane.runner for lane in lanes],
+                              self.exact, self.precision)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"FleetGroup(pipeline={self.base.name!r}, "
@@ -179,15 +157,12 @@ class FleetStreamRunner:
             regime as ``detect_batch(exact=False)``).
         precision: optional ``"float32"`` reduced-precision plane
             (requires ``exact=False``).
-        coalesce: ``False`` disables cross-stream batching — every lane
-            runs its own plan per round. This is the benchmark's negative
-            control: it must forfeit the fleet speedup.
         max_streams: capacity bound on registered streams.
         clock: injectable monotonic clock (tests pin it).
     """
 
     def __init__(self, exact: bool = True, precision: Optional[str] = None,
-                 coalesce: bool = True, max_streams: int = 256,
+                 max_streams: int = 256,
                  clock: Callable[[], float] = time.monotonic):
         if precision not in (None, "float32"):
             raise PipelineError(
@@ -201,7 +176,6 @@ class FleetStreamRunner:
             )
         self.exact = bool(exact)
         self.precision = precision
-        self.coalesce = bool(coalesce)
         self.max_streams = int(max_streams)
         self._clock = clock
         self._lock = threading.RLock()
@@ -323,25 +297,21 @@ class FleetStreamRunner:
                     participants.setdefault(
                         id(lane.group), []).append(lane)
             for members in participants.values():
-                group = members[0].group
-                cohorts = [members] if self.coalesce \
-                    else [[lane] for lane in members]
-                for cohort in cohorts:
+                try:
+                    detections = members[0].group.detect(members)
+                except Exception as error:  # noqa: BLE001 - group-scoped
+                    for lane in members:
+                        lane.error = str(error)
+                    continue
+                self._plan_runs += 1
+                self._lanes_served += len(members)
+                self._occupancy[len(members)] += 1
+                for lane, detection in zip(members, detections):
                     try:
-                        detections = group.detect(cohort)
+                        changed[lane.lane_id] = \
+                            lane.runner.apply_detections(detection)
                     except Exception as error:  # noqa: BLE001 - lane-scoped
-                        for lane in cohort:
-                            lane.error = str(error)
-                        continue
-                    self._plan_runs += 1
-                    self._lanes_served += len(cohort)
-                    self._occupancy[len(cohort)] += 1
-                    for lane, detection in zip(cohort, detections):
-                        try:
-                            changed[lane.lane_id] = \
-                                lane.runner.apply_detections(detection)
-                        except Exception as error:  # noqa: BLE001 - lane-scoped
-                            lane.error = str(error)  # e.g. an on_event hook
+                        lane.error = str(error)  # e.g. an on_event hook
             with self._queue_lock:
                 for lane in self._lanes.values():
                     if lane.error:
@@ -376,7 +346,8 @@ class FleetStreamRunner:
 
         A refitted lane leaves its shared group — its new fitted state is
         its own — and lands in the group keyed by the new pipeline
-        (usually a fresh singleton). Empty groups are dropped.
+        (usually a fresh singleton); the runner rebuilt its own row from
+        ``fitted`` in the swap. Empty groups are dropped.
 
         Returns the pipeline that no lane serves after the call, ready to
         recycle: ``fitted`` itself when the lane closed while its refit
@@ -390,9 +361,8 @@ class FleetStreamRunner:
             old = lane.group
             if lane in old.lanes:
                 old.lanes.remove(lane)
-            group = self._group_for(fitted)
-            group.lanes.append(lane)
-            lane.rebind(group)
+            lane.group = self._group_for(fitted)
+            lane.group.lanes.append(lane)
             if old.lanes:
                 return None
             self._groups.pop(id(old.base), None)
@@ -453,7 +423,6 @@ class FleetStreamRunner:
             "ingest_lag_p95": _percentile(lag, 95),
             "exact": self.exact,
             "precision": self.precision,
-            "coalesce": self.coalesce,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
@@ -680,9 +649,6 @@ class StreamScheduler:
 
     def ingest(self, lane_id: str, batch) -> int:
         return self.fleet.ingest(lane_id, batch)
-
-    def lane(self, lane_id: str) -> FleetLane:
-        return self.fleet.lane(lane_id)
 
     def has_pending(self) -> bool:
         return self.fleet.has_pending()

@@ -14,11 +14,13 @@ runs one compiled plan in the caller with one
 :meth:`~repro.core.plan.ExecutionPlan.run` call over a list-shaped
 context: :meth:`Pipeline.fit` the fit plan over one signal,
 :meth:`Pipeline.detect_batch` the batch plan over N signals and
-:meth:`Pipeline.detect` the exact batch plan over one, and
-:meth:`Pipeline.partial_detect` the exact stream-batch plan with one lane.
-Plans are compiled once and kept across refits: a refit swaps fresh
-primitives into the ``[step, primitive]`` cells that every compiled node
-reads at call time.
+:meth:`Pipeline.detect` the exact batch plan over one. The stream-batch
+plan runs one lane per stream through
+:func:`~repro.core.stream.detect_windows`, each lane over its runner's
+own copies of the incremental primitives, so streaming never advances
+the pipeline's cells. Plans are compiled once and kept across refits: a
+refit swaps fresh primitives into the ``[step, primitive]`` cells that
+every compiled node reads at call time.
 """
 
 from __future__ import annotations
@@ -393,34 +395,6 @@ class Pipeline:
         plan = self.compiled_plan("batch", exact=exact, precision=precision)
         return self._run_signals(plan, arrays, context_variables,
                                  profile)[0]
-
-    def partial_detect(self, data, **context_variables) -> List[tuple]:
-        """Detect anomalies over one sliding-window micro-batch (streaming).
-
-        ``data`` is the stream's current window — typically the trailing
-        ``window_size`` rows maintained by
-        :class:`~repro.core.stream.StreamRunner`. It runs the exact
-        stream-batch plan with one lane whose row is this pipeline's own
-        primitives: ``supports_stream`` primitives fold the window into
-        their running state through
-        :meth:`~repro.core.primitive.Primitive.update`, and every other
-        step re-``produce``s over it, exactly as one lane of a fleet does.
-        The pipeline must already be fitted.
-
-        The plan's :class:`~repro.core.plan.LaneRegistry` is shared with
-        any fleet group serving this pipeline on the exact plane, so calls
-        on one pipeline must not overlap each other or a fleet round.
-        """
-        if not self.fitted:
-            raise NotFittedError(
-                f"Pipeline {self.name!r} must be fit before partial_detect"
-            )
-        plan = self.compiled_plan("stream_batch")
-        plan.lane_registry.set_rows([[cell[1] for cell in self._primitives]])
-        [anomalies], _ = self._run_signals(
-            plan, [np.asarray(data, dtype=float)],
-            {name: [value] for name, value in context_variables.items()})
-        return anomalies
 
     def fit_detect(self, data, **context_variables):
         """Fit on ``data`` and immediately detect anomalies in it."""

@@ -25,9 +25,9 @@ execution surface consumes the same IR. There is one mode per semantics:
   Stateless steps run once over the stacked windows through the batch
   machinery, while ``supports_stream`` steps lower to :class:`LaneStep`
   nodes that fold each lane's window into that lane's own primitive
-  through ``update``. The fleet plane runs one such plan per group of
-  streams, and :meth:`~repro.core.pipeline.Pipeline.partial_detect` is a
-  one-lane stream batch whose row is the pipeline's own cells.
+  through ``update``. :func:`~repro.core.stream.detect_windows` runs it
+  for a fleet group of streams, or a lone stream as a group of one; each
+  lane's row is its runner's own copies of the incremental primitives.
 
 So every exact step produces through ``produce_batch``. A primitive's
 per-signal ``produce`` is the reference and the body of the default
@@ -256,8 +256,8 @@ class ExecutionPlan:
 #: also fits), N signals at once (``detect`` is a batch of one), and N
 #: sliding-window lanes at once —
 #: stateless steps run once over the stacked windows while incremental
-#: steps keep per-lane state in a :class:`LaneRegistry` and lower to
-#: :class:`LaneStep` nodes (``partial_detect`` is a stream batch of one).
+#: steps read each lane's own primitive through a :class:`LaneRegistry` and
+#: lower to :class:`LaneStep` nodes (a lone stream is a stream batch of one).
 PLAN_MODES = ("fit", "batch", "stream_batch")
 
 #: ``fuse_category`` values the fusion pass accepts into chains.
@@ -416,13 +416,13 @@ class FusedStep:
 class LaneRegistry:
     """Per-run table of lane-local primitive rows for stream-batch plans.
 
-    The fleet plane (:mod:`repro.core.fleet`) keeps one incremental
-    primitive *copy per stream* for every ``supports_stream`` step — a
-    scaler's running statistics belong to one stream, never to the fleet.
-    Before each plan run its caller binds the participating streams' rows
-    here (:meth:`set_rows`) — a fleet group its lanes' copies,
-    :meth:`~repro.core.pipeline.Pipeline.partial_detect` the pipeline's
-    own primitives as a single row — and the compiled :class:`LaneStep`
+    Every :class:`~repro.core.stream.StreamRunner` keeps one incremental
+    primitive *copy of its own* for every ``supports_stream`` step — a
+    scaler's running statistics belong to one stream, never to the
+    pipeline or the fleet. Before each plan run
+    :func:`~repro.core.stream.detect_windows` binds the participating
+    runners' rows here (:meth:`set_rows`) — a fleet group's lanes, or a
+    lone runner as a single row — and the compiled :class:`LaneStep`
     nodes read their column at dispatch time: the same late-binding idiom
     the plans use for ``[step, primitive]`` cells, extended to a second
     axis. ``rows[j][i]`` is lane *j*'s primitive for cell *i*, and every

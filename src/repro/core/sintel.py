@@ -147,6 +147,11 @@ class Sintel:
         keyword options (window size, drift detector...) are forwarded to
         the runner. The pipeline must be fitted first.
 
+        The runner advances its own copies of the pipeline's incremental
+        primitives, so streaming never changes what :meth:`detect`
+        answers, and streams opened on one ``Sintel`` never share running
+        state.
+
         The runner never refits itself. For drift-triggered refits, serve
         the stream as a lane of a
         :class:`~repro.core.fleet.StreamScheduler` instead (one lane is

@@ -6,11 +6,17 @@ provides the per-stream half of that execution path:
 
 * :class:`StreamRunner` wraps a *fitted* :class:`~repro.core.pipeline.Pipeline`
   and consumes a signal as a sequence of micro-batches. It maintains a
-  sliding window of raw rows and runs the pipeline's exact stream-batch
-  :class:`~repro.core.plan.ExecutionPlan` over it in the caller, as a
-  single lane whose incremental state is the pipeline's own primitives
-  (via :meth:`Pipeline.partial_detect`) — the plan a fleet runs for many
-  lanes at once;
+  sliding window of raw rows and owns its *lane row*: its own copies of
+  the pipeline's incremental (``supports_stream``) primitives, taken from
+  the pipeline's current fit, beside the pipeline's shared instance of
+  every other step. Streaming therefore never changes what the
+  pipeline's ``detect`` answers, and streams that share a pipeline never
+  share running state;
+* :func:`detect_windows` binds the rows of one or more runners to the
+  pipeline's cached stream-batch :class:`~repro.core.plan.ExecutionPlan`
+  and runs it over their windows in the caller — a lone runner's
+  :meth:`StreamRunner.send` as a group of one on the exact plane, a
+  fleet group (:mod:`repro.core.fleet`) with every participating lane;
 * detections from overlapping windows are reconciled into
   :class:`StreamEvent` records with **stable ids** — an anomaly spanning
   many micro-batches keeps one id while its boundaries refine, and the
@@ -24,6 +30,7 @@ provides the per-stream half of that execution path:
 
 from __future__ import annotations
 
+import copy
 import threading
 import time
 from dataclasses import dataclass, field
@@ -35,7 +42,30 @@ from repro.core.pipeline import Pipeline
 from repro.exceptions import NotFittedError, StreamError
 from repro.streaming.drift import DriftMonitor, PageHinkley
 
-__all__ = ["StreamEvent", "StreamRunner"]
+__all__ = ["StreamEvent", "StreamRunner", "detect_windows"]
+
+
+def detect_windows(pipeline: Pipeline, runners: list, exact: bool = True,
+                   precision: Optional[str] = None) -> List[List[tuple]]:
+    """Run ``pipeline``'s stream-batch plan over the runners' windows.
+
+    Each runner is one lane: its row of primitives is bound to the plan's
+    :class:`~repro.core.plan.LaneRegistry`, so incremental steps fold the
+    lane's window into that runner's own copies while stateless steps run
+    once over the stacked windows. Every runner must serve ``pipeline``.
+    Returns one ``(start, end, severity)`` detection list per runner, in
+    order; the run's per-step timings land on ``pipeline``. An unfitted
+    ``pipeline`` raises :class:`~repro.exceptions.NotFittedError`.
+
+    The registry belongs to the cached plan, so runs over one pipeline and
+    plane must not overlap: a lone stream must not run during a fleet
+    round on the same pipeline.
+    """
+    plan = pipeline.compiled_plan("stream_batch", exact=exact,
+                                  precision=precision)
+    plan.lane_registry.set_rows([runner._lane_row(pipeline)
+                                 for runner in runners])
+    return pipeline._run_signals(plan, [runner.window for runner in runners])[0]
 
 
 @dataclass
@@ -114,6 +144,9 @@ class StreamRunner:
             raise StreamError("warmup must be in [1, window_size]")
 
         self._pipeline = pipeline
+        # The fitted primitives the lane row (``_row``) was copied from;
+        # the first detection builds the row (see _lane_row).
+        self._row_source: list = []
         self.window_size = int(window_size)
         self.warmup = int(warmup)
         self.on_event = on_event
@@ -201,20 +234,26 @@ class StreamRunner:
         """
         if not self._ingest(batch) or not self.ready:
             return []
+        # A concurrent adopt_pipeline waits until this window is detected.
         with self._swap_lock:
-            pipeline = self._pipeline
-        return self._reconcile(pipeline.partial_detect(self._buffer))
+            [detections] = detect_windows(self._pipeline, [self])
+        return self._reconcile(detections)
 
     def _ingest(self, batch) -> bool:
         """Validate + buffer one micro-batch; True when rows were buffered.
 
         This is the ingestion half of :meth:`send` — buffer maintenance,
         counters and drift monitoring, but no detection. The fleet plane
-        (:mod:`repro.core.fleet`) calls it directly and drives detection
-        through one stream-batch plan run over many lanes instead of one
-        :meth:`Pipeline.partial_detect` per runner, feeding the results
-        back through :meth:`apply_detections` so the event registry
-        behaves identically.
+        (:mod:`repro.core.fleet`) calls it directly and runs
+        :func:`detect_windows` once over every participating lane instead
+        of once per runner, feeding the results back through
+        :meth:`apply_detections` so the event registry behaves
+        identically.
+
+        A batch is rejected with :class:`~repro.exceptions.StreamError`
+        before anything is buffered when its timestamps are not finite or
+        not strictly increasing past the window, or when its column count
+        differs from the window's.
         """
         if self._closed:
             raise StreamError("The stream has been closed")
@@ -228,13 +267,16 @@ class StreamRunner:
         if len(batch) == 0:
             return False
         timestamps = batch[:, 0]
-        if np.any(np.diff(timestamps) <= 0):
-            raise StreamError("Batch timestamps must be strictly increasing")
-        if (self._buffer is not None and len(self._buffer)
-                and timestamps[0] <= self._buffer[-1, 0]):
-            raise StreamError(
-                "Batch timestamps must continue after the buffered window"
-            )
+        if self._buffer is not None:
+            if batch.shape[1] != self._buffer.shape[1]:
+                raise StreamError(
+                    f"A batch of {batch.shape[1]} columns cannot extend a "
+                    f"window of {self._buffer.shape[1]} columns")
+            timestamps = np.concatenate([self._buffer[-1:, 0], timestamps])
+        if not (np.isfinite(timestamps).all()
+                and np.all(np.diff(timestamps) > 0)):
+            raise StreamError("Batch timestamps must be finite and strictly "
+                              "increasing past the buffered window")
 
         if self._buffer is None:
             self._buffer = batch.copy()
@@ -258,11 +300,11 @@ class StreamRunner:
     def apply_detections(self, detections: List[tuple]) -> List[StreamEvent]:
         """Reconcile externally computed detections for the current window.
 
-        ``detections`` must be what :meth:`Pipeline.partial_detect` would
-        have returned for the buffered window — the fleet plane computes
-        them in one stream-batch plan across many runners and demuxes each
-        runner's share here, so event ids, refinement and closing are
-        bitwise identical to an independent :meth:`send` loop.
+        ``detections`` must be this runner's entry of a
+        :func:`detect_windows` run over the buffered window — the fleet
+        plane runs it once across many runners and demuxes each runner's
+        share here, so event ids, refinement and closing are bitwise
+        identical to an independent :meth:`send` loop.
         """
         if self._buffer is None or not len(self._buffer):
             return []
@@ -378,6 +420,24 @@ class StreamRunner:
     # ------------------------------------------------------------------ #
     def _on_drift(self, index: int) -> None:
         self._drift_pending = True
+
+    def _lane_row(self, pipeline: Pipeline) -> list:
+        """This stream's primitives for ``pipeline``'s current fit.
+
+        ``supports_stream`` primitives fold every window into running
+        statistics that belong to exactly one stream, so the runner
+        deep-copies them from the fitted pipeline — whose cells streaming
+        never advances — and keeps advancing its copies until the cells
+        hold another fit (an adopted refit, or the pipeline refitted in
+        place); every other step is the pipeline's shared instance.
+        """
+        fitted = [primitive for _, primitive in pipeline._primitives]
+        # The held references keep the source ids from being reused.
+        if list(map(id, fitted)) != list(map(id, self._row_source)):
+            self._row = [copy.deepcopy(primitive) if primitive.supports_stream
+                         else primitive for primitive in fitted]
+            self._row_source = fitted
+        return self._row
 
     def adopt_pipeline(self, fitted: Pipeline) -> Pipeline:
         """Atomically swap in a refitted pipeline.

@@ -533,6 +533,34 @@ class TestCoalescedDetect:
         assert all(r.body["batch_size"] == 2 for r in responses)
         api.close()
 
+    def test_int_and_float_spellings_of_train_share_a_batch(self):
+        signals = self._signals(2)
+        train = signals[0].tolist()
+        assert all(row[0] == int(row[0]) for row in train)
+        as_ints = [[int(row[0])] + row[1:] for row in train]
+        api = SintelAPI(SintelExplorer(), coalesce_max_batch=2)
+        held, release = self._start_held_execution(api, {
+            "pipeline": "azure", "data": train, "train": train})
+        responses = self._post_all(api, [
+            {"pipeline": "azure", "data": signals[index].tolist(),
+             "train": spelling}
+            for index, spelling in enumerate((as_ints, train))],
+            held, release)
+        assert all(r.status == 200 for r in responses)
+        assert api.coalescer.stats()["executions"] == 2  # held + one batch
+        assert all(r.body["batch_size"] == 2 for r in responses)
+        api.close()
+
+    def test_non_numeric_train_is_400_before_batching(self, api):
+        signal = self._signals(1)[0]
+        for train in ([["a", "b"]], {"rows": 1}):
+            response = api.post("/detect", {
+                "pipeline": "azure", "data": signal.tolist(),
+                "train": train})
+            assert response.status == 400
+            assert api.coalescer.stats()["executions"] == 0
+            assert "train" in str(response.body["error"])
+
     def test_single_request_still_served(self, api):
         signal = self._signals(1)[0]
         response = api.post("/detect", {"pipeline": "azure",

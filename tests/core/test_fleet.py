@@ -136,14 +136,15 @@ class TestFleetParity:
         sintel = Sintel("azure")
         sintel.fit(train)
 
-        batched = FleetStreamRunner(exact=True, coalesce=True)
-        singular = FleetStreamRunner(exact=True, coalesce=False)
+        batched = FleetStreamRunner(exact=True)
+        singular = FleetStreamRunner(exact=True)
         batched_lanes = [batched.add_stream(sintel.pipeline,
                                             window_size=WINDOW,
                                             warmup=WARMUP,
                                             drift_detector=None)
                          for _ in replays]
-        singular_lanes = [singular.add_stream(sintel.pipeline,
+        # Each singular lane serves its own copy: a group of one per lane.
+        singular_lanes = [singular.add_stream(copy.deepcopy(sintel.pipeline),
                                               window_size=WINDOW,
                                               warmup=WARMUP,
                                               drift_detector=None)
@@ -260,6 +261,25 @@ class TestFleetRounds:
         reference = _replay_independent(sintel.pipeline, [replays[0]])[0]
         assert good.runner.anomalies() == reference.anomalies()
         assert fleet.stats()["errors"] == 1
+
+    def test_non_finite_timestamps_error_only_their_lane(self, workload):
+        train, replays = workload
+        sintel = Sintel("azure")
+        sintel.fit(train)
+        fleet = FleetStreamRunner(exact=True)
+        lanes = [fleet.add_stream(sintel.pipeline, window_size=WINDOW,
+                                  warmup=WARMUP, drift_detector=None)
+                 for _ in range(3)]
+        bad = replays[2].copy()
+        bad[3 * BATCH:4 * BATCH, 0] = np.nan  # past warmup: lanes detect
+        _replay_fleet(fleet, lanes, replays[:2] + [bad])
+
+        assert [lane.error is None for lane in lanes] == [True, True, False]
+        assert "finite" in lanes[2].error
+        assert lanes[2].runner.state()["window"] == 3 * BATCH
+        reference = _replay_independent(sintel.pipeline, replays[:2])
+        for lane, runner in zip(lanes, reference):
+            assert lane.runner.anomalies() == runner.anomalies()
 
     def test_capacity_and_duplicate_ids_are_rejected(self, workload):
         train, _ = workload

@@ -25,6 +25,7 @@ from repro.core.plan import (
     LaneStep,
     PlanCompiler,
 )
+from repro.core.stream import StreamRunner
 from repro.exceptions import PipelineError
 from repro.pipelines import get_pipeline_spec
 
@@ -100,12 +101,14 @@ class TestModeLowering:
         assert len(fused.nodes) < len(unfused.nodes)
 
     def test_detect_planes_share_the_batch_plans(self, fitted_pipeline):
-        # detect is a batch of one and partial_detect a one-lane stream
-        # batch, so neither lowers a plan of its own.
+        # detect is a batch of one and a lone StreamRunner a one-lane
+        # stream batch, so neither lowers a plan of its own.
         fitted_pipeline.detect(_data())
         fitted_pipeline.detect_batch([_data(), _data(300)])
         assert fitted_pipeline.plan_compilations == 2  # fit + batch
-        fitted_pipeline.partial_detect(_data())
+        data = _data()
+        StreamRunner(fitted_pipeline, window_size=len(data),
+                     warmup=len(data), drift_detector=None).send(data)
         assert fitted_pipeline.plan_compilations == 3  # + stream_batch
 
     def test_compiler_rejects_unknown_mode(self, fitted_pipeline):

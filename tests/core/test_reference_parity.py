@@ -8,8 +8,8 @@ the events: the fit plan itself (a batch of one that fits, then produces
 through the exact kernels); ``detect``; exact ``detect_batch``; exact fleet
 ``stream_batch`` windows, with the reference's lane copies advanced
 through ``update``; the same windows replayed through a standalone
-``StreamRunner`` (``partial_detect``, a one-lane stream batch over the
-pipeline's own primitives); and a fit+detect job fanned out through
+``StreamRunner`` (a one-lane stream batch over the runner's own copies of
+the incremental primitives); and a fit+detect job fanned out through
 ``ProcessExecutor.map``. Each property must also fail on a negative
 control that moves one value of the engine's context by one ulp.
 """
@@ -181,10 +181,10 @@ def test_exact_fleet_stream_batch(fitted, monkeypatch):
 
 def test_stream_runner_partial_detect(fitted, monkeypatch):
     spec, pipeline, primitives, signals = fitted
-    # The runner advances its pipeline's own incremental primitives, so
-    # it serves a copy and leaves the shared fixture untouched.
-    runner = StreamRunner(copy.deepcopy(pipeline), window_size=WINDOW,
-                          warmup=WARMUP, drift_detector=None)
+    # The runner advances its own copies of the incremental primitives,
+    # so it serves the shared fixture and leaves it untouched.
+    runner = StreamRunner(pipeline, window_size=WINDOW, warmup=WARMUP,
+                          drift_detector=None)
     data = signals[0]
     runs = _record_plan_runs(monkeypatch)
     for end in range(BATCH, len(data) + 1, BATCH):

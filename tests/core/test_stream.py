@@ -1,7 +1,9 @@
-"""Tests for the streaming execution path (StreamRunner + partial_detect).
+"""Tests for the streaming execution path (StreamRunner + detect_windows).
 
-A runner never refits itself; its drift-triggered refits run through a
-one-lane :class:`~repro.core.fleet.StreamScheduler`, as here.
+Every runner detects through its own copies of the pipeline's incremental
+primitives, so streams never change ``detect`` or each other. A runner
+never refits itself; its drift-triggered refits run through a one-lane
+:class:`~repro.core.fleet.StreamScheduler`, as here.
 """
 
 import time
@@ -11,7 +13,9 @@ import pytest
 
 from repro import Sintel, StreamRunner
 from repro.core.fleet import StreamScheduler, TierPolicy
+from repro.core.stream import detect_windows
 from repro.data import generate_signal
+from repro.data.synthetic import WorkloadGenerator
 from repro.exceptions import NotFittedError, StreamError
 from repro.streaming import PageHinkley
 
@@ -33,21 +37,79 @@ class TestPartialDetect:
     def test_requires_fit(self):
         sintel = Sintel("azure")
         with pytest.raises(NotFittedError):
-            sintel.pipeline.partial_detect([[0, 1], [1, 2]])
+            detect_windows(sintel.pipeline, [])
 
     def test_matches_detect_on_same_window(self, fitted):
         sintel, data = fitted
-        # A fresh pipeline so stream-mode state starts cold.
-        pipeline = sintel.pipeline.clone().fit(data)
-        batch = pipeline.detect(data)
-        stream = pipeline.partial_detect(data)
-        assert [tuple(a) for a in stream] == [tuple(a) for a in batch]
+        # One send over a window holding the whole signal is one detect.
+        runner = StreamRunner(sintel.pipeline, window_size=len(data),
+                              warmup=len(data), drift_detector=None)
+        runner.send(data)
+        batch = sintel.pipeline.detect(data)
+        assert batch
+        assert runner.anomalies() == [tuple(a) for a in batch]
 
     def test_clone_is_unfitted_same_config(self, fitted):
         sintel, _ = fitted
         clone = sintel.pipeline.clone()
         assert not clone.fitted
         assert clone.get_hyperparameters() == sintel.pipeline.get_hyperparameters()
+
+
+class TestLaneState:
+    """Each runner owns its incremental state (paper §5 serving)."""
+
+    @pytest.fixture
+    def workload(self):
+        generator = WorkloadGenerator(seed=1, length=600)
+        train, replay, other = (generator.signal(index).to_array()
+                                for index in range(3))
+        sintel = Sintel("dense_autoencoder", window_size=50, epochs=10)
+        sintel.fit(train)
+        return sintel, replay, other
+
+    @staticmethod
+    def _replay(runners_and_data, batch=50):
+        for start in range(0, len(runners_and_data[0][1]), batch):
+            for runner, data in runners_and_data:
+                runner.send(data[start:start + batch])
+
+    def test_streaming_leaves_detect_unchanged(self, workload):
+        sintel, replay, _ = workload
+        before = sintel.detect(replay)
+        runner = sintel.stream(window_size=200, warmup=200,
+                               drift_detector=None)
+        self._replay([(runner, replay)])
+        assert runner.anomalies()
+        assert sintel.detect(replay) == before
+
+    def test_second_stream_does_not_change_events(self, workload):
+        sintel, replay, other = workload
+        alone = sintel.stream(window_size=200, warmup=200,
+                              drift_detector=None)
+        self._replay([(alone, replay)])
+        shared = sintel.stream(window_size=200, warmup=200,
+                               drift_detector=None)
+        tripled = other.copy()
+        tripled[:, 1:] *= 3.0  # far outside the training range
+        second = sintel.stream(window_size=200, warmup=200,
+                               drift_detector=None)
+        self._replay([(shared, replay), (second, tripled)])
+        assert alone.anomalies()
+        assert shared.anomalies() == alone.anomalies()
+
+    def test_refit_in_place_reaches_an_open_stream(self, workload):
+        sintel, replay, other = workload
+        runner = StreamRunner(sintel.pipeline, window_size=len(replay),
+                              warmup=len(replay), drift_detector=None)
+        tripled = other.copy()
+        tripled[:, 1:] *= 3.0
+        sintel.fit(tripled)
+        # The runner's incremental copies come from the new fit too.
+        runner.send(replay)
+        expected = [tuple(a) for a in sintel.detect(replay)]
+        assert expected
+        assert runner.anomalies() == expected
 
 
 class TestStreamRunnerValidation:
@@ -82,6 +144,38 @@ class TestStreamRunnerValidation:
         with pytest.raises(StreamError):
             runner.send(np.zeros((2, 2, 2)))
         assert runner.send(np.zeros((0, 2))) == []
+
+    def test_rejects_non_finite_timestamps_before_buffering(self):
+        data = WorkloadGenerator(seed=1, length=600).signal(1).to_array()
+        sintel = Sintel("azure")
+        sintel.fit(WorkloadGenerator(seed=1, length=600).signal(0).to_array())
+        runner = sintel.stream(window_size=200, warmup=50,
+                               drift_detector=None)
+        clean = sintel.stream(window_size=200, warmup=50,
+                              drift_detector=None)
+        runner.send(data[:50])
+        clean.send(data[:50])
+        for bad in (np.nan, np.inf):
+            batch = data[50:100].copy()
+            batch[:, 0] = bad
+            with pytest.raises(StreamError, match="finite"):
+                runner.send(batch)
+        assert runner.state()["window"] == 50
+        for start in range(50, 250, 50):
+            assert runner.send(data[start:start + 50]) == \
+                clean.send(data[start:start + 50])
+        assert runner.anomalies() == clean.anomalies()
+
+    def test_rejects_a_column_count_change(self, fitted):
+        sintel, data = fitted
+        runner = sintel.stream(window_size=200, drift_detector=None)
+        runner.send(data[:50])
+        wider = np.column_stack([data[50:100], data[50:100, 1]])
+        with pytest.raises(StreamError, match="3 columns.*2 columns"):
+            runner.send(wider)
+        assert runner.state()["window"] == 50
+        runner.send(data[50:100])
+        assert runner.state()["window"] == 100
 
     def test_send_after_close_rejected(self, fitted):
         sintel, data = fitted
