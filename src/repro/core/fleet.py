@@ -346,8 +346,8 @@ class FleetStreamRunner:
 
         A refitted lane leaves its shared group — its new fitted state is
         its own — and lands in the group keyed by the new pipeline
-        (usually a fresh singleton); the runner rebuilt its own row from
-        ``fitted`` in the swap. Empty groups are dropped.
+        (usually a fresh singleton), and its runner rebuilds its own row
+        from ``fitted`` at the next detection. Empty groups are dropped.
 
         Returns the pipeline that no lane serves after the call, ready to
         recycle: ``fitted`` itself when the lane closed while its refit
