@@ -1,9 +1,22 @@
-"""Shared constants and helpers for the experiment benchmarks."""
+"""Shared constants and helpers for the experiment benchmarks.
+
+A run writes every regenerated table and ``BENCH_*.json`` under
+``build/benchmarks/`` (ignored by git), so running the benchmarks leaves
+the tree unchanged. The files committed under ``benchmarks/output/`` are
+the baselines and reference tables: tests only read them. To re-record
+one, copy the regenerated file across, e.g.
+``cp build/benchmarks/BENCH_synthetic.json benchmarks/output/``.
+"""
 
 import os
 
-#: Output directory for regenerated tables and series.
-OUTPUT_DIR = os.path.join(os.path.dirname(__file__), "output")
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: Committed baselines and reference tables (read, never written, by runs).
+BASELINE_DIR = os.path.join(_ROOT, "benchmarks", "output")
+
+#: Where a run writes its regenerated tables and series.
+OUTPUT_DIR = os.path.join(_ROOT, "build", "benchmarks")
 
 #: Dataset scale used throughout the benchmarks.
 SCALE = 0.04
@@ -20,7 +33,7 @@ FAST_PIPELINE_OPTIONS = {
 
 
 def write_output(filename: str, content: str) -> str:
-    """Persist a regenerated table under ``benchmarks/output/``."""
+    """Persist a regenerated table under ``build/benchmarks/``."""
     os.makedirs(OUTPUT_DIR, exist_ok=True)
     path = os.path.join(OUTPUT_DIR, filename)
     with open(path, "w") as handle:

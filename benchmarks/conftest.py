@@ -6,8 +6,9 @@ small synthetic dataset variants, short signals, few epochs. The *shape* of
 the results (who wins, by roughly what factor, where crossovers fall) is
 asserted in each module; absolute numbers necessarily differ.
 
-Every experiment writes its regenerated table to ``benchmarks/output/`` so
-the results can be inspected and referenced from EXPERIMENTS.md.
+Every experiment writes its regenerated table to ``build/benchmarks/``,
+so a run leaves the tree unchanged; the committed copies under
+``benchmarks/output/`` are the baselines (see ``bench_utils``).
 """
 
 import os

@@ -9,7 +9,9 @@ pipeline are coalesced into one stream-batch plan per scheduling round.
 
 The fleet gate is same-run and machine-independent: the fused fleet must
 serve 32 streams at least twice as fast as 32 independent runners replay
-the identical workload in the same process, the exact plane must stay
+the identical workload in the same process (each side timed as the best
+of three replays, each over a new fleet and new runners, with parity
+checked on every replay), the exact plane must stay
 bitwise identical to independent runners, and the ``coalesce=False``
 negative control must FAIL the throughput gate (proving the win comes
 from cross-stream batching, not from the harness). Results are written

@@ -20,7 +20,7 @@ Two built-in proofs keep the gate honest:
 import json
 import os
 
-from bench_utils import OUTPUT_DIR, write_output
+from bench_utils import BASELINE_DIR, write_output
 
 from repro.benchmark import (
     benchmark_synthetic,
@@ -28,7 +28,7 @@ from repro.benchmark import (
     synthetic_gate,
 )
 
-BASELINE_PATH = os.path.join(OUTPUT_DIR, "BENCH_synthetic.json")
+BASELINE_PATH = os.path.join(BASELINE_DIR, "BENCH_synthetic.json")
 
 
 def _load_baseline():

@@ -19,7 +19,6 @@ from repro.core import (
     StreamEvent,
     StreamRunner,
     Template,
-    ThreadedExecutor,
     get_executor,
     list_executors,
     list_primitives,
@@ -40,7 +39,6 @@ __all__ = [
     "Dataset",
     "list_primitives",
     "SerialExecutor",
-    "ThreadedExecutor",
     "ProcessExecutor",
     "get_executor",
     "list_executors",

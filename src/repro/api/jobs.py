@@ -10,9 +10,10 @@ A detect job runs its pipeline's steps in order in the thread that runs
 the job. Pipelines carry no executor, so a detect job ignores an
 ``executor`` key, and a benchmark job any pipeline-level executor key.
 Benchmark jobs may fan further out through their ``executor``
-(``"serial"``, ``"threaded"`` or ``"process"``; any other name is a 400
-at submission): ``"process"`` spreads the (pipeline, signal) jobs across
-a multiprocessing pool. Benchmark jobs also take ``shard_index`` /
+(``"serial"`` or ``"process"``; any other name is a 400 at submission):
+``"process"``, or ``workers`` above 1 without an executor, spreads the
+(pipeline, signal) jobs across a multiprocessing pool of ``workers``
+processes. Benchmark jobs also take ``shard_index`` /
 ``shard_count`` / ``checkpoint_dir`` / ``resume`` for sharded, resumable
 sweeps (see :mod:`repro.benchmark.runner`).
 

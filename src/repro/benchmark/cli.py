@@ -64,8 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="discard an existing checkpoint instead of "
                           "resuming from it")
     run.add_argument("--workers", type=int, default=1,
-                     help="concurrent benchmark jobs, and the pool size of "
-                          "a named --executor (default: 1)")
+                     help="process-pool size for the jobs; 1 without "
+                          "--executor runs them in the caller (default: 1)")
     run.add_argument("--executor", default=None,
                      help="job fan-out executor name ("
                           f"{', '.join(list_executors())})")

@@ -27,12 +27,7 @@ import os
 import time
 from typing import Dict, Optional, Sequence, Union
 
-from repro.core.executor import (
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadedExecutor,
-    get_executor,
-)
+from repro.core.executor import ProcessExecutor, get_executor
 from repro.core.plan import trace_memory
 from repro.core.sintel import Sintel
 from repro.data.datasets import load_benchmark_datasets
@@ -80,9 +75,8 @@ def run_pipeline_on_signal(pipeline_name: str, signal: Signal,
     :class:`repro.benchmark.results.BenchmarkResult`).
 
     Memory profiling is nested-safe: when an outer ``tracemalloc`` trace is
-    already active (e.g. several benchmark jobs sharing a process) the peak
-    is measured as a delta against the current snapshot and the outer trace
-    is left running.
+    already active the peak is measured as a delta against the current
+    snapshot and the outer trace is left running.
     """
     options = dict(DEFAULT_PIPELINE_OPTIONS.get(pipeline_name, {}))
     options.update(pipeline_options or {})
@@ -283,24 +277,25 @@ def benchmark(pipelines: Optional[Sequence[str]] = None,
         max_signals: optional cap on signals per dataset (keeps runs short).
         pipeline_options: per-pipeline spec-factory overrides.
         random_state: seed for dataset construction.
-        profile_memory: record peak memory with ``tracemalloc``. With
-            concurrent workers the trace is shared across jobs, so per-job
-            peaks become upper-bound estimates.
+        profile_memory: record each job's peak memory with
+            ``tracemalloc``. Every job runs alone in its process (the
+            caller, or a pool worker that owns its trace), so per-job
+            peaks are exact.
         verbose: print one line per (pipeline, signal).
         workers: number of concurrent (pipeline, signal) jobs. Without an
-            ``executor``, ``1`` keeps the original serial behaviour and
-            ``N > 1`` fans jobs out over a
-            :class:`~repro.core.executor.ThreadedExecutor`. An executor
-            named ``"threaded"`` or ``"process"`` always gets ``workers``
-            workers, ``1`` included.
-        executor: executor name, class or instance for the job fan-out.
-            ``"process"`` schedules jobs across a multiprocessing pool of
-            ``workers`` processes — the fastest option for the CPU-bound
-            Figure 7 sweep. A pool worker that dies (``SIGKILL``, OOM)
-            breaks the pool and the run raises ``BrokenProcessPool``;
-            with a ``checkpoint_dir``, re-running resumes from the jobs
-            that finished. Each job runs its pipeline's steps in order in
-            the job's own thread.
+            ``executor``, ``1`` runs the jobs in the caller and ``N > 1``
+            fans them out over a
+            :class:`~repro.core.executor.ProcessExecutor` of ``N``
+            processes. An executor named ``"process"`` always gets
+            ``workers`` processes, ``1`` included.
+        executor: executor name, class or instance for the job fan-out:
+            ``"serial"`` runs the jobs in order in the caller, and
+            ``"process"`` schedules them across a multiprocessing pool of
+            ``workers`` processes. A pool worker that dies (``SIGKILL``,
+            OOM) breaks the pool and the run raises
+            ``BrokenProcessPool``; with a ``checkpoint_dir``, re-running
+            resumes from the jobs that finished. Each job runs its
+            pipeline's steps in order in the process that runs the job.
         shard_index / shard_count: run only a deterministic round-robin
             slice of the job list. Both must be given together; distinct
             indices partition the run, so N invocations with
@@ -326,6 +321,10 @@ def benchmark(pipelines: Optional[Sequence[str]] = None,
         raise BenchmarkError(
             "shard_index and shard_count must be provided together"
         )
+    if executor == ProcessExecutor.name or (executor is None and workers > 1):
+        job_executor = ProcessExecutor(max_workers=workers)
+    else:
+        job_executor = get_executor(executor)
 
     pipelines = list(pipelines) if pipelines else list(BENCHMARK_PIPELINES)
     unknown = set(pipelines) - set(list_pipelines())
@@ -407,16 +406,6 @@ def benchmark(pipelines: Optional[Sequence[str]] = None,
 
     pending = [job for job in jobs if job["key"] not in completed]
 
-    if executor is not None:
-        if executor in (ThreadedExecutor.name, ProcessExecutor.name):
-            job_executor = get_executor(executor, max_workers=workers)
-        else:
-            job_executor = get_executor(executor)
-    elif workers > 1:
-        job_executor = ThreadedExecutor(max_workers=workers)
-    else:
-        job_executor = get_executor(None)
-
     def checkpoint(index: int, record: dict) -> None:
         if checkpoint_file is None:
             return
@@ -425,17 +414,9 @@ def benchmark(pipelines: Optional[Sequence[str]] = None,
         checkpoint_file.write(json.dumps(entry, default=float) + "\n")
         checkpoint_file.flush()
 
-    # With a concurrent in-process job executor, hold one tracemalloc trace
-    # across the whole fan-out: individual jobs then measure snapshot deltas
-    # instead of racing to stop a trace their siblings are still reading.
-    # Process workers own their traces (jobs run in other processes), so
-    # the parent holds nothing.
-    hold_trace = profile_memory \
-        and not isinstance(job_executor, (SerialExecutor, ProcessExecutor))
     try:
-        with trace_memory(hold_trace):
-            records = job_executor.map(_execute_benchmark_job, pending,
-                                       progress=checkpoint)
+        records = job_executor.map(_execute_benchmark_job, pending,
+                                   progress=checkpoint)
     finally:
         if checkpoint_file is not None:
             checkpoint_file.close()

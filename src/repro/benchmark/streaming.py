@@ -173,10 +173,12 @@ def run_fleet_at_scale(pipeline_name: str, n_streams: int,
     the fitted pipeline, and builds one independent
     :class:`~repro.core.stream.StreamRunner` per stream over a deep copy
     of the same fitted state. Both planes then replay identical per-stream
-    micro-batch schedules; the record carries wall-clock for each, the
-    speedup ratio, the fleet's coalescing stats, and a parity flag —
-    bitwise event equality on the exact plane, tolerance-banded
-    ``(start, end, severity)`` agreement on the fused plane.
+    micro-batch schedules, three times over a new fleet and new runners;
+    the record carries each plane's fastest replay, the speedup ratio,
+    the fleet's coalescing stats, and a parity flag that holds when every
+    replay agrees — bitwise event equality on the exact plane,
+    tolerance-banded ``(start, end, severity)`` agreement on the fused
+    plane.
     """
     from repro.benchmark.batch import anomalies_within_tolerance
     from repro.core.fleet import FleetStreamRunner
@@ -204,25 +206,6 @@ def run_fleet_at_scale(pipeline_name: str, n_streams: int,
         sintel.fit(train)
         record["fit_time"] = time.perf_counter() - started
 
-        fleet = FleetStreamRunner(exact=exact, precision=precision,
-                                  max_streams=max(n_streams, 1))
-        # Without coalescing every lane serves its own copy of the fitted
-        # pipeline, so each is a group of one that runs its own plan.
-        lanes = [
-            fleet.add_stream(sintel.pipeline if coalesce
-                             else copy.deepcopy(sintel.pipeline),
-                             stream_id=f"bench-{index}",
-                             window_size=window_size, warmup=warmup,
-                             drift_detector=None)
-            for index in range(n_streams)
-        ]
-        independents = [
-            StreamRunner(copy.deepcopy(sintel.pipeline),
-                         window_size=window_size, warmup=warmup,
-                         drift_detector=None, retrain=False)
-            for _ in range(n_streams)
-        ]
-
         schedule = [
             [replay[start:start + batch_size]
              for start in range(0, len(replay), batch_size)]
@@ -230,33 +213,57 @@ def run_fleet_at_scale(pipeline_name: str, n_streams: int,
         ]
         n_rounds = max(len(batches) for batches in schedule)
 
-        started = time.perf_counter()
-        for round_index in range(n_rounds):
-            for runner, batches in zip(independents, schedule):
-                if round_index < len(batches):
-                    runner.send(batches[round_index])
-        independent_time = time.perf_counter() - started
+        independent_time = fleet_time = float("inf")
+        parity = True
+        for _ in range(3):
+            fleet = FleetStreamRunner(exact=exact, precision=precision,
+                                      max_streams=max(n_streams, 1))
+            # Without coalescing every lane serves its own copy of the
+            # fitted pipeline, so each is a group of one that runs its own
+            # plan.
+            lanes = [
+                fleet.add_stream(sintel.pipeline if coalesce
+                                 else copy.deepcopy(sintel.pipeline),
+                                 stream_id=f"bench-{index}",
+                                 window_size=window_size, warmup=warmup,
+                                 drift_detector=None)
+                for index in range(n_streams)
+            ]
+            independents = [
+                StreamRunner(copy.deepcopy(sintel.pipeline),
+                             window_size=window_size, warmup=warmup,
+                             drift_detector=None, retrain=False)
+                for _ in range(n_streams)
+            ]
 
-        started = time.perf_counter()
-        for round_index in range(n_rounds):
-            for lane, batches in zip(lanes, schedule):
-                if round_index < len(batches):
-                    fleet.ingest(lane.lane_id, batches[round_index])
-            fleet.run_round()
-        fleet_time = time.perf_counter() - started
+            started = time.perf_counter()
+            for round_index in range(n_rounds):
+                for runner, batches in zip(independents, schedule):
+                    if round_index < len(batches):
+                        runner.send(batches[round_index])
+            independent_time = min(independent_time,
+                                   time.perf_counter() - started)
 
-        fleet_events = [lane.runner.anomalies() for lane in lanes]
-        independent_events = [runner.anomalies()
-                              for runner in independents]
-        if exact:
-            parity = fleet_events == independent_events
-        else:
-            parity = anomalies_within_tolerance(fleet_events,
-                                                independent_events)
-        stats = fleet.stats()
-        fleet.close()
-        for runner in independents:
-            runner.close()
+            started = time.perf_counter()
+            for round_index in range(n_rounds):
+                for lane, batches in zip(lanes, schedule):
+                    if round_index < len(batches):
+                        fleet.ingest(lane.lane_id, batches[round_index])
+                fleet.run_round()
+            fleet_time = min(fleet_time, time.perf_counter() - started)
+
+            fleet_events = [lane.runner.anomalies() for lane in lanes]
+            independent_events = [runner.anomalies()
+                                  for runner in independents]
+            if exact:
+                parity &= fleet_events == independent_events
+            else:
+                parity &= anomalies_within_tolerance(fleet_events,
+                                                     independent_events)
+            stats = fleet.stats()
+            fleet.close()
+            for runner in independents:
+                runner.close()
 
         record.update({
             "n_rounds": n_rounds,

@@ -5,7 +5,6 @@ from repro.core.executor import (
     ProcessExecutor,
     Executor,
     SerialExecutor,
-    ThreadedExecutor,
     get_executor,
     list_executors,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "AnalysisReport",
     "Executor",
     "SerialExecutor",
-    "ThreadedExecutor",
     "ProcessExecutor",
     "ExecutionPlan",
     "StepNode",

@@ -4,10 +4,9 @@ The benchmark runs every pipeline × signal combination under identical
 conditions (§3.4). An executor decides only *how* that job list is spread
 out; what each job runs is a pipeline, whose compiled plans run themselves
 in the caller (:meth:`repro.core.plan.ExecutionPlan.run`). Every executor
-implements one method, :meth:`Executor.map`:
+implements one method, :meth:`Executor.map`, and there are two:
 
 * :class:`SerialExecutor` — in order, in the caller (the default);
-* :class:`ThreadedExecutor` — on a thread pool;
 * :class:`ProcessExecutor` — on a ``multiprocessing`` pool, sidestepping
   the GIL for CPU-heavy jobs.
 """
@@ -18,12 +17,7 @@ import multiprocessing
 import os
 import pickle
 import warnings
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Callable, Dict, Iterable, List, Optional, Union
 
 from repro.exceptions import ExecutorError
@@ -31,7 +25,6 @@ from repro.exceptions import ExecutorError
 __all__ = [
     "Executor",
     "SerialExecutor",
-    "ThreadedExecutor",
     "ProcessExecutor",
     "get_executor",
     "list_executors",
@@ -53,41 +46,9 @@ def _mp_context():
     return multiprocessing.get_context(method)
 
 
-# --------------------------------------------------------------------------- #
-# job fan-out
-# --------------------------------------------------------------------------- #
 def _in_worker_process() -> bool:
     """Whether this interpreter is itself a multiprocessing worker."""
     return multiprocessing.parent_process() is not None
-
-
-def _ordered_map(pool, function: Callable, items: List,
-                 progress: Optional[Callable[[int, object], None]]) -> List:
-    """Run ``function`` over ``items`` on ``pool``; results in item order.
-
-    Every item is submitted up front and results are collected as they
-    complete, calling ``progress(index, result)`` in the caller for each.
-    On the first failure the jobs that have not started are cancelled and
-    the error is re-raised once the running ones finish. The pool is shut
-    down on return.
-    """
-    results: List = [None] * len(items)
-    with pool:
-        futures = {pool.submit(function, item): index
-                   for index, item in enumerate(items)}
-        pending = set(futures)
-        try:
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    index = futures[future]
-                    results[index] = future.result()
-                    if progress is not None:
-                        progress(index, results[index])
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-    return results
 
 
 # --------------------------------------------------------------------------- #
@@ -130,35 +91,6 @@ class SerialExecutor(Executor):
             if progress is not None:
                 progress(index, result)
         return results
-
-
-class ThreadedExecutor(Executor):
-    """Fan ``map`` jobs out over a thread pool.
-
-    Pays off when the jobs release the GIL (NumPy/BLAS kernels, I/O).
-
-    Args:
-        max_workers: thread pool size (default: ``min(8, n_items)``).
-    """
-
-    name = "threaded"
-
-    def __init__(self, max_workers: Optional[int] = None):
-        if max_workers is not None and max_workers < 1:
-            raise ExecutorError("max_workers must be at least 1")
-        self.max_workers = max_workers
-
-    def _pool_size(self, n_items: int) -> int:
-        if self.max_workers is not None:
-            return self.max_workers
-        return max(1, min(8, n_items))
-
-    def map(self, function, items, progress=None):
-        items = list(items)
-        if not items:
-            return []
-        pool = ThreadPoolExecutor(max_workers=self._pool_size(len(items)))
-        return _ordered_map(pool, function, items, progress)
 
 
 class ProcessExecutor(Executor):
@@ -211,12 +143,28 @@ class ProcessExecutor(Executor):
                 RuntimeWarning, stacklevel=2,
             )
             return SerialExecutor().map(function, items, progress=progress)
+        # Every item is submitted up front and results are collected as
+        # they complete; the first failure cancels the jobs that have not
+        # started and is re-raised once the running ones finish.
         pool = ProcessPoolExecutor(max_workers=self._pool_size(len(items)),
                                    mp_context=_mp_context())
+        results: List = [None] * len(items)
         try:
-            return _ordered_map(pool, function, items, progress)
+            futures = {pool.submit(function, item): index
+                       for index, item in enumerate(items)}
+            pending = set(futures)
+            while pending:
+                done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                for future in done:
+                    index = futures[future]
+                    results[index] = future.result()
+                    if progress is not None:
+                        progress(index, results[index])
         except Exception as error:
             raise self._surface(error)
+        finally:
+            pool.shutdown(cancel_futures=True)
+        return results
 
     @staticmethod
     def _surface(error: BaseException) -> BaseException:
@@ -236,7 +184,6 @@ class ProcessExecutor(Executor):
 # --------------------------------------------------------------------------- #
 EXECUTORS: Dict[str, type] = {
     SerialExecutor.name: SerialExecutor,
-    ThreadedExecutor.name: ThreadedExecutor,
     ProcessExecutor.name: ProcessExecutor,
 }
 

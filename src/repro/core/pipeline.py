@@ -278,12 +278,20 @@ class Pipeline:
 
         The fit plan runs over ``[data]``, a batch of one: each step fits
         on the signal and then produces through its exact batch kernel.
+        A fit that raises puts the previous primitives back, so the
+        pipeline detects as it did before the call.
         """
+        previous = [cell[1] for cell in self._primitives or ()]
         self._rebuild_primitives()
-        self._run_signals(
-            self.compiled_plan("fit"), [np.asarray(data, dtype=float)],
-            {name: [value] for name, value in context_variables.items()},
-            profile)
+        try:
+            self._run_signals(
+                self.compiled_plan("fit"), [np.asarray(data, dtype=float)],
+                {name: [value] for name, value in context_variables.items()},
+                profile)
+        except BaseException:
+            for cell, primitive in zip(self._primitives, previous):
+                cell[1] = primitive
+            raise
         self.fitted = True
         return self
 

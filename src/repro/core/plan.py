@@ -142,12 +142,6 @@ def trace_memory(enabled: bool = True):
     An enclosing probe consequently reports the peak since its *last* inner
     probe, not its true lifetime peak — hold an outer probe only as a trace
     anchor, not for its number.
-
-    Concurrent measurements must share one outer trace: whoever runs
-    measured work on several threads should hold ``trace_memory`` open
-    around the fan-out so no single task stops the trace while siblings
-    are still measuring (their deltas then become rough estimates, since
-    the peak reset and reads race across threads).
     """
     probe = _MemoryProbe()
     owns_trace = False

@@ -42,7 +42,6 @@ class Sintel:
     def __init__(self, pipeline: Union[str, dict, Template, Pipeline],
                  hyperparameters: Optional[dict] = None, **pipeline_options):
         self._pipeline = self._resolve(pipeline, hyperparameters, pipeline_options)
-        self.fitted = False
 
     @staticmethod
     def _resolve(pipeline, hyperparameters, pipeline_options) -> Pipeline:
@@ -93,10 +92,14 @@ class Sintel:
         """Name of the underlying pipeline."""
         return self._pipeline.name
 
+    @property
+    def fitted(self) -> bool:
+        """Whether the underlying pipeline is fitted."""
+        return self._pipeline.fitted
+
     def fit(self, data, **context_variables) -> "Sintel":
         """Train the pipeline on ``data``."""
         self._pipeline.fit(self._to_array(data), **context_variables)
-        self.fitted = True
         return self
 
     def detect(self, data, visualization: bool = False,
@@ -198,7 +201,6 @@ class Sintel:
     def set_hyperparameters(self, hyperparameters: dict) -> None:
         """Override pipeline hyperparameters (resets the fitted state)."""
         self._pipeline.set_hyperparameters(hyperparameters)
-        self.fitted = False
 
     def get_tunable_hyperparameters(self) -> dict:
         """The tunable hyperparameter space of the pipeline."""

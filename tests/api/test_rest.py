@@ -176,7 +176,7 @@ class TestJobs:
         accepted = api.post("/jobs", {
             "task": "benchmark", "pipelines": ["azure"], "datasets": ["NAB"],
             "max_signals": 1, "scale": 0.02, "workers": 2,
-            "executor": "threaded",  # the job fan-out
+            "executor": "process",  # the job fan-out
             "pipeline_executor": "process",  # a legacy key, ignored
             "queue_path": "fleet.sqlite",  # a legacy key, ignored
         })
@@ -185,7 +185,8 @@ class TestJobs:
         assert job.status == "succeeded"
         assert len(job.result["records"]) == 1
 
-    @pytest.mark.parametrize("executor", ["caching", "distributed"])
+    @pytest.mark.parametrize("executor",
+                             ["caching", "distributed", "threaded"])
     def test_benchmark_job_unknown_executor_400(self, api, executor):
         response = api.post("/jobs", {
             "task": "benchmark", "pipelines": ["azure"], "datasets": ["NAB"],

@@ -131,30 +131,27 @@ class TestBenchmarkFanOut:
             self._strip_timings(serial.records)
 
     def test_workers_with_memory_profiling(self, tiny_datasets):
+        # Each pool worker owns its trace, so every job measures a peak.
         result = benchmark(pipelines=["azure"], datasets=tiny_datasets,
                            profile_memory=True, workers=2)
         assert len(result) == 2
-        assert all(record["memory"] >= 0 for record in result.records)
+        assert all(record["memory"] > 0 for record in result.records)
 
     def test_explicit_executor(self, tiny_datasets):
-        from repro.core.executor import ThreadedExecutor
+        from repro.core.executor import ProcessExecutor
 
         result = benchmark(pipelines=["azure"], datasets=tiny_datasets,
                            profile_memory=False,
-                           executor=ThreadedExecutor(max_workers=2))
+                           executor=ProcessExecutor(max_workers=2))
         assert len(result) == 2
 
     def test_invalid_workers_rejected(self, tiny_datasets):
         with pytest.raises(BenchmarkError):
             benchmark(pipelines=["azure"], datasets=tiny_datasets, workers=0)
 
-    @pytest.mark.parametrize("executor,pool", [
-        ("threaded", "ThreadPoolExecutor"),
-        ("process", "ProcessPoolExecutor"),
-    ])
-    def test_named_executor_opens_a_pool_of_workers(
-            self, tiny_datasets, monkeypatch, executor, pool):
-        # workers=1 is a pool size like any other, not "use the default".
+    @staticmethod
+    def _spy_on_pools(monkeypatch, pool):
+        """Record the size of every ``pool`` the executors open from now."""
         from repro.core import executor as executors
 
         opened = []
@@ -165,11 +162,28 @@ class TestBenchmarkFanOut:
             return real_pool(*args, max_workers=max_workers, **kwargs)
 
         monkeypatch.setattr(executors, pool, spy)
+        return opened
+
+    @pytest.mark.parametrize("executor,pool", [
+        ("process", "ProcessPoolExecutor"),
+    ])
+    def test_named_executor_opens_a_pool_of_workers(
+            self, tiny_datasets, monkeypatch, executor, pool):
+        # workers=1 is a pool size like any other, not "use the default".
+        opened = self._spy_on_pools(monkeypatch, pool)
         result = benchmark(pipelines=["azure"], datasets=tiny_datasets,
                            profile_memory=False, executor=executor,
                            workers=1)
         assert len(result) == 2
         assert opened == [1]
+
+    def test_workers_without_executor_open_a_process_pool(
+            self, tiny_datasets, monkeypatch):
+        opened = self._spy_on_pools(monkeypatch, "ProcessPoolExecutor")
+        result = benchmark(pipelines=["azure"], datasets=tiny_datasets,
+                           profile_memory=False, workers=2)
+        assert len(result) == 2
+        assert opened == [2]
 
     def test_killed_process_worker_resumes_from_checkpoint(
             self, tiny_datasets, monkeypatch, tmp_path):

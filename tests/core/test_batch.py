@@ -15,7 +15,7 @@ from repro.data import generate_signal
 from repro.exceptions import NotFittedError, PipelineError
 from repro.pipelines import get_pipeline_spec
 
-EXECUTORS = ["serial", "threaded", "process"]
+EXECUTORS = ["serial", "process"]
 
 PIPELINES = [("azure", {}), ("arima", {"window_size": 30})]
 

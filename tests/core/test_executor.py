@@ -5,7 +5,6 @@ Two halves: a compiled plan runs itself, in plan order, in the caller
 helpers), and executors only fan job lists out (:meth:`Executor.map`).
 """
 
-import threading
 import time
 
 import numpy as np
@@ -13,8 +12,8 @@ import pytest
 
 from repro.core.executor import (
     Executor,
+    ProcessExecutor,
     SerialExecutor,
-    ThreadedExecutor,
     get_executor,
     list_executors,
 )
@@ -26,17 +25,8 @@ from repro.pipelines import get_pipeline_spec
 
 
 # --------------------------------------------------------------------------- #
-# test primitives: a diamond DAG with an execution-order trace
+# test primitives: a diamond DAG
 # --------------------------------------------------------------------------- #
-_TRACE = []
-_TRACE_LOCK = threading.Lock()
-
-
-def _record(name, phase):
-    with _TRACE_LOCK:
-        _TRACE.append((name, phase, time.perf_counter()))
-
-
 @register_primitive
 class _SplitPrimitive(Primitive):
     name = "test_executor_split"
@@ -45,7 +35,6 @@ class _SplitPrimitive(Primitive):
     produce_output = ["left", "right"]
 
     def produce(self, data):
-        _record(self.name, "run")
         values = data[:, 1]
         return {"left": values + 1.0, "right": values * 2.0}
 
@@ -58,9 +47,6 @@ class _LeftBranchPrimitive(Primitive):
     produce_output = ["left_sum"]
 
     def produce(self, left):
-        _record(self.name, "start")
-        time.sleep(0.05)
-        _record(self.name, "end")
         return {"left_sum": float(np.sum(left))}
 
 
@@ -72,9 +58,6 @@ class _RightBranchPrimitive(Primitive):
     produce_output = ["right_sum"]
 
     def produce(self, right):
-        _record(self.name, "start")
-        time.sleep(0.05)
-        _record(self.name, "end")
         return {"right_sum": float(np.sum(right))}
 
 
@@ -86,7 +69,6 @@ class _JoinPrimitive(Primitive):
     produce_output = ["anomalies"]
 
     def produce(self, left_sum, right_sum):
-        _record(self.name, "run")
         return {"anomalies": np.array([[0.0, 1.0, left_sum + right_sum]])}
 
 
@@ -102,11 +84,6 @@ def _diamond_spec():
     }
 
 
-def _data(n=32):
-    return np.column_stack([np.arange(n, dtype=float),
-                            np.sin(np.arange(n, dtype=float))])
-
-
 # --------------------------------------------------------------------------- #
 # registry
 # --------------------------------------------------------------------------- #
@@ -116,18 +93,18 @@ class TestRegistry:
 
     def test_resolve_by_name(self):
         assert isinstance(get_executor("serial"), SerialExecutor)
-        assert isinstance(get_executor("threaded"), ThreadedExecutor)
+        assert isinstance(get_executor("process"), ProcessExecutor)
 
     def test_instances_pass_through(self):
-        executor = ThreadedExecutor(max_workers=2)
+        executor = ProcessExecutor(max_workers=2)
         assert get_executor(executor) is executor
 
     def test_resolve_by_class_with_options(self):
-        executor = get_executor(ThreadedExecutor, max_workers=3)
+        executor = get_executor(ProcessExecutor, max_workers=3)
         assert executor.max_workers == 3
 
     def test_unknown_name_rejected(self):
-        for name in ("quantum", "distributed"):
+        for name in ("quantum", "distributed", "threaded"):
             with pytest.raises(ExecutorError, match="Unknown executor"):
                 get_executor(name)
 
@@ -136,11 +113,11 @@ class TestRegistry:
             get_executor(42)
 
     def test_list_executors(self):
-        assert list_executors() == ["process", "serial", "threaded"]
+        assert list_executors() == ["process", "serial"]
 
     def test_invalid_worker_counts_rejected(self):
         with pytest.raises(ExecutorError):
-            ThreadedExecutor(max_workers=0)
+            ProcessExecutor(max_workers=0)
 
 
 # --------------------------------------------------------------------------- #
@@ -174,74 +151,22 @@ class TestExecutionPlan:
 # --------------------------------------------------------------------------- #
 # job fan-out
 # --------------------------------------------------------------------------- #
-def _fitted(spec):
-    """A pipeline fitted on ``_data()``: one fan-out job."""
-    return Pipeline(spec).fit(_data())
-
-
-def _fit_detect(job):
-    """Fit a spec on data and detect on the same data: one fan-out job."""
-    spec, data = job
-    return Pipeline(spec).fit_detect(data)
+def _slow_identity(item):
+    """Return ``item``, later items first: completion order != item order."""
+    time.sleep(0.01 * (4 - item % 5))
+    return item
 
 
 class TestSchedulingEquivalence:
-    """Pipeline jobs on a thread pool run as they do in the caller."""
-
-    def test_threaded_matches_serial_on_diamond(self):
-        jobs = [(_diamond_spec(), _data()) for _ in range(4)]
-        expected = SerialExecutor().map(_fit_detect, jobs)
-        actual = ThreadedExecutor(max_workers=4).map(_fit_detect, jobs)
-        np.testing.assert_allclose(np.asarray(actual), np.asarray(expected))
-
-    def test_threaded_respects_dependency_order(self):
-        _TRACE.clear()
-        ThreadedExecutor(max_workers=4).map(
-            _fit_detect, [(_diamond_spec(), _data())])
-        events = {(name, phase): when for name, phase, when in _TRACE}
-        split = events[("test_executor_split", "run")]
-        join = events[("test_executor_join", "run")]
-        for branch in ("test_executor_left", "test_executor_right"):
-            assert events[(branch, "start")] >= split
-            assert events[(branch, "end")] <= join
-
-    def test_threaded_matches_serial_on_seed_pipeline(self, small_signal):
-        # Acceptance criterion: identical anomaly lists on the seed pipelines.
-        data = small_signal.to_array()
-        jobs = [(get_pipeline_spec("arima", window_size=30), data)
-                for _ in range(2)]
-        [serial] = SerialExecutor().map(_fit_detect, jobs[:1])
-        for threaded in ThreadedExecutor(max_workers=2).map(_fit_detect,
-                                                            jobs):
-            assert len(serial) == len(threaded)
-            np.testing.assert_allclose(np.asarray(threaded),
-                                       np.asarray(serial))
-
-    def test_threaded_step_timings_in_plan_order(self):
-        [pipeline] = ThreadedExecutor(max_workers=4).map(
-            _fitted, [_diamond_spec()])
-        assert list(pipeline.step_timings) == [step["name"]
-                                               for step in pipeline.steps]
-
-    def test_threaded_propagates_step_errors(self):
-        from repro.exceptions import PipelineError
-
-        job = (get_pipeline_spec("arima", window_size=30), np.zeros((3, 0)))
-        with pytest.raises((PipelineError, Exception)):
-            ThreadedExecutor(max_workers=2).map(_fit_detect, [job])
+    """``map`` returns results in item order on every executor."""
 
     def test_map_preserves_item_order(self):
-        executor = ThreadedExecutor(max_workers=4)
-
-        def slow_identity(item):
-            time.sleep(0.01 * (4 - item % 5))
-            return item
-
+        executor = ProcessExecutor(max_workers=4)
         items = list(range(12))
-        assert executor.map(slow_identity, items) == items
+        assert executor.map(_slow_identity, items) == items
 
     def test_map_empty(self):
-        assert ThreadedExecutor().map(lambda item: item, []) == []
+        assert ProcessExecutor().map(_slow_identity, []) == []
         assert SerialExecutor().map(lambda item: item * 2, [1, 2]) == [2, 4]
 
 
@@ -253,9 +178,9 @@ class TestSintelIntegration:
         from repro.core.sintel import Sintel
 
         with pytest.raises(TypeError, match="executor"):
-            Sintel("arima", executor="threaded", window_size=30)
+            Sintel("arima", executor="process", window_size=30)
         with pytest.raises(TypeError, match="executor"):
-            Pipeline(_diamond_spec(), executor="threaded")
+            Pipeline(_diamond_spec(), executor="process")
 
     def test_sintel_save_load_with_executor(self, small_signal, tmp_path):
         # A model saved while pipelines held an executor still loads and
@@ -264,7 +189,7 @@ class TestSintelIntegration:
 
         sintel = Sintel("azure")
         sintel.fit_detect(small_signal)
-        sintel.pipeline.__dict__["_executor"] = ThreadedExecutor(
+        sintel.pipeline.__dict__["_executor"] = ProcessExecutor(
             max_workers=2)
         path = tmp_path / "sintel.pkl"
         sintel.save(path)

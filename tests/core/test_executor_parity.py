@@ -34,7 +34,7 @@ from repro.core.sintel import Sintel
 from repro.exceptions import ExecutorError
 from repro.pipelines import get_pipeline_spec
 
-EXECUTORS = ["serial", "threaded", "process"]
+EXECUTORS = ["serial", "process"]
 
 #: Fast, deterministic pipelines exercised by the parity suite.
 PIPELINES = [("azure", {}), ("arima", {"window_size": 30})]
@@ -220,7 +220,7 @@ def _worker_boom_on_even(n):
 
 
 class TestMapStopsOnFailure:
-    @pytest.mark.parametrize("executor", ["threaded", "process"])
+    @pytest.mark.parametrize("executor", ["process"])
     def test_first_failure_cancels_jobs_not_started(self, executor,
                                                     tmp_path):
         jobs = [(str(tmp_path), index) for index in range(20)]

@@ -30,7 +30,7 @@ from repro.core.stream import StreamRunner
 from repro.data.synthetic import WorkloadGenerator
 from repro.exceptions import PipelineError, StreamError
 
-EXECUTORS = ["serial", "threaded", "process"]
+EXECUTORS = ["serial", "process"]
 
 WINDOW = 150
 WARMUP = 60

@@ -23,7 +23,7 @@ from repro.data.synthetic import WorkloadGenerator
 from repro.exceptions import PipelineError
 from repro.pipelines import get_pipeline_spec
 
-EXECUTORS = ["serial", "threaded", "process"]
+EXECUTORS = ["serial", "process"]
 
 #: Two fusable runs around a non-fusable middle step: ``differencing``
 #: declares no ``fuse_category``, so the chain must split around it.

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import Pipeline, Sintel, Template
-from repro.exceptions import NotFittedError, PipelineError
+from repro.data.synthetic import WorkloadGenerator
+from repro.exceptions import NotFittedError, PipelineError, PrimitiveError
 from repro.pipelines import get_pipeline_spec
 
 
@@ -31,6 +32,16 @@ class TestConstruction:
         pipeline = Pipeline(get_pipeline_spec(PIPELINE, **OPTIONS))
         sintel = Sintel(pipeline)
         assert sintel.pipeline is pipeline
+
+    def test_fitted_pipeline_instance_detects(self, small_signal):
+        # ``fitted`` is the wrapped pipeline's flag, not a second one.
+        data = small_signal.to_array()
+        pipeline = Pipeline(get_pipeline_spec(PIPELINE, **OPTIONS)).fit(data)
+        sintel = Sintel(pipeline)
+        assert sintel.fitted
+        assert sintel.detect(data) == pipeline.detect(data)
+        with pytest.raises(AttributeError):
+            sintel.fitted = False
 
     def test_invalid_source_rejected(self):
         with pytest.raises(PipelineError):
@@ -74,6 +85,54 @@ class TestFitDetect:
         sintel.fit(small_signal)
         anomalies, context = sintel.detect(small_signal, visualization=True)
         assert "errors" in context
+
+
+@pytest.mark.filterwarnings("ignore:Mean of empty slice:RuntimeWarning")
+class TestFailedFit:
+    """A fit that raises leaves the pipeline as it was before the call."""
+
+    @staticmethod
+    def _data():
+        # The NaN rows are imputed with the fitted imputer's means, so a
+        # refit of the imputer alone would move the detected events.
+        data = WorkloadGenerator(seed=1, length=300).signal(0).to_array()
+        data[100:130, 1] = np.nan
+        return data
+
+    def test_failed_refit_keeps_the_previous_fit(self):
+        data = self._data()
+        sintel = Sintel("azure").fit(data)
+        expected = sintel.detect(data)
+        compilations = sintel.pipeline.plan_compilations
+        with pytest.raises(PrimitiveError, match="at least 8 samples"):
+            sintel.fit(data[:5])
+        assert sintel.fitted
+        assert sintel.pipeline.plan_compilations == compilations
+        assert sintel.detect(data) == expected
+
+    def test_failed_refit_keeps_an_open_stream(self):
+        data = self._data()
+        events = []
+        for refit in (False, True):
+            sintel = Sintel("azure").fit(data)
+            runner = sintel.stream(window_size=200, warmup=100,
+                                   drift_detector=None)
+            runner.send(data[:150])
+            if refit:
+                with pytest.raises(PrimitiveError):
+                    sintel.fit(data[:5])
+            runner.send(data[150:])
+            events.append(runner.anomalies())
+        assert events[1] == events[0]
+
+    def test_failed_first_fit_leaves_the_pipeline_unfitted(self):
+        data = self._data()
+        sintel = Sintel("azure")
+        with pytest.raises(PrimitiveError):
+            sintel.fit(data[:5])
+        assert not sintel.fitted
+        with pytest.raises(NotFittedError):
+            sintel.detect(data)
 
 
 class TestEvaluate:

@@ -18,7 +18,7 @@ from repro.data.synthetic import WorkloadGenerator
 from repro.db.explorer import SintelExplorer
 from repro.exceptions import PrimitiveError
 
-EXECUTORS = ["serial", "threaded", "process"]
+EXECUTORS = ["serial", "process"]
 
 MV_PIPELINE = ("mv_dense_autoencoder", {"window_size": 30, "epochs": 6})
 

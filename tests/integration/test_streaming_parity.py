@@ -3,7 +3,7 @@
 These are the acceptance tests for the streaming subsystem: streaming
 detection over micro-batches must produce the same anomaly intervals as
 batch ``detect`` over the full signal (within one micro-batch of edge
-tolerance), whether the serial or the threaded executor runs the job; and
+tolerance), whether the job runs in the caller or in a pool process; and
 an injected mean shift must flow through DriftMonitor → scheduler refit →
 atomic pipeline swap without dropping or reordering queued batches.
 """
@@ -34,7 +34,7 @@ def _batch_and_stream(data):
     return batch_anomalies, runner.anomalies()
 
 
-@pytest.mark.parametrize("executor", ["serial", "threaded"])
+@pytest.mark.parametrize("executor", ["serial", "process"])
 @pytest.mark.parametrize("signal", default_streaming_signals(),
                          ids=lambda signal: signal.name)
 def test_stream_matches_batch_detection(signal, executor):

@@ -20,8 +20,9 @@ from repro.data.synthetic import WorkloadGenerator
 
 #: Committed digest of the reference fleet (seed=7, 3 channels, length 600,
 #: 2 signals). If a code change alters this value, the generator's output
-#: changed — regenerate benchmarks/output/BENCH_synthetic.json in the same
-#: commit and say so in the changelog.
+#: changed — re-record benchmarks/output/BENCH_synthetic.json in the same
+#: commit (run benchmarks/test_synthetic_quality.py, then copy
+#: build/benchmarks/BENCH_synthetic.json across) and say so in the changelog.
 REFERENCE_FINGERPRINT = (
     "0fc98bd1a4ecc732d1bca3320df39924a1eb5a47f84915b2ee0ad47c879131a0"
 )
