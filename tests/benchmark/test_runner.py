@@ -11,7 +11,7 @@ from repro.benchmark import runner
 from repro.benchmark.results import read_checkpoint_lines
 from repro.core.executor import MP_START_ENV
 from repro.data import Dataset, generate_signal
-from repro.exceptions import BenchmarkError
+from repro.exceptions import BenchmarkError, ExecutorError
 
 
 FAST = ["arima", "azure"]
@@ -148,6 +148,14 @@ class TestBenchmarkFanOut:
     def test_invalid_workers_rejected(self, tiny_datasets):
         with pytest.raises(BenchmarkError):
             benchmark(pipelines=["azure"], datasets=tiny_datasets, workers=0)
+
+    def test_unknown_executor_rejected_before_any_checkpoint(
+            self, tiny_datasets, tmp_path):
+        with pytest.raises(ExecutorError, match="Unknown executor 'threaded'"):
+            benchmark(pipelines=["azure"], datasets=tiny_datasets,
+                      executor="threaded", workers=2,
+                      checkpoint_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
 
     @staticmethod
     def _spy_on_pools(monkeypatch, pool):
