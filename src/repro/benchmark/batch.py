@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.plan import FusedStep
 from repro.core.sintel import Sintel
 from repro.data.signal import Signal
 from repro.data.synthetic import WorkloadGenerator
@@ -174,7 +175,7 @@ def explain_plan(pipeline_name: str,
         plane = "exact (bitwise)" if exact else "fused (tolerance)"
         lines.append(f"  batch plan [{plane}]: {len(plan.nodes)} node(s)")
         for node in plan.nodes:
-            kind = "chain" if node.members else "step "
+            kind = "chain" if isinstance(node, FusedStep) else "step "
             lines.append(f"    {kind}  {node.name}")
     report = fusion_report(pipeline)
     lines.append(f"  fusion: {report['n_chains']} chain(s) covering "

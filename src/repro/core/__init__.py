@@ -24,7 +24,6 @@ from repro.core.plan import (
     LaneRegistry,
     LaneStep,
     PlanCompiler,
-    StepNode,
 )
 from repro.core.primitive import (
     Primitive,
@@ -64,7 +63,6 @@ __all__ = [
     "SerialExecutor",
     "ProcessExecutor",
     "ExecutionPlan",
-    "StepNode",
     "get_executor",
     "list_executors",
 ]

@@ -16,7 +16,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Callable, Dict, Iterable, List, Optional, Union
 
@@ -98,9 +97,10 @@ class ProcessExecutor(Executor):
 
     :meth:`map` spreads a job list — the benchmark's pipeline × signal
     sweep — across pool workers, escaping the GIL. The mapped function and
-    items must be picklable (module-level functions, plain-data items); an
-    unpicklable *function* degrades to a serial in-process run with a
-    ``RuntimeWarning`` rather than failing the fan-out.
+    items must be picklable (module-level functions, plain-data items):
+    :meth:`map` pickles the function, then each item, before it opens a
+    pool, and raises :class:`~repro.exceptions.ExecutorError` on the first
+    that fails — a job the pool cannot pickle would hang its shutdown.
 
     The pool's start method follows the platform default unless the
     ``REPRO_MP_START`` environment variable names one explicitly
@@ -133,16 +133,10 @@ class ProcessExecutor(Executor):
             return SerialExecutor().map(function, items, progress=progress)
         try:
             pickle.dumps(function)
-        except Exception:
-            # A closure cannot cross the process boundary; degrade to a
-            # correct serial run instead of failing the whole fan-out.
-            warnings.warn(
-                "ProcessExecutor.map received an unpicklable function; "
-                "running serially. Use a module-level function to "
-                "parallelize across processes.",
-                RuntimeWarning, stacklevel=2,
-            )
-            return SerialExecutor().map(function, items, progress=progress)
+            for item in items:  # one at a time: no copy of the whole list
+                pickle.dumps(item)
+        except (pickle.PicklingError, AttributeError, TypeError) as error:
+            raise _unpicklable(error) from error
         # Every item is submitted up front and results are collected as
         # they complete; the first failure cancels the jobs that have not
         # started and is re-raised once the running ones finish.
@@ -168,15 +162,18 @@ class ProcessExecutor(Executor):
 
     @staticmethod
     def _surface(error: BaseException) -> BaseException:
-        """Wrap pickling failures in an actionable message."""
+        """Wrap a result's pickling failure in an actionable message."""
         if isinstance(error, (pickle.PicklingError, AttributeError)) \
                 and "pickle" in str(error).lower():
-            return ExecutorError(
-                "The process executor requires picklable jobs: use "
-                "module-level functions and plain-data items (got: "
-                f"{error})"
-            )
+            return _unpicklable(error)
         return error
+
+
+def _unpicklable(error: BaseException) -> ExecutorError:
+    """The error for a job that cannot cross the process boundary."""
+    return ExecutorError(
+        "The process executor requires picklable jobs: use module-level "
+        f"functions and plain-data items (got: {error})")
 
 
 # --------------------------------------------------------------------------- #

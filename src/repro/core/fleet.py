@@ -607,20 +607,15 @@ class StreamScheduler:
     benchmarks and single-stream callers (a one-lane scheduler).
     """
 
-    def __init__(self, fleet: Optional[FleetStreamRunner] = None,
-                 policy: Optional[TierPolicy] = None,
-                 refit_budget: int = 2,
-                 standby_cache: Optional[StandbyCache] = None,
-                 refit_sync: bool = False,
+    def __init__(self, policy: Optional[TierPolicy] = None,
+                 refit_budget: int = 2, refit_sync: bool = False,
                  clock: Callable[[], float] = time.monotonic,
                  **fleet_options):
         if refit_budget < 0:
             raise ValueError("refit_budget must be >= 0")
-        self.fleet = fleet if fleet is not None \
-            else FleetStreamRunner(clock=clock, **fleet_options)
+        self.fleet = FleetStreamRunner(clock=clock, **fleet_options)
         self.policy = policy if policy is not None else TierPolicy()
-        self.standby = standby_cache if standby_cache is not None \
-            else StandbyCache()
+        self.standby = StandbyCache()
         self.refit_budget = int(refit_budget)
         self.refit_sync = bool(refit_sync)
         self._clock = clock

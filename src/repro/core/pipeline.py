@@ -20,7 +20,7 @@ plan runs one lane per stream through
 own copies of the incremental primitives, so streaming never advances
 the pipeline's cells. Plans are compiled once and kept across refits: a
 refit swaps fresh primitives into the ``[step, primitive]`` cells that
-every compiled node reads at call time.
+every compiled step reads when it runs.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 import copy
 from typing import Dict, List, Optional
 
-import networkx as nx
 import numpy as np
 
 from repro.core.plan import ExecutionPlan, PlanCompiler
@@ -76,14 +75,9 @@ class Template:
     def _validate(self) -> None:
         """Check that every primitive exists and inputs are producible."""
         available = {"data", "events"}
-        graph = nx.DiGraph()
-        previous_producer = {}
         for step in self.steps:
             cls = get_primitive_class(step["primitive"])
-            graph.add_node(step["name"])
             inputs = step.get("inputs", {})
-            outputs = step.get("outputs", {})
-
             for arg in set(cls.produce_args) | set(cls.fit_args):
                 variable = inputs.get(arg, arg)
                 if variable not in available:
@@ -91,17 +85,9 @@ class Template:
                         f"Step {step['name']!r} requires variable {variable!r} "
                         "which no earlier step produces"
                     )
-                if variable in previous_producer:
-                    graph.add_edge(previous_producer[variable], step["name"])
-
-            for out in cls.produce_output:
-                variable = outputs.get(out, out)
-                available.add(variable)
-                previous_producer[variable] = step["name"]
-
-        if not nx.is_directed_acyclic_graph(graph):
-            raise PipelineError(f"Template {self.name!r} contains a cycle")
-        self.graph = graph
+            outputs = step.get("outputs", {})
+            available.update(outputs.get(out, out)
+                             for out in cls.produce_output)
 
     # ------------------------------------------------------------------ #
     def get_tunable_hyperparameters(self) -> Dict[str, Dict[str, dict]]:
@@ -175,9 +161,9 @@ class Pipeline:
         self.step_timings: Dict[str, dict] = {}
 
     def __getstate__(self) -> dict:
-        # Compiled plans hold step closures, which cannot be pickled; the
-        # compiler is rebuilt lazily (from the pickled cells) on the next
-        # run.
+        # Compiled plans own an arena (a lock and scratch buffers) that
+        # never crosses a process boundary; the compiler is rebuilt lazily
+        # (from the pickled cells) on the next run.
         state = self.__dict__.copy()
         state["_compiler"] = None
         return state
@@ -236,7 +222,7 @@ class Pipeline:
         """(Re)build every step's primitive, preserving cell identity.
 
         Each entry of ``_primitives`` is a mutable ``[step, primitive]``
-        cell: compiled plan nodes read the primitive through the cell, so
+        cell: compiled plan steps read the primitive through the cell, so
         a refit only has to swap fresh instances into the existing cells —
         every already-compiled plan sees the new build without
         recompiling.

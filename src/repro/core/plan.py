@@ -34,16 +34,17 @@ per-signal ``produce`` is the reference and the body of the default
 ``produce_batch`` loop; primitives that declare ``supports_batch``
 replace that loop with a kernel that is byte-identical to it.
 
-A compiled plan is an :class:`ExecutionPlan`: an ordered list of named,
-timed :class:`StepNode` entries. It runs itself —
-:meth:`ExecutionPlan.run` executes the nodes one by one, in plan order, on
-the calling thread, and feeds the per-step timings to the installed
-timing sink (:func:`set_timing_sink`). Hub pipelines are chains — every
-pair of steps is ordered by the data they share — so no plan ever has two
-steps ready at once. Every node's ``execute`` closure builds its
-``CompiledStep`` over the primitive the ``[step, primitive]`` cell holds at
-call time, so there is exactly one implementation of argument collection,
-output mapping, and mode dispatch for every mode.
+A compiled plan is an :class:`ExecutionPlan`: the ordered list of work
+units it runs — :class:`CompiledStep`, :class:`FusedStep` and
+:class:`LaneStep` — each built once, when the plan is compiled. It runs
+itself — :meth:`ExecutionPlan.run` executes the units one by one, in plan
+order, on the calling thread, and feeds the per-step timings to the
+installed timing sink (:func:`set_timing_sink`). Hub pipelines are chains
+— every pair of steps is ordered by the data they share — so no plan ever
+has two steps ready at once. A ``CompiledStep`` reads the primitive its
+``[step, primitive]`` cell holds when it runs, so there is exactly one
+implementation of argument collection, output mapping, and mode dispatch
+for every mode. No unit keeps state between runs.
 
 Batch and stream-batch plans additionally run a **step-fusion pass**:
 contiguous runs of steps whose primitives declare a ``fuse_category``
@@ -58,8 +59,8 @@ so a run's timings hold one entry per template step on every plane.
 
 The compiler also owns the plan cache: plans are compiled lazily per
 ``(mode, exact, precision)`` key and reused — not recompiled — when a
-refit replaces the primitive instances, because the node closures read
-the live primitive through the shared ``[step, primitive]`` cell.
+refit replaces the primitive instances, because every ``CompiledStep``
+reads the live primitive through the shared ``[step, primitive]`` cell.
 ``compilations`` counts actual lowering passes, which is what the
 streaming layer's refit-reuse regression test pins.
 """
@@ -69,7 +70,6 @@ from __future__ import annotations
 import contextlib
 import time
 import tracemalloc
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -78,9 +78,8 @@ from repro.core.arena import ArenaPool
 from repro.exceptions import ExecutorError, PipelineError
 
 __all__ = ["PLAN_MODES", "CompiledStep", "ExecutionPlan", "FusedStep",
-           "LaneRegistry", "LaneStep", "PlanCompiler", "StepNode",
-           "collect_args", "observe_step_timings", "set_timing_sink",
-           "trace_memory"]
+           "LaneRegistry", "LaneStep", "PlanCompiler", "collect_args",
+           "observe_step_timings", "set_timing_sink", "trace_memory"]
 
 
 # --------------------------------------------------------------------------- #
@@ -181,39 +180,28 @@ def _timed(timings: Dict[str, dict], name: str, engine: str, profile: bool):
 # --------------------------------------------------------------------------- #
 # execution plans
 # --------------------------------------------------------------------------- #
-@dataclass
-class StepNode:
-    """One named, timed unit of work inside an :class:`ExecutionPlan`.
+class ExecutionPlan:
+    """An ordered list of work units that runs itself.
+
+    Each node has a unique ``name`` and a ``run`` method returning the
+    node's context updates without mutating the context; a plain node
+    also has the ``engine`` reported in its timing. :meth:`run` executes
+    the nodes one by one in list order — the template's declaration
+    order — so the order is the plan's semantics.
 
     Args:
-        name: unique step name within the plan.
-        engine: engine category of the underlying primitive, reported in
-            the step's timing.
-        execute: ``execute(context)`` callable returning a dictionary of
-            context updates. It must not mutate ``context`` itself — the
-            plan applies the updates. A fused node's ``execute`` is
-            called as ``execute(context, timings, profile)`` instead and
-            records one ``timings`` entry per member step itself.
-        members: fused nodes only — indices of the compiler cells this
-            node covers (a contiguous chain lowered into one ``FusedStep``).
-            ``None`` for ordinary single-step nodes.
+        nodes: the work units, in plan order.
+        arena: the :class:`~repro.core.arena.ArenaPool` the plan's fused
+            forwards lease scratch buffers from (``plan.arena``).
+        lane_registry: a stream-batch plan's :class:`LaneRegistry`
+            (``plan.lane_registry``); ``None`` in other modes.
     """
 
-    name: str
-    engine: str
-    execute: Callable[..., dict]
-    members: Optional[Tuple[int, ...]] = None
-
-
-class ExecutionPlan:
-    """An ordered list of step nodes that runs itself.
-
-    :meth:`run` executes the nodes one by one in list order — the
-    template's declaration order — so the order is the plan's semantics.
-    """
-
-    def __init__(self, nodes: Sequence[StepNode]):
+    def __init__(self, nodes: Sequence, arena: Optional[ArenaPool] = None,
+                 lane_registry: Optional[LaneRegistry] = None):
         self.nodes = list(nodes)
+        self.arena = arena
+        self.lane_registry = lane_registry
         names = [node.name for node in self.nodes]
         if len(set(names)) != len(names):
             raise ExecutorError(f"Duplicate step names in plan: {names}")
@@ -223,6 +211,15 @@ class ExecutionPlan:
 
     def __iter__(self):
         return iter(self.nodes)
+
+    @property
+    def fusion_groups(self) -> List[dict]:
+        """Every fused chain: its name, member steps and their categories."""
+        return [{"name": node.name,
+                 "steps": [member.name for member in node.steps],
+                 "categories": [member.cell[1].fuse_category
+                                for member in node.steps]}
+                for node in self.nodes if isinstance(node, FusedStep)]
 
     def run(self, context: dict, profile: bool = False
             ) -> Tuple[dict, Dict[str, dict]]:
@@ -236,11 +233,11 @@ class ExecutionPlan:
         """
         timings: Dict[str, dict] = {}
         for node in self.nodes:
-            if node.members is None:
+            if isinstance(node, FusedStep):  # it times each member itself
+                updates = node.run(context, timings, profile)
+            else:
                 with _timed(timings, node.name, node.engine, profile):
-                    updates = node.execute(context)
-            else:  # a fused node times each of its members itself
-                updates = node.execute(context, timings, profile)
+                    updates = node.run(context)
             context.update(updates)
         observe_step_timings(timings)
         return context, timings
@@ -283,12 +280,14 @@ def _map_outputs(step: dict, primitive, produced) -> dict:
 
 
 class CompiledStep:
-    """One step of the lowered plan: a mode-tagged step body.
+    """One step of the lowered plan: a mode-tagged step body over a cell.
 
-    The node's ``execute`` closure builds it over the *current* primitive
-    of its cell and calls :meth:`run`, which returns the step's context
-    updates. A fit mutates that primitive in place, so the pipeline owning
-    the cell sees it directly.
+    The compiler builds it once per plan over the step's
+    ``[step, primitive]`` cell. :meth:`run` reads the primitive the cell
+    holds when it runs and returns the step's context updates, so a refit
+    that swaps a fresh primitive into the cell needs no recompile. A fit
+    mutates that primitive in place, so the pipeline owning the cell sees
+    it directly.
 
     Every mode runs ``produce_batch`` over a list-shaped context (one entry
     per signal or lane). A ``fit`` step is a batch of one: it first fits
@@ -297,8 +296,8 @@ class CompiledStep:
 
     Args:
         mode: one of :data:`PLAN_MODES`.
-        step: the template step dictionary (name, inputs, outputs).
-        primitive: the live primitive instance executing the step.
+        cell: the ``[step, primitive]`` cell — the template step
+            dictionary (name, inputs, outputs) and the live primitive.
         exact: ``False`` lowers to the fused (tolerance-parity)
             ``produce_batch_fused`` for primitives that support it.
         arena: the plan's :class:`~repro.core.arena.ArenaPool`, passed to
@@ -308,24 +307,25 @@ class CompiledStep:
             inputs down before the call.
     """
 
-    __slots__ = ("mode", "step", "primitive", "exact", "arena", "precision")
+    __slots__ = ("mode", "cell", "name", "engine", "exact", "arena",
+                 "precision")
 
-    def __init__(self, mode: str, step: dict, primitive, exact: bool = True,
+    def __init__(self, mode: str, cell: list, exact: bool = True,
                  arena: Optional[ArenaPool] = None,
                  precision: Optional[str] = None):
         if mode not in PLAN_MODES:
             raise PipelineError(f"Unknown plan mode {mode!r}; expected one "
                                 f"of {PLAN_MODES}")
         self.mode = mode
-        self.step = step
-        self.primitive = primitive
+        self.cell = cell
+        self.name = cell[0]["name"]
+        self.engine = cell[1].engine
         self.exact = exact
         self.arena = arena
         self.precision = precision
 
     def run(self, context: dict) -> dict:
-        primitive = self.primitive
-        step = self.step
+        step, primitive = self.cell
         inputs = step.get("inputs", {})
         if self.mode == "fit" and primitive.fit_args:
             fit_args = collect_args(context, primitive.fit_args, inputs, step)
@@ -343,8 +343,8 @@ class CompiledStep:
         return _map_outputs(step, primitive, produced)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (f"CompiledStep(mode={self.mode!r}, "
-                f"step={self.step.get('name')!r}, exact={self.exact})")
+        return (f"CompiledStep(mode={self.mode!r}, step={self.name!r}, "
+                f"exact={self.exact})")
 
 
 def _downcast_batch(value):
@@ -372,6 +372,9 @@ class FusedStep:
     run's ``timings`` under its own step name, so per-step attribution
     survives fusion.
 
+    Its ``name`` is ``"fused:"`` followed by the member step names joined
+    by ``+``.
+
     Args:
         mode: ``"batch"`` or ``"stream_batch"`` — the modes the fusion
             pass runs on.
@@ -379,7 +382,7 @@ class FusedStep:
             carry the plan's arena and the chain's precision.
     """
 
-    __slots__ = ("mode", "steps")
+    __slots__ = ("mode", "steps", "name")
 
     def __init__(self, mode: str, steps):
         if mode not in ("batch", "stream_batch"):
@@ -387,6 +390,7 @@ class FusedStep:
                 f"FusedStep only exists in batch modes, not {mode!r}")
         self.mode = mode
         self.steps = list(steps)
+        self.name = "fused:" + "+".join(step.name for step in self.steps)
 
     def run(self, context: dict, timings: Dict[str, dict],
             profile: bool = False) -> dict:
@@ -394,17 +398,14 @@ class FusedStep:
         local = dict(context)
         updates = {}
         for compiled in self.steps:
-            with _timed(timings, compiled.step["name"],
-                        compiled.primitive.engine, profile):
+            with _timed(timings, compiled.name, compiled.engine, profile):
                 mapped = compiled.run(local)
             local.update(mapped)
             updates.update(mapped)
         return updates
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        names = "+".join(compiled.step.get("name", "?")
-                         for compiled in self.steps)
-        return f"FusedStep(mode={self.mode!r}, steps={names!r})"
+        return f"FusedStep(mode={self.mode!r}, name={self.name!r})"
 
 
 class LaneRegistry:
@@ -417,7 +418,7 @@ class LaneRegistry:
     :func:`~repro.core.stream.detect_windows` binds the participating
     runners' rows here (:meth:`set_rows`) — a fleet group's lanes, or a
     lone runner as a single row — and the compiled :class:`LaneStep`
-    nodes read their column at dispatch time: the same late-binding idiom
+    units read their column when they run: the same late-binding idiom
     the plans use for ``[step, primitive]`` cells, extended to a second
     axis. ``rows[j][i]`` is lane *j*'s primitive for cell *i*, and every
     incremental update mutates that primitive in place, so the state stays
@@ -447,22 +448,28 @@ class LaneStep:
     ``(n_lanes, window)`` stack, but a ``supports_stream`` primitive
     mutates running state that belongs to exactly one stream, so this work
     unit loops the participating lanes, feeding each lane's slice of the
-    batched context through *that lane's* primitive via ``update``. Lanes
-    are built only from ``supports_stream`` cells. :meth:`run` returns the
-    per-lane outputs collected into one list per variable.
+    batched context through *that lane's* primitive via ``update``. The
+    compiler builds it once per plan over a ``supports_stream`` cell, the
+    cell's ``index`` and the plan's :class:`LaneRegistry`; :meth:`run`
+    reads the lanes' primitives for that index from the registry, which
+    is rebound before every run, and returns the per-lane outputs
+    collected into one list per variable.
     """
 
-    __slots__ = ("step", "primitives")
+    __slots__ = ("cell", "index", "registry", "name", "engine")
 
-    def __init__(self, step: dict, primitives: list):
-        self.step = step
-        self.primitives = list(primitives)
+    def __init__(self, cell: list, index: int, registry: LaneRegistry):
+        self.cell = cell
+        self.index = index
+        self.registry = registry
+        self.name = cell[0]["name"]
+        self.engine = cell[1].engine
 
     def run(self, context: dict) -> dict:
-        step = self.step
+        step = self.cell[0]
         inputs = step.get("inputs", {})
         collected: dict = {}
-        for lane, primitive in enumerate(self.primitives):
+        for lane, primitive in enumerate(self.registry.column(self.index)):
             kwargs = collect_args(context, primitive.produce_args, inputs,
                                   step)
             produced = primitive.update(**{arg: values[lane]
@@ -472,37 +479,23 @@ class LaneStep:
         return collected
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (f"LaneStep(step={self.step.get('name')!r}, "
-                f"lanes={len(self.primitives)})")
+        return f"LaneStep(step={self.name!r}, lanes={len(self.registry)})"
 
 
 class PlanCompiler:
     """Lower template steps into mode-tagged execution plans, once.
 
     Args:
-        cells: the pipeline's mutable ``[step, primitive]`` cells. Node
-            closures read the primitive *through* the cell at call time,
-            so a refit is visible to every already-compiled plan.
+        cells: the pipeline's mutable ``[step, primitive]`` cells. Every
+            :class:`CompiledStep` reads the primitive *through* its cell
+            when it runs, so a refit is visible to every already-compiled
+            plan.
     """
 
     def __init__(self, cells: List[list]):
         self.cells = cells
         self.compilations = 0
         self._plans: Dict[Tuple[str, bool], ExecutionPlan] = {}
-
-    # ------------------------------------------------------------------ #
-    # lowering
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _lower_node(entry: list, mode: str, exact: bool,
-                    arena: ArenaPool) -> StepNode:
-        def execute(context: dict) -> dict:
-            # The primitive is read through the cell at call time.
-            return CompiledStep(mode, entry[0], entry[1], exact,
-                                arena).run(context)
-
-        return StepNode(name=entry[0]["name"], engine=entry[1].engine,
-                        execute=execute)
 
     # ------------------------------------------------------------------ #
     # the step-fusion pass (batch and stream-batch modes)
@@ -535,43 +528,6 @@ class PlanCompiler:
             chains.append(tuple(run))
         return chains
 
-    def _lower_fused_node(self, indices: Tuple[int, ...], exact: bool,
-                          precision: Optional[str], arena,
-                          mode: str = "batch") -> StepNode:
-        entries = [self.cells[i] for i in indices]
-
-        def execute(context: dict, timings: Dict[str, dict],
-                    profile: bool) -> dict:
-            members = [CompiledStep(mode, cell[0], cell[1], exact, arena,
-                                    precision)
-                       for cell in entries]
-            return FusedStep(mode, members).run(context, timings, profile)
-
-        return StepNode(
-            name="fused:" + "+".join(entry[0]["name"] for entry in entries),
-            engine=("modeling" if any(
-                entry[1].engine == "modeling" for entry in entries)
-                else entries[0][1].engine),
-            execute=execute,
-            members=tuple(indices),
-        )
-
-    @staticmethod
-    def _lower_lane_node(entry: list, index: int,
-                         registry: LaneRegistry) -> StepNode:
-        """Lower one incremental cell into a per-lane stream-batch node.
-
-        The node reads the participating lanes' primitive copies through
-        the shared :class:`LaneRegistry` at dispatch time — the registry
-        is rebound before every run, so one compiled plan serves every
-        run regardless of which lanes show up.
-        """
-        def execute(context: dict) -> dict:
-            return LaneStep(entry[0], registry.column(index)).run(context)
-
-        return StepNode(name=entry[0]["name"], engine=entry[1].engine,
-                        execute=execute)
-
     def compile(self, mode: str, exact: bool = True,
                 precision: Optional[str] = None,
                 registry: Optional[LaneRegistry] = None) -> ExecutionPlan:
@@ -583,55 +539,44 @@ class PlanCompiler:
         step-fusion pass: contiguous fusable chains become single
         :class:`FusedStep` nodes, listed in ``plan.fusion_groups``, whose
         members run at ``precision``. Fit-mode plans lower every step to
-        its own node.
+        its own :class:`CompiledStep`.
 
         Stream-batch plans run the same fusion pass over their stateless
         cells; incremental cells lower to :class:`LaneStep` nodes bound to
-        ``registry`` (a fresh :class:`LaneRegistry` when omitted).
+        ``registry`` (a fresh :class:`LaneRegistry` when omitted), exposed
+        as ``plan.lane_registry``.
         """
         if mode not in PLAN_MODES:
             raise PipelineError(f"Unknown plan mode {mode!r}; expected one "
                                 f"of {PLAN_MODES}")
         stream_batch = mode == "stream_batch"
-        if stream_batch and registry is None:
+        if not stream_batch:
+            registry = None
+        elif registry is None:
             registry = LaneRegistry()
         self.compilations += 1
+        arena = ArenaPool()
         chains = self._fusion_chains(exclude_stream=stream_batch) \
             if mode != "fit" else []
-        arena = ArenaPool()
         chain_start = {chain[0]: chain for chain in chains}
-        fused_indices = {index for chain in chains for index in chain}
 
-        nodes: List[StepNode] = []
-        groups: List[dict] = []
+        nodes = []
         index = 0
         while index < len(self.cells):
+            cell = self.cells[index]
             if index in chain_start:
                 chain = chain_start[index]
-                nodes.append(self._lower_fused_node(
-                    chain, exact, precision, arena, mode))
-                groups.append({
-                    "name": nodes[-1].name,
-                    "steps": [self.cells[i][0]["name"] for i in chain],
-                    "categories": [self.cells[i][1].fuse_category
-                                   for i in chain],
-                })
+                nodes.append(FusedStep(mode, [
+                    CompiledStep(mode, self.cells[member], exact, arena,
+                                 precision) for member in chain]))
                 index = chain[-1] + 1
                 continue
-            assert index not in fused_indices
-            if stream_batch and self.cells[index][1].supports_stream:
-                nodes.append(self._lower_lane_node(
-                    self.cells[index], index, registry))
+            if stream_batch and cell[1].supports_stream:
+                nodes.append(LaneStep(cell, index, registry))
             else:
-                nodes.append(self._lower_node(self.cells[index], mode, exact,
-                                              arena))
+                nodes.append(CompiledStep(mode, cell, exact, arena))
             index += 1
-
-        plan = ExecutionPlan(nodes)
-        plan.arena = arena
-        plan.fusion_groups = groups
-        plan.lane_registry = registry if stream_batch else None
-        return plan
+        return ExecutionPlan(nodes, arena=arena, lane_registry=registry)
 
     def plan(self, mode: str, exact: bool = True,
              precision: Optional[str] = None,

@@ -18,7 +18,7 @@ from repro.core.executor import (
     list_executors,
 )
 from repro.core.pipeline import Pipeline
-from repro.core.plan import ExecutionPlan, StepNode
+from repro.core.plan import ExecutionPlan
 from repro.core.primitive import Primitive, register_primitive
 from repro.exceptions import ExecutorError
 from repro.pipelines import get_pipeline_spec
@@ -123,24 +123,27 @@ class TestRegistry:
 # --------------------------------------------------------------------------- #
 # execution plans
 # --------------------------------------------------------------------------- #
-def _node(name):
-    return StepNode(name=name, engine="preprocessing",
-                    execute=lambda context: {})
+class _Node:
+    """A hand-built plan node: a ``name``, an ``engine`` and ``run``."""
+
+    def __init__(self, name, run=lambda context: {}, engine="preprocessing"):
+        self.name = name
+        self.engine = engine
+        self.run = run
 
 
 class TestExecutionPlan:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ExecutorError, match="Duplicate"):
-            ExecutionPlan([_node("a"), _node("a")])
+            ExecutionPlan([_Node("a"), _Node("a")])
 
     def test_hand_built_plan_runs_in_order(self):
-        # Closure plans run like compiled ones: node by node, each one
+        # Hand-built plans run like compiled ones: node by node, each one
         # seeing the updates of the nodes before it.
         nodes = [
-            StepNode(name="produce", engine="t",
-                     execute=lambda context: {"x": 2}),
-            StepNode(name="consume", engine="t",
-                     execute=lambda context: {"y": context["x"] * 10}),
+            _Node("produce", lambda context: {"x": 2}, engine="t"),
+            _Node("consume", lambda context: {"y": context["x"] * 10},
+                  engine="t"),
         ]
         context, timings = ExecutionPlan(nodes).run({})
         assert context == {"x": 2, "y": 20}

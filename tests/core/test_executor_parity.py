@@ -53,6 +53,15 @@ def _worker_boom(n):
     raise RuntimeError(f"injected worker failure {n}")
 
 
+class _ClosureNode:
+    """A plan node whose ``run`` is whatever callable it is given."""
+
+    def __init__(self, name, run):
+        self.name = name
+        self.engine = "preprocessing"
+        self.run = run
+
+
 def _fit(job):
     """Fit a hub pipeline: one fan-out job returning the fitted model."""
     name, options, data = job
@@ -263,29 +272,54 @@ class TestProcessExecutor:
     def test_map_empty(self):
         assert ProcessExecutor().map(abs, []) == []
 
-    def test_unpicklable_function_falls_back_to_serial(self):
-        # Closures cannot cross the process boundary; map must still run
-        # them — serially, with a warning — instead of failing the fan-out.
-        executor = ProcessExecutor(max_workers=1)
+    @staticmethod
+    def _refuse_pools(monkeypatch):
+        """Make opening a pool record the attempt and raise."""
+        from repro.core import executor as executors
+
+        opened = []
+
+        def refuse(*args, **kwargs):
+            opened.append(kwargs.get("max_workers"))
+            raise RuntimeError("a pool was opened")
+
+        monkeypatch.setattr(executors, "ProcessPoolExecutor", refuse)
+        return opened
+
+    def test_unpicklable_function_is_rejected_before_a_pool_opens(
+            self, monkeypatch):
+        # A closure cannot cross the process boundary, and submitting one
+        # would hang the pool's shutdown: map refuses it up front.
+        opened = self._refuse_pools(monkeypatch)
         offset = 10
-        with pytest.warns(RuntimeWarning, match="unpicklable"):
-            results = executor.map(lambda item: item + offset, [1, 2])
-        assert results == [11, 12]
+        with pytest.raises(ExecutorError, match="picklable jobs"):
+            ProcessExecutor(max_workers=1).map(
+                lambda item: item + offset, [1, 2])
+        assert opened == []
 
-    def test_closure_plan_falls_back_to_serial(self):
-        # A hand-built closure plan cannot cross the process boundary, so
-        # a job that runs it maps serially, in the caller.
-        from repro.core.plan import ExecutionPlan, StepNode
+    def test_closure_plan_is_rejected_before_a_pool_opens(self, monkeypatch):
+        # A plan whose node holds a closure cannot cross the process
+        # boundary, so a job that runs it is refused in the caller.
+        from repro.core.plan import ExecutionPlan
 
-        node = StepNode(name="double", engine="preprocessing",
-                        execute=lambda context: {
-                            "data": context["data"] * 2})
-        plan = ExecutionPlan([node])
-        with pytest.warns(RuntimeWarning, match="unpicklable"):
-            [(context, timings)] = ProcessExecutor().map(
-                plan.run, [{"data": np.ones(4)}])
-        np.testing.assert_array_equal(context["data"], np.full(4, 2.0))
-        assert "double" in timings
+        opened = self._refuse_pools(monkeypatch)
+        plan = ExecutionPlan([_ClosureNode(
+            "double", lambda context: {"data": context["data"] * 2})])
+        with pytest.raises(ExecutorError, match="picklable jobs"):
+            ProcessExecutor().map(plan.run, [{"data": np.ones(4)}])
+        assert opened == []
+
+    @pytest.mark.parametrize("items", [
+        [lambda: 0, lambda: 1, lambda: 2],
+        [lambda: 0, "b", "c"],
+        ["a", lambda: 1, "c"],
+    ], ids=["all", "first", "one"])
+    def test_unpicklable_items_are_rejected_before_a_pool_opens(
+            self, monkeypatch, items):
+        opened = self._refuse_pools(monkeypatch)
+        with pytest.raises(ExecutorError, match="picklable jobs"):
+            ProcessExecutor(max_workers=1).map(len, items)
+        assert opened == []
 
     def test_pickle_drops_nothing_needed(self):
         executor = ProcessExecutor(max_workers=3)

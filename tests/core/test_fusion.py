@@ -86,10 +86,8 @@ class TestChainSplitting:
         assert names[0].startswith("fused:") and "+" in names[0]
         assert names[1] == split_pipeline.steps[2]["name"]
         assert names[2].startswith("fused:") and "+" in names[2]
-        members = [node.members for node in plan.nodes]
-        assert members[0] == (0, 1)
-        assert members[1] is None
-        assert members[2] == (3, 4)
+        assert [isinstance(node, FusedStep) for node in plan] == [
+            True, False, True]
         assert [group["steps"] for group in plan.fusion_groups] == [
             [split_pipeline.steps[0]["name"], split_pipeline.steps[1]["name"]],
             [split_pipeline.steps[3]["name"], split_pipeline.steps[4]["name"]],
@@ -108,7 +106,7 @@ class TestChainSplitting:
         })
         pipeline.fit(_data())
         plan = pipeline.compiled_plan("batch", exact=True)
-        assert all(node.members is None for node in plan.nodes)
+        assert not any(isinstance(node, FusedStep) for node in plan)
         assert plan.fusion_groups == []
 
 

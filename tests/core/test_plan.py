@@ -32,6 +32,9 @@ from repro.pipelines import get_pipeline_spec
 ALL_MODE_PLANS = [("fit", True), ("batch", True), ("batch", False),
                   ("stream_batch", True)]
 
+#: The work units a compiled plan is made of.
+WORK_UNITS = (CompiledStep, FusedStep, LaneStep)
+
 
 def _data(rows: int = 240):
     timestamps = np.arange(rows, dtype=float)
@@ -49,7 +52,7 @@ def fitted_pipeline():
 class TestCompiledStep:
     def test_unknown_mode_rejected(self):
         with pytest.raises(PipelineError, match="Unknown plan mode"):
-            CompiledStep("training", {"name": "x"}, object())
+            CompiledStep("training", [{"name": "x"}, object()])
 
     @pytest.mark.parametrize("owner", [ExecutionPlan, CompiledStep,
                                        FusedStep, LaneStep],
@@ -71,7 +74,7 @@ class TestCompiledStep:
         unfitted = [pickle.dumps(primitive) for primitive in stateful]
         context = {"data": [_data()], "events": [None]}
         for node in plan:
-            context.update(node.execute(context))
+            context.update(node.run(context))
         assert stateful
         for primitive, before in zip(stateful, unfitted):
             assert pickle.dumps(primitive) != before
@@ -122,6 +125,54 @@ class TestModeLowering:
         assert compiler.compilations == before + 1
         assert compiler.plan("stream_batch") is plan
         assert compiler.compilations == before + 1
+
+
+class TestPlansAreWorkUnits:
+    """A compiled plan is the list of work units it runs, built once."""
+
+    @pytest.mark.parametrize("mode,exact,precision", [
+        *[(mode, exact, None) for mode, exact in ALL_MODE_PLANS],
+        ("batch", False, "float32"), ("stream_batch", False, None)])
+    def test_every_node_is_a_work_unit(self, fitted_pipeline, mode, exact,
+                                       precision):
+        plan = fitted_pipeline.compiled_plan(mode, exact=exact,
+                                             precision=precision)
+        assert all(isinstance(node, WORK_UNITS) for node in plan)
+
+    def test_runs_build_no_work_units(self, monkeypatch):
+        # dense_autoencoder's plans hold every unit type: its batch plans
+        # fuse a chain and its stream-batch plan has a LaneStep.
+        pipeline = Pipeline(get_pipeline_spec("dense_autoencoder",
+                                              window_size=30, epochs=1))
+        pipeline.fit(_data())
+        rows = _data(340)
+        batches = iter([rows[:240], rows[240:290], rows[290:]])
+        runner = StreamRunner(pipeline, window_size=240, warmup=240,
+                              drift_detector=None)
+        calls = {
+            "detect": lambda: pipeline.detect(_data()),
+            "detect_batch": lambda: pipeline.detect_batch(
+                [_data(), _data(300)], exact=False),
+            "send": lambda: runner.send(next(batches)),
+            "refit": lambda: pipeline.fit(_data()),
+        }
+        for call in calls.values():  # each plan runs once
+            call()
+        built = []
+        for unit in WORK_UNITS:
+            def counting(self, *args, _init=unit.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(unit, "__init__", counting)
+        counts = {}
+        for name, call in calls.items():
+            pipeline.step_timings = {}
+            built.clear()
+            call()
+            assert pipeline.step_timings, f"{name} ran no plan"
+            counts[name] = sorted(built)
+        assert counts == {name: [] for name in calls}
 
 
 class TestRefitReusesCompiledPlans:
