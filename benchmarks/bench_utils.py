@@ -9,6 +9,9 @@ one, copy the regenerated file across, e.g.
 """
 
 import os
+import platform
+
+import numpy as np
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -39,3 +42,64 @@ def write_output(filename: str, content: str) -> str:
     with open(path, "w") as handle:
         handle.write(content + "\n")
     return path
+
+
+#: Environment variables that size the BLAS / OpenMP thread pools.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
+
+def _git_sha() -> str:
+    """The checkout's commit, read from ``.git`` without running git."""
+    git = os.path.join(_ROOT, ".git")
+    try:
+        with open(os.path.join(git, "HEAD")) as handle:
+            head = handle.read().strip()
+        if not head.startswith("ref: "):
+            return head
+        ref = head[len("ref: "):]
+        if os.path.exists(os.path.join(git, ref)):
+            with open(os.path.join(git, ref)) as handle:
+                return handle.read().strip()
+        with open(os.path.join(git, "packed-refs")) as handle:
+            for line in handle:
+                if line.rstrip().endswith(" " + ref):
+                    return line.split()[0]
+    except OSError:
+        pass
+    return "unknown"
+
+
+def _blas_version() -> str:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas.get('name', '?')} {blas.get('version', '?')}"
+    except (TypeError, KeyError):
+        return "unknown"
+
+
+def environment(repeats: int) -> dict:
+    """The machine and build a benchmark's numbers were measured on.
+
+    The fused NN forward runs its window tiles on one thread per usable
+    core, so a committed speed means little without the core count.
+    """
+    from repro.nn import network
+
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - not on Linux
+        usable = os.cpu_count() or 1
+    return {
+        "git_sha": _git_sha(),
+        "usable_cores": usable,
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": _blas_version(),
+        "blas_threads_env": {name: os.environ.get(name)
+                             for name in BLAS_THREAD_VARS},
+        "fused_tile": network.TILE,
+        "fused_forward_threads": network._tile_threads(),
+        "repeats": repeats,
+    }

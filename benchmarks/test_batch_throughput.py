@@ -12,25 +12,36 @@ Two planes are measured at batch size 8 over the Fig. 7a pipeline set:
   based** (``PARITY_RTOL`` / ``PARITY_ATOL``) because both the precision
   and the BLAS summation order change.
 
-Expectation shape (single core): on the exact plane, pipelines whose
-detection cost lives in preprocessing/postprocessing (azure, dense AE,
-arima) gain several times over the loop while recurrent-forward pipelines
-gain little (their matmuls cannot be batch-fused without breaking bitwise
-parity). The fused plane is exactly what unlocks those recurrent
-pipelines — the committed JSON records the measured ≥2x speedups on
+Expectation shape: on the exact plane, pipelines whose detection cost
+lives in preprocessing/postprocessing (azure, dense AE, arima) gain
+several times over the loop while recurrent-forward pipelines gain little
+(their matmuls cannot be batch-fused without breaking bitwise parity).
+The fused plane is exactly what unlocks those recurrent pipelines — the
+committed JSON records the measured ≥2x speedups on
 lstm_dynamic_threshold / lstm_autoencoder at batch 8.
 
+Both planes run in one thread here. The fused forward spreads its window
+tiles over every usable core only from ``2 * TILE`` windows on
+(``repro.nn.network.TILE``), and this batch (8 signals of 300 rows,
+about 2,100 windows) is one tile.
+
 The numbers land in machine-readable ``BENCH_batch.json`` with one entry
-per plane; CI's ``bench-batch`` leg re-runs this experiment and gates on
-both parities and on the recurrent pipelines' fused plane running at
-least 5x faster than their exact plane over the same signals.
+per plane and an ``environment`` block (commit, usable cores, Python,
+numpy and BLAS, the BLAS thread variables, ``TILE``, the forward's
+thread count and the repeat count); CI's ``bench-batch`` leg re-runs this
+experiment and gates on both parities and on the recurrent pipelines'
+fused plane running at least 5x faster than their exact plane over the
+same signals.
 """
 
 import json
 
-from bench_utils import FAST_PIPELINE_OPTIONS, write_output
+from bench_utils import FAST_PIPELINE_OPTIONS, environment, write_output
 
 from repro.benchmark import benchmark_batch, default_batch_signals
+
+#: Timed runs per plane and pipeline; each reports its best.
+REPEATS = 3
 
 #: Pipelines whose modeling primitives genuinely declare
 #: ``supports_fused_batch``.
@@ -100,10 +111,10 @@ def test_batch_throughput_and_parity():
     signals = default_batch_signals(n_signals=8, length=300)
     exact = benchmark_batch(signals=signals,
                             pipeline_options=FAST_PIPELINE_OPTIONS,
-                            repeats=3, exact=True)
+                            repeats=REPEATS, exact=True)
     fused = benchmark_batch(signals=signals,
                             pipeline_options=FAST_PIPELINE_OPTIONS,
-                            repeats=3, exact=False)
+                            repeats=REPEATS, exact=False)
 
     # Every pipeline must run on both planes, with full parity: bitwise
     # on the exact plane, within the documented tolerance on the fused
@@ -151,8 +162,8 @@ def test_batch_throughput_and_parity():
     lines.extend(_render_fusion(fused["records"]))
     write_output("batch_throughput.txt", "\n".join(lines))
     write_output("BENCH_batch.json", json.dumps(
-        {"records": exact["records"], "summary": exact["summary"],
-         "fused": fused}, indent=2))
+        {"environment": environment(REPEATS), "records": exact["records"],
+         "summary": exact["summary"], "fused": fused}, indent=2))
     write_output("batch_fusion_report.json", json.dumps(
         [{"pipeline": record["pipeline"],
           "fusion": record.get("fusion"),

@@ -3,10 +3,15 @@
 The time-major NN kernels behind ``produce_batch_fused`` — every
 ``exact=False`` forward, inside a fused chain or not — need a handful of
 scratch ndarrays per call: gate pre-activations, cell state, per-step RHS
-buffers. Sized from the batch shape, those buffers are identical call
-after call, so the plan owns one :class:`ArenaPool`, its compiler hands
-it to every :class:`~repro.core.plan.CompiledStep`, and the kernels lease
-buffers from it instead of allocating fresh arrays on every batch.
+buffers. ``Sequential.predict_fused`` runs them once per tile of the
+window axis, each tile in its own :meth:`ArenaPool.scope`, so the
+buffers are sized from a tile's shape, not the batch's, and are
+identical tile after tile and call after call. The plan owns one
+:class:`ArenaPool`, its compiler hands it to every
+:class:`~repro.core.plan.CompiledStep`, and the kernels lease buffers
+from it instead of allocating fresh arrays on every batch. Tiles that
+run on the forward's thread pool lease in concurrent scopes, so the
+pool holds at most one set of buffers per thread and tile shape.
 
 Ownership rules (documented in ARCHITECTURE.md):
 

@@ -18,7 +18,11 @@ the executing plan's arena through ``take(shape, dtype)``. The transposed
 layout makes the recurrent hot loops contiguous (gate blocks become
 contiguous row bands, per-step GEMMs fold the input projection, recurrent
 matmul and bias into one ``matmul``), which is where the fused plane's
-speedup comes from.
+speedup comes from. ``Sequential.predict_fused`` runs the stack once per
+tile of the window axis (``batch`` is a tile's width, at most
+``2 * TILE - 1`` windows), and tiles may run on several threads at once
+over one model, so a kernel reads its layer's parameters and writes only
+buffers it leased through ``take`` or allocated itself.
 """
 
 from __future__ import annotations

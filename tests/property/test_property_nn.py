@@ -1,10 +1,15 @@
 """Property-based tests for the neural-network substrate."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import Dense, LSTM, Sequential
+from repro.benchmark.batch import PARITY_ATOL, PARITY_RTOL
+from repro.core.arena import ArenaPool
+from repro.nn import (LSTM, Dense, Dropout, RepeatVector, Sequential,
+                      TimeDistributed, network)
 from repro.nn.activations import Sigmoid, Softmax, Tanh
 from repro.nn.losses import MeanAbsoluteError, MeanSquaredError
 
@@ -94,3 +99,54 @@ class TestLayerShapeProperties:
         before = model.predict(x)
         model.set_weights(model.get_weights())
         assert np.allclose(model.predict(x), before)
+
+
+#: The fused layouts of the NN pipelines, as ``(layers, input shape)``
+#: builders over a window of ``T`` steps and ``F`` features.
+FUSED_LAYOUTS = {
+    "lstm_regressor": lambda T, F: (
+        [LSTM(6, return_sequences=True), LSTM(5), Dense(1)], (T, F)),
+    "lstm_autoencoder": lambda T, F: (
+        [LSTM(5), Dense(3, activation="tanh"), RepeatVector(T),
+         LSTM(5, return_sequences=True), TimeDistributed(Dense(F))], (T, F)),
+    "dense_autoencoder": lambda T, F: (
+        [Dense(8, activation="relu"), Dropout(0.1),
+         Dense(3, activation="relu"), Dense(8, activation="relu"),
+         Dense(F)], (F,)),
+}
+
+#: ``TILE`` while the property runs: ``n`` up to ``21 * SMALL_TILE - 1``
+#: windows makes 1 to 20 tiles.
+SMALL_TILE = 4
+
+
+class TestFusedTileProperties:
+    """``predict_fused`` over 1 to 20 tiles of a patched ``TILE``."""
+
+    @given(layout=st.sampled_from(sorted(FUSED_LAYOUTS)),
+           n=st.integers(1, 21 * SMALL_TILE - 1),
+           window=st.integers(2, 8), features=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_tiles_agree_bitwise_and_match_one_pass(self, layout, n, window,
+                                                    features, seed, data):
+        layers, shape = FUSED_LAYOUTS[layout](window, features)
+        model = Sequential(layers, random_state=seed)
+        model.build(shape)
+        x = np.random.default_rng(seed).normal(size=(n,) + shape)
+        with mock.patch.object(network, "TILE", SMALL_TILE):
+            pooled = model.predict_fused(x, ArenaPool())
+            with mock.patch.object(network, "_tile_threads", lambda: 1):
+                serial = model.predict_fused(x, ArenaPool())
+        assert pooled.tobytes() == serial.tobytes()
+
+        whole = np.empty_like(serial)
+        with ArenaPool().scope() as take:
+            model._forward_time_major(x.astype(np.float32), take, whole)
+        assert np.allclose(pooled, whole, rtol=PARITY_RTOL, atol=PARITY_ATOL)
+
+        # Negative control: one ulp on one element breaks the bitwise check.
+        nudged = pooled.copy()
+        at = data.draw(st.integers(0, nudged.size - 1))
+        nudged.flat[at] = np.nextafter(nudged.flat[at], np.inf)
+        assert nudged.tobytes() != serial.tobytes()
